@@ -39,7 +39,13 @@ from .explicit import (
     square_power_prime_sum,
 )
 from .forms import DISTRIBUTIONS, SyntheticForm, fejer_test_function
-from .petersson import RAMANUJAN_TAU, default_c_max, old_part_terms, petersson_delta
+from .petersson import (
+    RAMANUJAN_TAU,
+    default_c_max,
+    old_part_terms,
+    petersson_delta,
+    petersson_deltas,
+)
 
 DEFAULT_SEED = 1729
 
@@ -359,11 +365,10 @@ def _cmd_petersson(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _tau_rows(m_values: list[int], kappa: int, c_max: int | None) -> list[dict[str, Any]]:
-    base = petersson_delta(1, 1, kappa, c_max)
+    base, *terms = petersson_deltas([1, *m_values], 1, kappa, c_max)
     denom = max(abs(base.value) - base.tail_estimate, 1e-300)
     rows = []
-    for m in m_values:
-        term = petersson_delta(m, 1, kappa, c_max)
+    for m, term in zip(m_values, terms):
         ratio = term.value / base.value
         target = RAMANUJAN_TAU[m] / m ** ((kappa - 1) / 2.0)
         tail = (term.tail_estimate + abs(ratio) * base.tail_estimate) / denom

@@ -1,8 +1,9 @@
 """Trace-formula numerics: Kloosterman sums, Bessel J, truncated diagonals.
 
 Kloosterman sums are exact (modular inverses in integer arithmetic, cosines
-summed in double precision).  Bessel J switches between the power series and
-Miller's backward recurrence.  The truncated diagonal term carries a rigorous
+summed in double precision) and are built once per modulus for every index
+that needs it.  Bessel J switches between the power series and Miller's
+backward recurrence.  The truncated diagonal term carries a rigorous
 tail bound built from the Weil bound and the small-argument Bessel bound, so
 every reported value comes with an explicit error radius.
 """
@@ -12,8 +13,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
+
+import numpy as np
 
 from .forms import is_prime
 
@@ -21,6 +25,9 @@ ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
 _BESSEL_MAX_ARGUMENT = 1e6
 _SERIES_WINDOW_CAP = 14.0
+# Residues m x + n x^-1 with every factor below the modulus stay below
+# 2 (c-1)^2, which int64 holds exactly while c < 2**31.
+MODULUS_LIMIT = 2**31
 
 # Classical coefficients of the weight-12 level-1 cusp form's q-expansion,
 # for the CLI comparison table.  The test suite recomputes them from the
@@ -39,46 +46,82 @@ RAMANUJAN_TAU = {
 }
 
 
+def _factorization(c: int) -> dict[int, int]:
+    """Prime -> exponent for c >= 1, by trial division."""
+    factors = {}
+    d = 2
+    while d * d <= c:
+        while c % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            c //= d
+        d += 1
+    if c > 1:
+        factors[c] = factors.get(c, 0) + 1
+    return factors
+
+
+def kloosterman_sums(ms: Sequence[int], n: int, c: int) -> list[float]:
+    """Exact S(m, n; c) for every m in ms, sharing the work for the modulus c.
+
+    The units x of c, their inverses x^(phi(c)-1) and each residue
+    (m x + n x^-1) mod c are exact int64 arithmetic (hence c < 2**31).  The
+    cosine of 2 pi k / c is evaluated once per residue k that occurs for any
+    m, with the same double expression for every m, and each sum is
+    math.fsum of its terms.  fsum is exactly rounded, so the order of the
+    terms cannot change a sum: S(m, n; c) is the same double whichever ms
+    share the modulus.  The x <-> -x symmetry makes each sum real, so the
+    imaginary part is never formed.  |S| <= phi(c).
+    """
+    if c < 1:
+        raise ValueError("modulus must be >= 1")
+    if c >= MODULUS_LIMIT:
+        raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
+    if c == 1:
+        return [1.0] * len(ms)
+    # No boolean arrays of length c: numpy keeps freed buffers under 1 KiB
+    # for reuse at the same byte size, and a sweep over c would leave one
+    # behind for every c below 1024.
+    sieve = np.ones(c, dtype=np.int64)
+    for p in _factorization(c):
+        sieve[::p] = 0
+    units = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    # Only the lower half is raised to the power: the upper half is
+    # c - (lower half reversed), and (c - x)^-1 = c - x^-1.
+    inverses = np.ones(len(units) - len(units) // 2, dtype=np.int64)
+    base = units[: len(inverses)]
+    e = len(units) - 1
+    while e:
+        if e & 1:
+            inverses = inverses * base % c
+        base = base * base % c
+        e >>= 1
+    inverses = np.concatenate([inverses, c - inverses[::-1][: len(units) // 2]])
+    nr = n % c
+    residues = [(m % c * units + nr * inverses) % c for m in ms]
+    cosines = np.zeros(c)
+    for r in residues:
+        cosines[r] = 1.0  # marks the residues that occur
+    ks = np.flatnonzero(cosines)
+    cosines[ks] = np.fromiter(map(math.cos, ((2.0 * math.pi / c) * ks).tolist()), float, len(ks))
+    return [math.fsum(cosines[r].tolist()) for r in residues]
+
+
 def kloosterman(m: int, n: int, c: int) -> float:
     """Exact S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c).
 
     The fraction (m x + n x^-1)/c is reduced modulo 1 in integer arithmetic
     before the cosine, so the only rounding is the cosine itself and the
-    final compensated sum.  The x <-> -x symmetry makes the sum real, so the
-    imaginary part is never formed.  |result| <= phi(c).
+    final exactly rounded sum.  One-index case of kloosterman_sums, and the
+    same double it gives; c < 2**31.  |result| <= phi(c).
     """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    if c == 1:
-        return 1.0
-    mr, nr = m % c, n % c
-    two_pi_over_c = 2.0 * math.pi / c
-    terms = []
-    for x in range(1, c):
-        if math.gcd(x, c) != 1:
-            continue
-        xinv = pow(x, -1, c)
-        terms.append(math.cos(two_pi_over_c * ((mr * x + nr * xinv) % c)))
-    return math.fsum(terms)
+    return kloosterman_sums([m], n, c)[0]
 
 
 def divisor_count(c: int) -> int:
     """tau(c): number of positive divisors."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    count = 1
-    d = 2
-    while d * d <= c:
-        if c % d == 0:
-            e = 0
-            while c % d == 0:
-                c //= d
-                e += 1
-            count *= e + 1
-        d += 1
-    if c > 1:
-        count *= 2
-    return count
+    return math.prod(e + 1 for e in _factorization(c).values())
 
 
 def weil_bound(m: int, n: int, c: int) -> float:
@@ -132,7 +175,8 @@ def _bessel_miller(order: int, x: float) -> float:
     norm += current
     if order == 0:
         wanted = current
-    assert wanted is not None
+    if wanted is None:
+        raise RuntimeError(f"Miller recurrence from {start} never reached order {order}")
     return wanted / norm
 
 
@@ -205,44 +249,69 @@ def default_c_max(m: int) -> int:
     return max(1000, math.ceil(8.0 * math.pi * math.sqrt(m)))
 
 
-def petersson_delta(m: int, k: int, kappa: int, c_max: int | None = None) -> PeterssonTerm:
-    """Diagonal term: [m = 1] + 2 pi (-1)^{kappa/2} sum_{c <= c_max, k | c} S(m,1;c)/c J_{kappa-1}(4 pi sqrt m / c).
+def petersson_deltas(
+    ms: Sequence[int], k: int, kappa: int, c_max: int | None = None
+) -> list[PeterssonTerm]:
+    """Truncated diagonal terms for every m in ms, one pass over the moduli.
 
-    i^kappa is evaluated as (-1)^{kappa/2}; no complex arithmetic appears.
-    Warns when c_max <= 4 pi sqrt(m), where the reported tail bound is not
-    yet in its provably decreasing regime.
+    The term at m is [m = 1] + 2 pi (-1)^{kappa/2} times the sum over
+    c <= c_max with k | c of S(m,1;c)/c J_{kappa-1}(4 pi sqrt m / c).
+    Each c's Kloosterman sums come from one kloosterman_sums call for every
+    m whose cutoff reaches c.  Each m keeps its own cutoff (default_c_max(m)
+    when c_max is None), tail bound and truncation warning, and its term is
+    the same double it would be alone: every summand is the same expression
+    and the c-sum is exactly rounded by math.fsum.  i^kappa is evaluated as
+    (-1)^{kappa/2}; no complex arithmetic appears.  Warns for each m with
+    c_max <= 4 pi sqrt(m), where the reported tail bound is not yet in its
+    provably decreasing regime.  Cutoffs must be below 2**31.
     """
-    if m < 1:
+    if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if kappa < 2 or kappa % 2:
         raise ValueError("weight must be an even integer >= 2")
-    if c_max is None:
-        c_max = default_c_max(m)
-    if c_max < k:
+    c_maxes = [default_c_max(m) if c_max is None else c_max for m in ms]
+    if any(top < k for top in c_maxes):
         raise ValueError("c_max must be >= k")
-    root = 4.0 * math.pi * math.sqrt(m)
-    if c_max <= root:
-        warnings.warn(
-            f"c_max={c_max} is not beyond 4*pi*sqrt(m)={root:.1f};"
-            " the tail estimate is not yet rigorous",
-            stacklevel=2,
-        )
+    if any(top >= MODULUS_LIMIT for top in c_maxes):
+        raise ValueError("c_max must be < 2**31")
+    roots = [4.0 * math.pi * math.sqrt(m) for m in ms]
+    for top, root in zip(c_maxes, roots):
+        if top <= root:
+            warnings.warn(
+                f"c_max={top} is not beyond 4*pi*sqrt(m)={root:.1f};"
+                " the tail estimate is not yet rigorous",
+                stacklevel=2,
+            )
+    terms = [array("d") for _ in ms]  # 8 bytes a term, not a float object
+    for c in range(k, max(c_maxes, default=0) + 1, k):
+        live = [i for i, top in enumerate(c_maxes) if c <= top]
+        sums = kloosterman_sums([ms[i] for i in live], 1, c)
+        for i, s in zip(live, sums):
+            terms[i].append(s / c * bessel_j(kappa - 1, roots[i] / c))
     sign = -1.0 if (kappa // 2) % 2 else 1.0
-    terms = [
-        kloosterman(m, 1, c) / c * bessel_j(kappa - 1, root / c)
-        for c in range(k, c_max + 1, k)
+    return [
+        PeterssonTerm(
+            m=m,
+            k=k,
+            kappa=kappa,
+            value=(1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(cs),
+            tail_estimate=delta_tail_bound(m, kappa, top),
+            c_max=top,
+        )
+        for m, top, cs in zip(ms, c_maxes, terms)
     ]
-    value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(terms)
-    return PeterssonTerm(
-        m=m,
-        k=k,
-        kappa=kappa,
-        value=value,
-        tail_estimate=delta_tail_bound(m, kappa, c_max),
-        c_max=c_max,
-    )
+
+
+def petersson_delta(m: int, k: int, kappa: int, c_max: int | None = None) -> PeterssonTerm:
+    """The truncated diagonal term at one index m, with its tail radius.
+
+    petersson_deltas([m], ...)[0]; a sweep over many m should call
+    petersson_deltas once, which shares each modulus's Kloosterman work
+    across the sweep and returns the same terms.
+    """
+    return petersson_deltas([m], k, kappa, c_max)[0]
 
 
 def old_part_terms(
@@ -281,7 +350,8 @@ def old_part_terms(
             f" guard {bessel_argument_guard}; values beyond it carry no 1e-10 claim",
             stacklevel=2,
         )
-    return [(ell, petersson_delta(p**k * ell * ell, 1, kappa, c_max)) for ell in ells]
+    deltas = petersson_deltas([p**k * ell * ell for ell in ells], 1, kappa, c_max)
+    return list(zip(ells, deltas))
 
 
 def old_part_sum(

@@ -1,7 +1,8 @@
 """Tests for the trace-formula numerics: Kloosterman sums, Bessel J,
 truncated diagonal terms with tail estimates, and the level-power old part.
 
-Oracles: a complex-exponential brute-force Kloosterman evaluator, an exact
+Oracles: a complex-exponential brute-force Kloosterman evaluator, the
+scalar per-unit loop the batched kernel must reproduce bit for bit, an exact
 rational truncation of the Bessel power series, scipy's jv in the large-x
 regime, and the integer q-expansion of the weight-12 discriminant product
 for the tau cross-check.
@@ -16,6 +17,7 @@ import pytest
 import sympy
 from scipy.special import jv
 
+import symlow.petersson
 from symlow.petersson import (
     BESSEL_ARGUMENT_GUARD,
     RAMANUJAN_TAU,
@@ -25,10 +27,12 @@ from symlow.petersson import (
     delta_tail_bound,
     divisor_count,
     kloosterman,
+    kloosterman_sums,
     new_part_admissible,
     old_part_sum,
     old_part_terms,
     petersson_delta,
+    petersson_deltas,
     weil_bound,
 )
 
@@ -45,6 +49,25 @@ def kloosterman_bruteforce(m: int, n: int, c: int) -> float:
         total += cmath.exp(2j * math.pi * (m * x + n * xbar) / c)
     assert abs(total.imag) < 1e-9 * max(1.0, abs(total.real))
     return total.real
+
+
+def kloosterman_scalar(m: int, n: int, c: int) -> float:
+    """One modulus, one index: gcd and pow(x, -1, c) per unit, then fsum.
+
+    The per-unit loop the batched kernel replaced; every cosine is the same
+    double expression, so the two must agree exactly.
+    """
+    if c == 1:
+        return 1.0
+    mr, nr = m % c, n % c
+    two_pi_over_c = 2.0 * math.pi / c
+    terms = []
+    for x in range(1, c):
+        if math.gcd(x, c) != 1:
+            continue
+        xinv = pow(x, -1, c)
+        terms.append(math.cos(two_pi_over_c * ((mr * x + nr * xinv) % c)))
+    return math.fsum(terms)
 
 
 def tau_coefficients(count: int) -> list[int]:
@@ -70,6 +93,34 @@ class TestKloosterman:
                 got = kloosterman(m, n, c)
                 want = kloosterman_bruteforce(m, n, c)
                 assert abs(got - want) < 1e-9, (m, n, c)
+
+    def test_bit_identical_to_scalar_loop(self):
+        moduli = list(range(1, 301)) + [1024, 2048, 2187, 3960, 3989, 4000]
+        ms = [0, 1, 2, 997, 10**6]
+        for c in moduli:
+            for n in (1, 0, 5, -3):
+                batch = kloosterman_sums(ms, n, c)
+                for m, shared in zip(ms, batch):
+                    want = kloosterman_scalar(m, n, c)
+                    assert kloosterman(m, n, c) == want, (m, n, c)
+                    assert shared == want, (m, n, c)
+
+    def test_batch_keeps_order_and_duplicates(self):
+        ms = [7, 3, 7, 0, 3 + 97]
+        assert kloosterman_sums(ms, 2, 97) == [kloosterman(m, 2, 97) for m in ms]
+        assert kloosterman_sums([], 1, 12) == []
+        assert kloosterman_sums([5, 9], 4, 1) == [1.0, 1.0]
+
+    def test_modulus_guard_precedes_allocation(self, monkeypatch):
+        # Without numpy in reach, any array built before the guard would
+        # fail with something other than ValueError.
+        monkeypatch.setattr(symlow.petersson, "np", None)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            kloosterman_sums([1, 2], 1, 2**31)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            kloosterman(1, 1, 2**31)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            petersson_deltas([1], 1, 12, 2**31)
 
     def test_frozen_values(self):
         assert kloosterman(1, 1, 1) == 1.0
@@ -295,6 +346,42 @@ class TestPeterssonDelta:
             petersson_delta(1, 5, 12, 4)  # c_max below k
         with pytest.raises(ValueError):
             PeterssonTerm(m=1, k=1, kappa=12, value=1.0, tail_estimate=-0.1, c_max=10)
+
+
+class TestPeterssonDeltas:
+    def test_mixed_default_cutoffs_match_single_calls(self):
+        ms = [2, 4000, 3]
+        assert [default_c_max(m) for m in ms] == [1000, 1590, 1000]
+        batch = petersson_deltas(ms, 1, 12)
+        assert batch == [petersson_delta(m, 1, 12) for m in ms]
+        assert [t.c_max for t in batch] == [1000, 1590, 1000]
+
+    def test_divisibility_thinning_matches_single_calls(self):
+        ms = [3, 7, 1, 3]
+        batch = petersson_deltas(ms, 2, 12, 200)
+        assert batch == [petersson_delta(m, 2, 12, 200) for m in ms]
+
+    def test_one_warning_per_untruncated_index(self):
+        # At c_max = 100 only m = 100 (root 125.7) and m = 400 (root 251.3)
+        # sit inside the non-rigorous window.
+        ms = [9, 100, 2, 400]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = petersson_deltas(ms, 1, 12, 100)
+        assert len(caught) == 2
+        assert "=125.7;" in str(caught[0].message)
+        assert "=251.3;" in str(caught[1].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert batch == [petersson_delta(m, 1, 12, 100) for m in ms]
+
+    def test_rejects_index_below_one_anywhere(self):
+        for ms in ([0, 2], [2, 0], [2, 3, -1]):
+            with pytest.raises(ValueError):
+                petersson_deltas(ms, 1, 12, 100)
+
+    def test_empty_batch(self):
+        assert petersson_deltas([], 1, 12) == []
 
 
 class TestOldPart:
