@@ -2,7 +2,7 @@
 
 Submodules by concern:
 
-- ``chebyshev``: exact rational polynomial engine, second-kind family,
+- ``chebyshev``: exact integer polynomial engine, second-kind family,
   linearization coefficients, chain and coefficient identities.
 - ``forms``: synthetic eigenvalue models with seeded local angles, power
   sums, gamma-factor shifts, sign of the functional equation, windows.

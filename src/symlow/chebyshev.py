@@ -1,9 +1,10 @@
 """Exact arithmetic for Chebyshev polynomials of the second kind.
 
-Everything in this module runs over arbitrary-precision rationals, so each
-identity check returns an exact polynomial residual: the empty polynomial
-means the identity holds, anything else is a genuine counterexample.  No
-floating point enters any computation here.
+Everything in this module runs over exact integers, with ``Fraction`` only
+where a caller supplies one, so each identity check returns an exact
+polynomial residual: the empty polynomial means the identity holds, anything
+else is a genuine counterexample.  No floating point enters any computation
+here.
 
 Normalization: U_n denotes the degree-n Chebyshev polynomial of the second
 kind in the stretched variable, U_n(2 cos t) = sin((n+1)t) / sin t.  The
@@ -21,7 +22,10 @@ from fractions import Fraction
 
 @dataclasses.dataclass(frozen=True)
 class ExactPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact integer coefficients.
+
+    Coefficients stay Python ints; a Fraction appears only where a caller
+    supplies one, and any other value is converted exactly by Fraction().
 
     coeffs[i] is the coefficient of T^i where T is the monomial variable
     (T = 2 cos t on the support of the weight).  The zero polynomial is the
@@ -29,11 +33,11 @@ class ExactPoly:
     equality of representations.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def of(*coeffs: Fraction | int) -> "ExactPoly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return ExactPoly(tuple(cs))
@@ -65,7 +69,7 @@ class ExactPoly:
             return ExactPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return ExactPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -88,10 +92,10 @@ class ExactPoly:
             n >>= 1
         return result
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int | Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def eval_exact(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
@@ -133,13 +137,6 @@ class ChebExpansion:
             acc = acc + (cheb_poly(j) * c)
         return acc
 
-    @staticmethod
-    def from_poly(p: ExactPoly) -> "ChebExpansion":
-        """Expand p in the U basis by exact projection (orthonormality)."""
-        return ChebExpansion.of(
-            {j: inner_product(p, cheb_poly(j)) for j in range(p.degree + 1)}
-        )
-
 
 @functools.lru_cache(maxsize=None)
 def cheb_poly(n: int) -> ExactPoly:
@@ -160,11 +157,9 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def semicircle_moment(k: int) -> Fraction:
+def semicircle_moment(k: int) -> int:
     """Exact k-th moment of the semicircle weight on [-2, 2]."""
-    if k % 2:
-        return Fraction(0)
-    return Fraction(catalan(k // 2))
+    return 0 if k % 2 else catalan(k // 2)
 
 
 def inner_product(p: ExactPoly, q: ExactPoly) -> Fraction:
@@ -174,9 +169,8 @@ def inner_product(p: ExactPoly, q: ExactPoly) -> Fraction:
     is Catalan(m)); no quadrature anywhere.
     """
     prod = p * q
-    return sum(
-        (c * semicircle_moment(k) for k, c in enumerate(prod.coeffs) if c != 0),
-        Fraction(0),
+    return Fraction(
+        sum(c * semicircle_moment(k) for k, c in enumerate(prod.coeffs) if c != 0)
     )
 
 
@@ -202,9 +196,9 @@ def monomial_expansion(ell: int) -> ExactPoly:
     """
     if ell < 0:
         raise ValueError("index must be nonnegative")
-    coeffs = [Fraction(0)] * (ell + 1)
+    coeffs = [0] * (ell + 1)
     for u in range(ell % 2, ell + 1, 2):
-        coeffs[u] = Fraction((-1) ** ((ell - u) // 2) * math.comb((ell + u) // 2, u))
+        coeffs[u] = (-1) ** ((ell - u) // 2) * math.comb((ell + u) // 2, u)
     return ExactPoly.of(*coeffs)
 
 

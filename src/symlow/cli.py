@@ -174,11 +174,8 @@ def build_parser() -> _Parser:
 
 
 def _max_residual(polys: Sequence[ExactPoly]) -> Fraction:
-    worst = Fraction(0)
-    for p in polys:
-        for c in p.coeffs:
-            worst = max(worst, abs(c))
-    return worst
+    """Largest coefficient magnitude, as a Fraction so it renders quoted."""
+    return Fraction(max((abs(c) for p in polys for c in p.coeffs), default=0))
 
 
 def run_identity_suite(
@@ -204,7 +201,7 @@ def run_identity_suite(
     cases = 0
     for i in range(ortho_max + 1):
         for j in range(i, ortho_max + 1):
-            expected = Fraction(1 if i == j else 0)
+            expected = int(i == j)
             worst = max(worst, abs(inner_product(cheb_poly(i), cheb_poly(j)) - expected))
             cases += 1
     record("orthonormality", cases, worst)
@@ -248,22 +245,24 @@ def run_identity_suite(
     return checks, failures
 
 
+def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
+    """The parsed arguments in option order, with resolved values overlaid.
+
+    Subcommands without --seed report DEFAULT_SEED just before the common
+    --threads/--output options.
+    """
+    config = {**vars(args), **resolved}
+    if "seed" not in config:
+        common = {key: config.pop(key) for key in ("threads", "output")}
+        config.update(seed=DEFAULT_SEED, **common)
+    return config
+
+
 def _cmd_identities(args: argparse.Namespace) -> tuple[int, str]:
-    config = {
-        "command": "identities",
-        "kmax": args.kmax,
-        "coeff_kmax": args.coeff_kmax,
-        "lmax": args.lmax,
-        "ortho_max": args.ortho_max,
-        "power_max": args.power_max,
-        "seed": DEFAULT_SEED,
-        "threads": args.threads,
-        "output": args.output,
-    }
     checks, failures = run_identity_suite(
         args.kmax, args.coeff_kmax, args.lmax, args.ortho_max, args.power_max
     )
-    doc = {"suite": "identities", "config": config, "checks": checks, "failures": failures}
+    doc = {"suite": "identities", "config": _config(args), "checks": checks, "failures": failures}
     return (2 if failures else 0), render_json(doc)
 
 
@@ -274,70 +273,32 @@ def _bundle_for(r: int, kappa: int, cutoff: int | None):
 
 
 def _cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
-    config = {
-        "command": "constants",
-        "r": args.r,
-        "kappa": args.kappa,
-        "cutoff": args.cutoff,
-        "seed": DEFAULT_SEED,
-        "threads": args.threads,
-        "output": args.output,
-    }
     bundle = _bundle_for(args.r, args.kappa, args.cutoff)
     doc = {
-        "config": config,
-        "bundle": dataclass_dict(bundle),
+        "config": _config(args),
+        "bundle": dataclasses.asdict(bundle),
         "nu_limit": nu_max(args.r, args.kappa),
     }
     return 0, render_json(doc)
 
 
-def dataclass_dict(obj: Any) -> dict[str, Any]:
-    return dataclasses.asdict(obj)
-
-
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
-    config = {
-        "command": "predict",
-        "r": args.r,
-        "kappa": args.kappa,
-        "q": args.q,
-        "nu": args.nu,
-        "phi": args.phi,
-        "cutoff": args.cutoff,
-        "seed": DEFAULT_SEED,
-        "threads": args.threads,
-        "output": args.output,
-    }
     report = density_prediction(
         args.r, args.kappa, args.q,
         fejer_test_function(args.nu),
         constants=_bundle_for(args.r, args.kappa, args.cutoff),
     )
-    doc = {"config": config, "report": report.as_dict()}
+    doc = {"config": _config(args), "report": report.as_dict()}
     return 0, render_json(doc)
 
 
 def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
-    config = {
-        "command": "pterms",
-        "r": args.r,
-        "kappa": args.kappa,
-        "q": args.q,
-        "nu": args.nu,
-        "phi": args.phi,
-        "seed": args.seed,
-        "dist": args.dist,
-        "eps": args.eps,
-        "threads": args.threads,
-        "output": args.output,
-    }
     form = SyntheticForm(
         kappa=args.kappa, q=args.q, eps_f=args.eps, seed=args.seed, distribution=args.dist
     )
     phi = fejer_test_function(args.nu)
     doc = {
-        "config": config,
+        "config": _config(args),
         "cutoffs": prime_cutoffs(args.q, args.r, args.nu),
         "first_power": first_power_prime_sum(form, phi, args.r),
         "square_power": [
@@ -350,18 +311,9 @@ def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_petersson(args: argparse.Namespace) -> tuple[int, str]:
     c_max = args.cmax if args.cmax is not None else default_c_max(args.m)
-    config = {
-        "command": "petersson",
-        "m": args.m,
-        "k": args.k,
-        "kappa": args.kappa,
-        "cmax": c_max,
-        "seed": DEFAULT_SEED,
-        "threads": args.threads,
-        "output": args.output,
-    }
     term = petersson_delta(args.m, args.k, args.kappa, c_max)
-    return 0, render_json({"config": config, "term": dataclass_dict(term)})
+    doc = {"config": _config(args, cmax=c_max), "term": dataclasses.asdict(term)}
+    return 0, render_json(doc)
 
 
 def _tau_rows(m_values: list[int], kappa: int, c_max: int | None) -> list[dict[str, Any]]:
@@ -396,15 +348,7 @@ def _cmd_tau_check(args: argparse.Namespace) -> tuple[int, str]:
     for m in m_values:
         if m not in RAMANUJAN_TAU or m == 1:
             raise ValueError(f"index {m} is outside the frozen table range 2..10")
-    config = {
-        "command": "tau-check",
-        "kappa": args.kappa,
-        "m_list": ",".join(str(m) for m in m_values),
-        "cmax": args.cmax,
-        "seed": DEFAULT_SEED,
-        "threads": args.threads,
-        "output": args.output,
-    }
+    config = _config(args, m_list=",".join(str(m) for m in m_values))
     rows = _tau_rows(m_values, args.kappa, args.cmax)
     if args.output == "csv":
         lines = [f"# {key}={value}" for key, value in config.items()]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import json
 import math
 from fractions import Fraction
 from typing import Callable
@@ -115,34 +114,6 @@ class SyntheticForm:
     def flipped(self) -> "SyntheticForm":
         """Copy whose every angle is reflected t -> pi - t."""
         return dataclasses.replace(self, flip=not self.flip)
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "q": self.q,
-            "eps_f": self.eps_f,
-            "seed": self.seed,
-            "distribution": self.distribution,
-            "flip": self.flip,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "SyntheticForm":
-        return SyntheticForm(
-            kappa=int(doc["kappa"]),
-            q=int(doc["q"]),
-            eps_f=int(doc["eps_f"]),
-            seed=int(doc["seed"]),
-            distribution=str(doc.get("distribution", "sato-tate")),
-            flip=bool(doc.get("flip", False)),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SyntheticForm":
-        return SyntheticForm.from_dict(json.loads(text))
 
 
 def _check_angle(theta: float) -> None:

@@ -1,8 +1,8 @@
-"""Exact-rational polynomial engine: oracles and frozen identities.
+"""Exact integer polynomial engine: oracles and frozen identities.
 
 Numeric cross-checks integrate against the semicircle weight with scipy;
-everything else is exact Fraction arithmetic, so expected residuals are
-literally zero, not small.
+everything else is exact integer or Fraction arithmetic, so expected
+residuals are literally zero, not small.
 """
 
 import math
@@ -176,9 +176,34 @@ class TestLinearization:
 
     def test_expansion_round_trip(self):
         p = cheb_poly(4) * 3 + cheb_poly(1) * Fraction(-7, 2) + ONE
-        exp = ChebExpansion.from_poly(p)
+        exp = ChebExpansion.of(
+            {j: inner_product(p, cheb_poly(j)) for j in range(p.degree + 1)}
+        )
         assert exp.to_poly() == p
         assert exp[4] == 3 and exp[1] == Fraction(-7, 2) and exp[0] == 1
+
+
+class TestIntegerRing:
+    def test_family_coefficients_are_ints(self):
+        for n in range(0, 61):
+            for p in (cheb_poly(n), monomial_expansion(n)):
+                assert all(type(c) is int for c in p.coeffs), n
+
+    def test_non_int_coefficients_convert_exactly(self):
+        assert ExactPoly.of(0.5) == ExactPoly.of(Fraction(1, 2))
+        assert ExactPoly.of(0.5).coeffs == (Fraction(1, 2),)
+        with pytest.raises(ValueError):
+            ExactPoly.of("x")
+
+    def test_int_and_fraction_coefficients_compare_and_hash_alike(self):
+        ints = ExactPoly.of(1, 2)
+        fractions = ExactPoly.of(Fraction(1), Fraction(2))
+        assert ints == fractions
+        assert hash(ints) == hash(fractions)
+
+    def test_rational_api_edges_return_fractions(self):
+        assert type(inner_product(cheb_poly(3), cheb_poly(3))) is Fraction
+        assert type(cheb_poly(3).eval_exact(2)) is Fraction
 
 
 class TestMonomialExpansion:

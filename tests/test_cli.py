@@ -12,11 +12,16 @@ from fractions import Fraction
 import pytest
 
 import symlow.cli as cli
+from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
+from symlow.petersson import default_c_max
 
 
 def run_cli(*args, env_extra=None):
+    # The child imports the same symlow as this process, installed or not.
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -97,6 +102,56 @@ class TestIdentitiesCommand:
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
         assert "vanishing_chain_sum" in doc["failures"]
+
+    def test_nonzero_polynomial_residual_renders_quoted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "monomial_expansion", lambda ell: cheb_poly(ell) + ONE)
+        code = main([
+            "identities", "--kmax", "2", "--coeff-kmax", "2",
+            "--lmax", "4", "--ortho-max", "2", "--power-max", "2",
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert '"max_residual": "1"' in out
+        assert json.loads(out)["failures"] == ["monomial_reassembly"]
+
+
+class TestConfigBlock:
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["identities", "--kmax", "2", "--coeff-kmax", "2", "--lmax", "2",
+              "--ortho-max", "2", "--power-max", "2"],
+             ["command", "kmax", "coeff_kmax", "lmax", "ortho_max", "power_max",
+              "seed", "threads", "output"]),
+            (["constants", "--r", "1", "--kappa", "12", "--cutoff", "1000"],
+             ["command", "r", "kappa", "cutoff", "seed", "threads", "output"]),
+            (["predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/2",
+              "--cutoff", "1000"],
+             ["command", "r", "kappa", "q", "nu", "phi", "cutoff",
+              "seed", "threads", "output"]),
+            (["pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/2"],
+             ["command", "r", "kappa", "q", "nu", "phi", "seed", "dist", "eps",
+              "threads", "output"]),
+            (["petersson", "--m", "2", "--kappa", "12", "--cmax", "20"],
+             ["command", "m", "k", "kappa", "cmax", "seed", "threads", "output"]),
+            (["tau-check", "--m-list", "2", "--cmax", "20"],
+             ["command", "kappa", "m_list", "cmax", "seed", "threads", "output"]),
+        ],
+    )
+    def test_keys_in_option_order(self, argv, keys, capsys):
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert list(config) == keys
+        assert config["command"] == argv[0]
+
+    def test_resolved_values_overlaid(self, capsys):
+        assert main(["petersson", "--m", "2", "--kappa", "12"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["cmax"] == default_c_max(2)
+        assert main(["tau-check", "--m-list", " 3, 2,", "--cmax", "30"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["m_list"] == "3,2"
+        assert config["seed"] == DEFAULT_SEED
 
 
 class TestConstantsCommand:

@@ -410,12 +410,6 @@ class TestSyntheticForm:
     def test_distribution_changes_angles(self):
         assert self.make().angle(2) != self.make(distribution="uniform").angle(2)
 
-    def test_json_round_trip(self):
-        f = self.make(eps_f=-1, seed=77, distribution="uniform")
-        g = SyntheticForm.from_json(f.to_json())
-        assert g == f
-        assert g.angle(101) == f.angle(101)
-
     def test_flip_reflects_angles(self):
         f = self.make()
         g = f.flipped()
