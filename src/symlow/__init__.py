@@ -9,7 +9,8 @@ Submodules by concern:
 - ``constants``: sieved prime-sum constants with error estimates, the
   even-power constant completed by Euler-Maclaurin zeta and zeta', digamma,
   archimedean constants, the exact admissible support radius.
-- ``explicit``: the density prediction and its prime-side sums.
+- ``explicit``: the density prediction and the prime-side sums, taken in
+  one walk over the prime powers.
 - ``petersson``: exact Kloosterman sums, Bessel J, truncated diagonal terms
   with rigorous tails, the old-part geometric sum.
 - ``cli``: reproducible JSON/CSV reporting over all of the above.
@@ -41,15 +42,12 @@ from .constants import (
     digamma,
     nu_max,
     primes_up_to,
-    sieve_theta,
 )
 from .explicit import (
     ExpansionReport,
     density_prediction,
-    first_power_prime_sum,
-    higher_power_prime_sum,
+    prime_sums,
     square_power_identity_gap,
-    square_power_prime_sum,
 )
 from .forms import (
     GammaShifts,
@@ -99,9 +97,7 @@ __all__ = [
     "digamma",
     "eigenvalue_power",
     "fejer_test_function",
-    "first_power_prime_sum",
     "gamma_shifts",
-    "higher_power_prime_sum",
     "inner_product",
     "kloosterman",
     "linearize_power",
@@ -112,14 +108,13 @@ __all__ = [
     "old_part_sum",
     "petersson_delta",
     "power_sum_identity_residual",
+    "prime_sums",
     "primes_up_to",
     "root_number",
     "sampled_test_function",
     "satake_power_sum",
     "semicircle_moment",
-    "sieve_theta",
     "square_power_identity_gap",
-    "square_power_prime_sum",
     "vanishing_chain_sum",
     "__version__",
 ]

@@ -31,13 +31,7 @@ from .chebyshev import (
     vanishing_chain_sum,
 )
 from .constants import compute_constants, nu_max
-from .explicit import (
-    density_prediction,
-    first_power_prime_sum,
-    higher_power_prime_sum,
-    prime_cutoffs,
-    square_power_prime_sum,
-)
+from .explicit import density_prediction, prime_cutoffs, prime_sums
 from .forms import DISTRIBUTIONS, SyntheticForm, fejer_test_function
 from .petersson import (
     RAMANUJAN_TAU,
@@ -288,7 +282,7 @@ def _cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
         fejer_test_function(args.nu),
         constants=_bundle_for(args.r, args.kappa, args.cutoff),
     )
-    doc = {"config": _config(args), "report": report.as_dict()}
+    doc = {"config": _config(args), "report": dataclasses.asdict(report)}
     return 0, render_json(doc)
 
 
@@ -300,11 +294,7 @@ def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
     doc = {
         "config": _config(args),
         "cutoffs": prime_cutoffs(args.q, args.r, args.nu),
-        "first_power": first_power_prime_sum(form, phi, args.r),
-        "square_power": [
-            square_power_prime_sum(form, phi, args.r, m) for m in range(args.r)
-        ],
-        "higher_power": higher_power_prime_sum(form, phi, args.r),
+        **prime_sums(form, phi, args.r),
     }
     return 0, render_json(doc)
 

@@ -41,9 +41,9 @@ def sieve_cap() -> int:
     return cap
 
 
-def primes_up_to(n: int, cap: int | None = None) -> np.ndarray:
+def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array, guarded by the sieve memory cap."""
-    cap = sieve_cap() if cap is None else cap
+    cap = sieve_cap()
     if n > cap:
         raise ValueError(
             f"sieve bound {n} exceeds the memory guard {cap}"
@@ -57,16 +57,6 @@ def primes_up_to(n: int, cap: int | None = None) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-def sieve_theta(t: int) -> float:
-    """First Chebyshev function: sum of log p over primes p <= t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    ps = primes_up_to(int(t))
-    if ps.size == 0:
-        return 0.0
-    return float(np.sum(np.log(ps.astype(np.float64))))
 
 
 def _pnt_value_at(primes: np.ndarray, logs: np.ndarray, cutoff: int) -> float:

@@ -1,10 +1,12 @@
 """Density prediction and prime-side sums for synthetic power lifts.
 
 The prediction assembles the main term and the single 1/log-scale correction
-from precomputed constants; the prime sums evaluate the first-power,
-even-square, and higher-power contributions on a synthetic form.  Every sum
-is finite because the window transform has compact support: enlarging the
-sieve past the natural cutoff only appends terms with exactly zero weight.
+from precomputed constants.  The prime side is one explicit-formula walk over
+the prime powers p^n of a synthetic form: ``prime_sums`` sieves once, takes
+log p once, reads each angle at most once, and splits the terms into the
+first-power, even-square and higher-power sums.  Every sum is finite because
+the window transform has compact support: enlarging the sieve past the
+natural cutoff only appends terms with exactly zero weight.
 """
 
 from __future__ import annotations
@@ -38,24 +40,6 @@ class ExpansionReport:
     breakdown: dict[str, float]
     remainder: str
     constants: ConstantsBundle
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "r": self.r,
-            "kappa": self.kappa,
-            "q": self.q,
-            "nu": self.nu,
-            "nu_limit": self.nu_limit,
-            "admissible": self.admissible,
-            "scale": self.scale,
-            "main_term": self.main_term,
-            "lower_coefficient": self.lower_coefficient,
-            "lower_term": self.lower_term,
-            "breakdown": dict(self.breakdown),
-            "remainder": self.remainder,
-            "constants": dataclasses.asdict(self.constants),
-        }
-        return out
 
 
 def density_prediction(
@@ -152,60 +136,6 @@ def prime_cutoffs(q: int, r: int, nu: float | Fraction) -> dict[str, int]:
     }
 
 
-def first_power_prime_sum(
-    form: SyntheticForm,
-    phi: TestFunction,
-    r: int,
-    prime_limit: int | None = None,
-) -> float:
-    """-(2/scale) sum over p != q of lambda(p^r) (log p/sqrt p) hat(log p/scale)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    scale = r * math.log(form.q)
-    if prime_limit is None:
-        prime_limit = _natural_prime_limit(scale, float(phi.nu), 1.0)
-    terms: list[float] = []
-    for p in primes_up_to(prime_limit).tolist():
-        if p == form.q:
-            continue
-        lp = math.log(p)
-        weight = phi.phi_hat(lp / scale)
-        if weight == 0.0:
-            continue
-        lam = eigenvalue_power(form.angle(p), r)
-        terms.append(lam * lp / math.sqrt(p) * weight)
-    return -(2.0 / scale) * math.fsum(terms)
-
-
-def square_power_prime_sum(
-    form: SyntheticForm,
-    phi: TestFunction,
-    r: int,
-    m: int,
-    prime_limit: int | None = None,
-) -> float:
-    """-(2/scale) sum over p != q of lambda(p^{2(r-m)}) (log p/p) hat(2 log p/scale)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not 0 <= m <= r - 1:
-        raise ValueError(f"m must lie in [0, {r - 1}], got {m}")
-    scale = r * math.log(form.q)
-    if prime_limit is None:
-        prime_limit = _natural_prime_limit(scale, float(phi.nu), 2.0)
-    power = 2 * (r - m)
-    terms: list[float] = []
-    for p in primes_up_to(prime_limit).tolist():
-        if p == form.q:
-            continue
-        lp = math.log(p)
-        weight = phi.phi_hat(2.0 * lp / scale)
-        if weight == 0.0:
-            continue
-        lam = eigenvalue_power(form.angle(p), power)
-        terms.append(lam * lp / p * weight)
-    return -(2.0 / scale) * math.fsum(terms)
-
-
 def _power_bracket(theta: float, n: int, r: int) -> float:
     """Sum over j = r mod 2, 1 <= j <= r, of lambda(p^{jn}) - lambda(p^{jn-2})."""
     start = 1 if r % 2 else 2
@@ -215,37 +145,65 @@ def _power_bracket(theta: float, n: int, r: int) -> float:
     )
 
 
-def higher_power_prime_sum(
+def prime_sums(
     form: SyntheticForm,
     phi: TestFunction,
     r: int,
     prime_limit: int | None = None,
-) -> float:
-    """Cube-and-higher prime powers: the telescoped eigenvalue bracket term.
+) -> dict[str, Any]:
+    """The first-power, square and higher prime-power sums in one walk.
 
-    -(2/scale) sum over p != q and n >= 3 with p^n below the support bound of
-    bracket(theta_p, n, r) (log p / p^{n/2}) hat(n log p/scale).
+    With scale = r log q and p != q throughout:
+
+    - first_power: -(2/scale) sum of lambda(p^r) (log p/sqrt p) hat(log p/scale);
+    - square_power[m] for m = 0..r-1: -(2/scale) sum of
+      lambda(p^{2(r-m)}) (log p/p) hat(2 log p/scale);
+    - higher_power: -(2/scale) sum over n >= 3 of
+      bracket(theta_p, n, r) (log p/p^{n/2}) hat(n log p/scale).
+
+    prime_limit bounds p for n = 1 and n = 2 and p^n for n >= 3; it defaults
+    to the first-power natural bound.  One sieve serves all three sums, and
+    the angle at p is read once, only if some term at p has nonzero weight.
+    Terms past a sum's own natural bound have weight exactly 0, so each value
+    is bit-identical to that sum taken alone at its own bound.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     scale = r * math.log(form.q)
     if prime_limit is None:
         prime_limit = _natural_prime_limit(scale, float(phi.nu), 1.0)
-    terms: list[float] = []
-    # only p with p^3 within the bound can contribute
-    for p in primes_up_to(round(prime_limit ** (1.0 / 3.0)) + 1).tolist():
+    first: list[float] = []
+    squares: list[list[float]] = [[] for _ in range(r)]
+    higher: list[float] = []
+    for p in primes_up_to(prime_limit).tolist():
         if p == form.q:
             continue
-        theta = form.angle(p)
         lp = math.log(p)
+        first_weight = phi.phi_hat(lp / scale)
+        square_weight = phi.phi_hat(2.0 * lp / scale)
+        higher_weights = []
         n = 3
         while p**n <= prime_limit:
             weight = phi.phi_hat(n * lp / scale)
             if weight != 0.0:
-                bracket = _power_bracket(theta, n, r)
-                terms.append(bracket * lp / p ** (n / 2.0) * weight)
+                higher_weights.append((n, weight))
             n += 1
-    return -(2.0 / scale) * math.fsum(terms)
+        if first_weight == 0.0 and square_weight == 0.0 and not higher_weights:
+            continue
+        # p comes from the sieve and is not q, so skip angle()'s primality check.
+        theta = form._sieved_angle(p)
+        if first_weight != 0.0:
+            first.append(eigenvalue_power(theta, r) * lp / math.sqrt(p) * first_weight)
+        if square_weight != 0.0:
+            for m, terms in enumerate(squares):
+                terms.append(eigenvalue_power(theta, 2 * (r - m)) * lp / p * square_weight)
+        for n, weight in higher_weights:
+            higher.append(_power_bracket(theta, n, r) * lp / p ** (n / 2.0) * weight)
+    return {
+        "first_power": -(2.0 / scale) * math.fsum(first),
+        "square_power": [-(2.0 / scale) * math.fsum(terms) for terms in squares],
+        "higher_power": -(2.0 / scale) * math.fsum(higher),
+    }
 
 
 def square_power_identity_gap(theta: float, r: int) -> float:

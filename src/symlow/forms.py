@@ -99,11 +99,20 @@ class SyntheticForm:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
 
     def angle(self, p: int) -> float:
-        """Satake angle at p; defined only away from the level."""
+        """Satake angle at p; defined only away from the level.
+
+        Checks that p is a prime other than q, then reads the seeded angle.
+        Callers that already hold sieved primes away from q (the prime sums)
+        read ``_sieved_angle`` directly and skip the Miller-Rabin recheck.
+        """
         if p == self.q:
             raise ValueError("angle is undefined at the level prime")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        return self._sieved_angle(p)
+
+    def _sieved_angle(self, p: int) -> float:
+        """The seeded angle at a prime p != q, reflected when flipped; unchecked."""
         theta = _angle(self.seed, self.distribution, p)
         return math.pi - theta if self.flip else theta
 

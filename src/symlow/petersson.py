@@ -321,7 +321,6 @@ def old_part_terms(
     kappa: int,
     ell_max: int,
     c_max: int,
-    bessel_argument_guard: float = BESSEL_ARGUMENT_GUARD,
 ) -> list[tuple[int, PeterssonTerm]]:
     """Per-level pieces (ell, diagonal at p^k ell^2) for ell in {1, q, q^2, ...} <= ell_max.
 
@@ -344,10 +343,10 @@ def old_part_terms(
         ells.append(ell)
         ell *= q
     top_argument = 4.0 * math.pi * math.sqrt(p**k) * ells[-1]
-    if top_argument > bessel_argument_guard:
+    if top_argument > BESSEL_ARGUMENT_GUARD:
         warnings.warn(
             f"largest Bessel argument {top_argument:.1f} exceeds the accuracy"
-            f" guard {bessel_argument_guard}; values beyond it carry no 1e-10 claim",
+            f" guard {BESSEL_ARGUMENT_GUARD}; values beyond it carry no 1e-10 claim",
             stacklevel=2,
         )
     deltas = petersson_deltas([p**k * ell * ell for ell in ells], 1, kappa, c_max)
@@ -361,10 +360,9 @@ def old_part_sum(
     kappa: int,
     ell_max: int,
     c_max: int,
-    bessel_argument_guard: float = BESSEL_ARGUMENT_GUARD,
 ) -> float:
     """sum over ell in {1, q, q^2, ...} <= ell_max of (1/ell) * diagonal(p^k ell^2)."""
-    pieces = old_part_terms(p, k, q, kappa, ell_max, c_max, bessel_argument_guard)
+    pieces = old_part_terms(p, k, q, kappa, ell_max, c_max)
     return math.fsum(term.value / ell for ell, term in pieces)
 
 

@@ -39,10 +39,8 @@ from symlow.constants import (
 from symlow.explicit import (
     _power_bracket,
     density_prediction,
-    first_power_prime_sum,
-    higher_power_prime_sum,
+    prime_sums,
     square_power_identity_gap,
-    square_power_prime_sum,
 )
 from symlow.forms import SyntheticForm, fejer_test_function, satake_power_sum, satake_power_sum_routes
 from symlow.petersson import (
@@ -237,27 +235,21 @@ def test_criterion_08_expansion_coefficient_forms():
 def test_criterion_09_prime_sum_properties():
     form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=1729)
     tiny = fejer_test_function(0.1)  # support below the first prime
+    empty = prime_sums(form, tiny, 1)
     empty_ok = (
-        first_power_prime_sum(form, tiny, 1) == 0.0
-        and square_power_prime_sum(form, tiny, 1, 0) == 0.0
-        and higher_power_prime_sum(form, tiny, 1) == 0.0
+        empty["first_power"] == 0.0
+        and empty["square_power"][0] == 0.0
+        and empty["higher_power"] == 0.0
     )
 
     phi = fejer_test_function(1.0)
     parity_gap = 0.0
     for r in (1, 3, 5):
-        a = first_power_prime_sum(form, phi, r)
-        b = first_power_prime_sum(form.flipped(), phi, r)
+        a = prime_sums(form, phi, r)["first_power"]
+        b = prime_sums(form.flipped(), phi, r)["first_power"]
         parity_gap = max(parity_gap, abs(a + b))
 
-    p1 = first_power_prime_sum(form, phi, 1)
-    p2 = square_power_prime_sum(form, phi, 1, 0)
-    p3 = higher_power_prime_sum(form, phi, 1)
-    enlargement_ok = (
-        p1 == first_power_prime_sum(form, phi, 1, prime_limit=10**4)
-        and p2 == square_power_prime_sum(form, phi, 1, 0, prime_limit=10**4)
-        and p3 == higher_power_prime_sum(form, phi, 1, prime_limit=10**4)
-    )
+    enlargement_ok = prime_sums(form, phi, 1) == prime_sums(form, phi, 1, prime_limit=10**4)
 
     rng = random.Random(7)
     bracket_gap = 0.0

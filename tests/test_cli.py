@@ -1,17 +1,21 @@
 """End-to-end tests of the command-line front end: exit codes, embedded
-configuration, canonical JSON rendering, byte-identical reruns, and the
-tabular escape hatch."""
+configuration, canonical JSON rendering, byte-identical reruns, the
+tabular escape hatch, and stdout digests recorded in bench/reference.json."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import symlow.cli as cli
+import symlow.explicit
+import symlow.forms
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
 from symlow.petersson import default_c_max
@@ -231,6 +235,50 @@ class TestPtermsCommand:
             "pterms", "--r", "1", "--kappa", "11", "--q", "11", "--nu", "1/2",
         )
         assert proc.returncode == 1
+
+    def test_one_sieve_and_one_primality_proof(self, monkeypatch, capsys):
+        # The three sums share one sieve, and sieved primes are not re-proved
+        # before their angle is read; the only Miller-Rabin run is the level's.
+        calls = {"primes_up_to": 0, "is_prime": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(symlow.explicit, "primes_up_to")
+        counted(symlow.forms, "is_prime")
+        assert main(["pterms", "--r", "2", "--kappa", "12", "--q", "1000003", "--nu", "19/40"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["square_power"]) == 2
+        assert calls == {"primes_up_to": 1, "is_prime": 1}
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+class TestRecordedDigests:
+    """Same bytes as recorded: stdout sha256 against bench/reference.json."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "identities",
+            "petersson --m 2 --kappa 12",
+            "tau-check --output csv",
+            "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
+            "pterms --r 2 --kappa 12 --q 1000003 --nu 19/40",
+            "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1730",
+        ],
+    )
+    def test_stdout_digest(self, command, capsys):
+        recorded = json.loads(REFERENCE.read_text())[command]["sha256"]
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
 class TestPeterssonCommand:

@@ -30,7 +30,6 @@ from symlow.constants import (
     digamma,
     nu_max,
     primes_up_to,
-    sieve_theta,
     zeta,
     zeta_prime,
 )
@@ -105,17 +104,6 @@ class TestSieve:
     def test_default_cap_blocks_huge_requests(self):
         with pytest.raises(ValueError, match=SIEVE_CAP_ENV):
             primes_up_to(10**8 + 1)
-
-    def test_theta_frozen_values(self):
-        assert sieve_theta(1) == 0.0
-        assert abs(sieve_theta(2) - math.log(2)) < 1e-15
-        assert abs(sieve_theta(10) - math.log(210)) < 1e-12
-
-    def test_theta_against_sympy(self):
-        want = math.fsum(math.log(p) for p in sympy.primerange(2, 101))
-        assert abs(sieve_theta(100) - want) < 1e-10
-        with pytest.raises(ValueError):
-            sieve_theta(0)
 
 
 class TestPrimeCountingConstant:

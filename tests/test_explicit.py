@@ -1,9 +1,10 @@
 """Tests for the density expansion and the three prime-power sums.
 
 Every prime sum is checked against a hand enumeration over an independent
-prime list (sympy), the telescoping identities are cross-checked between
-modules, and the exact-zero sieve-enlargement invariance is asserted as an
-equality, not a tolerance.
+prime list (sympy), the one-walk ``prime_sums`` is checked bit for bit
+against each sum transcribed as its own loop at its own natural bound, the
+telescoping identities are cross-checked between modules, and the exact-zero
+sieve-enlargement invariance is asserted as an equality, not a tolerance.
 """
 
 import dataclasses
@@ -19,16 +20,15 @@ from symlow.explicit import (
     REMAINDER_MARKER,
     _power_bracket,
     density_prediction,
-    first_power_prime_sum,
-    higher_power_prime_sum,
     prime_cutoffs,
+    prime_sums,
     square_power_identity_gap,
-    square_power_prime_sum,
 )
 from symlow.forms import (
     SyntheticForm,
     eigenvalue_power,
     fejer_test_function,
+    sampled_test_function,
     satake_power_sum,
 )
 
@@ -106,7 +106,7 @@ class TestDensityPrediction:
 
     def test_as_dict_round_trip_fields(self):
         report = density_prediction(1, 12, 11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
-        doc = report.as_dict()
+        doc = dataclasses.asdict(report)
         assert doc["main_term"] == report.main_term
         assert doc["constants"]["c_pnt_value"] == report.constants.c_pnt_value
         assert doc["nu_limit"] == nu_max(1, 12)
@@ -138,19 +138,19 @@ class TestFirstPowerSum:
             * phi.phi_hat(math.log(p) / scale)
             for p in (2, 3)
         )
-        assert first_power_prime_sum(form, phi, 1) == expected
+        assert prime_sums(form, phi, 1)["first_power"] == expected
 
     def test_empty_support_is_exact_zero(self):
         form = make_form()
-        assert first_power_prime_sum(form, fejer_test_function(0.1), 1) == 0.0
+        assert prime_sums(form, fejer_test_function(0.1), 1)["first_power"] == 0.0
 
     def test_sieve_enlargement_invariance(self):
         # Terms beyond the natural bound carry weight exactly 0, so pushing
         # the sieve 250x further must not move the value by one ulp.
         form = make_form(q=11)
         phi = fejer_test_function(0.5)
-        natural = first_power_prime_sum(form, phi, 1)
-        enlarged = first_power_prime_sum(form, phi, 1, prime_limit=1000)
+        natural = prime_sums(form, phi, 1)["first_power"]
+        enlarged = prime_sums(form, phi, 1, prime_limit=1000)["first_power"]
         assert natural == enlarged
 
     def test_level_prime_excluded(self):
@@ -166,35 +166,27 @@ class TestFirstPowerSum:
             for p in sympy.primerange(2, limit + 1)
             if p != 3
         )
-        assert abs(first_power_prime_sum(form, phi, 1) - expected) < 1e-15
+        assert abs(prime_sums(form, phi, 1)["first_power"] - expected) < 1e-15
 
     def test_parity_under_angle_flip(self):
         form = make_form(q=11)
         flipped = form.flipped()
         phi = fejer_test_function(1.0)
         for r in (1, 3, 5):
-            a = first_power_prime_sum(form, phi, r)
-            b = first_power_prime_sum(flipped, phi, r)
+            a = prime_sums(form, phi, r)["first_power"]
+            b = prime_sums(flipped, phi, r)["first_power"]
             assert abs(a + b) < 1e-12, r
         for r in (2, 4):
-            a = first_power_prime_sum(form, phi, r)
-            b = first_power_prime_sum(flipped, phi, r)
+            a = prime_sums(form, phi, r)["first_power"]
+            b = prime_sums(flipped, phi, r)["first_power"]
             assert abs(a - b) < 1e-12, r
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            first_power_prime_sum(make_form(), fejer_test_function(0.5), 0)
+            prime_sums(make_form(), fejer_test_function(0.5), 0)
 
 
 class TestSquarePowerSum:
-    def test_order_validation(self):
-        form = make_form()
-        phi = fejer_test_function(0.5)
-        with pytest.raises(ValueError):
-            square_power_prime_sum(form, phi, 2, -1)
-        with pytest.raises(ValueError):
-            square_power_prime_sum(form, phi, 2, 2)
-
     def test_hand_enumeration_rank_one(self):
         form = make_form(q=11)
         phi = fejer_test_function(1.0)
@@ -208,7 +200,7 @@ class TestSquarePowerSum:
             for p in sympy.primerange(2, limit + 1)
             if p != 11
         )
-        assert abs(square_power_prime_sum(form, phi, 1, 0) - expected) < 1e-15
+        assert abs(prime_sums(form, phi, 1)["square_power"][0] - expected) < 1e-15
 
     def test_alternating_sum_matches_power_sum_route(self):
         # Folding the m-ladder with alternating signs reproduces the doubled
@@ -217,9 +209,8 @@ class TestSquarePowerSum:
         phi = fejer_test_function(1.5)
         for r in (1, 2, 3):
             scale = r * math.log(13)
-            ladder = math.fsum(
-                (-1.0) ** m * square_power_prime_sum(form, phi, r, m) for m in range(r)
-            )
+            squares = prime_sums(form, phi, r)["square_power"]
+            ladder = math.fsum((-1.0) ** m * squares[m] for m in range(r))
             limit = int(math.exp(phi.nu * scale / 2.0)) + 1
             via_power_sum = -(2.0 / scale) * math.fsum(
                 (satake_power_sum(form.angle(p), 2, r) - (-1.0) ** r)
@@ -236,15 +227,15 @@ class TestSquarePowerSum:
         form = make_form(q=11)
         phi = fejer_test_function(1.0)
         for r, m in ((1, 0), (2, 0), (2, 1), (3, 1)):
-            a = square_power_prime_sum(form, phi, r, m)
-            b = square_power_prime_sum(form.flipped(), phi, r, m)
+            a = prime_sums(form, phi, r)["square_power"][m]
+            b = prime_sums(form.flipped(), phi, r)["square_power"][m]
             assert abs(a - b) < 1e-12
 
     def test_sieve_enlargement_invariance(self):
         form = make_form(q=11)
         phi = fejer_test_function(0.9)
-        natural = square_power_prime_sum(form, phi, 2, 1)
-        enlarged = square_power_prime_sum(form, phi, 2, 1, prime_limit=5000)
+        natural = prime_sums(form, phi, 2)["square_power"][1]
+        enlarged = prime_sums(form, phi, 2, prime_limit=5000)["square_power"][1]
         assert natural == enlarged
 
 
@@ -252,7 +243,7 @@ class TestHigherPowerSum:
     def test_trivial_zero_below_first_cube(self):
         # Support bound under 8 leaves no admissible prime power p^n, n >= 3.
         form = make_form(q=11)
-        assert higher_power_prime_sum(form, fejer_test_function(0.2), 1) == 0.0
+        assert prime_sums(form, fejer_test_function(0.2), 1)["higher_power"] == 0.0
 
     def test_single_term_window(self):
         # q = 5, nu = 3/2: the bound is e^{1.5 log 5} = 5^{1.5} ~ 11.18, so
@@ -265,7 +256,7 @@ class TestHigherPowerSum:
         expected = -(2.0 / scale) * (
             bracket * math.log(2) / 2**1.5 * phi.phi_hat(3.0 * math.log(2) / scale)
         )
-        assert higher_power_prime_sum(form, phi, 1) == expected
+        assert prime_sums(form, phi, 1)["higher_power"] == expected
 
     def test_bracket_telescopes_to_power_sum(self):
         # n >= 2 keeps every eigenvalue index nonnegative (the sum itself
@@ -286,25 +277,120 @@ class TestHigherPowerSum:
         for q, r, nu in ((3, 1, 2.5), (3, 3, 0.75)):
             form = make_form(q=q)
             phi = fejer_test_function(nu)
-            a = higher_power_prime_sum(form, phi, r)
+            a = prime_sums(form, phi, r)["higher_power"]
             assert a != 0.0
-            b = higher_power_prime_sum(form.flipped(), phi, r)
+            b = prime_sums(form.flipped(), phi, r)["higher_power"]
             assert abs(a + b) < 1e-12, (q, r, nu)
         # Even rank: every bracket index is even, so any window works.
         form = make_form(q=3)
         phi = fejer_test_function(2.5)
         for r in (2, 4):
-            a = higher_power_prime_sum(form, phi, r)
-            b = higher_power_prime_sum(form.flipped(), phi, r)
+            a = prime_sums(form, phi, r)["higher_power"]
+            b = prime_sums(form.flipped(), phi, r)["higher_power"]
             assert abs(a - b) < 1e-12
 
     def test_sieve_enlargement_invariance(self):
         form = make_form(q=3)
         phi = fejer_test_function(2.5)
-        natural = higher_power_prime_sum(form, phi, 2)
+        natural = prime_sums(form, phi, 2)["higher_power"]
         # natural bound is e^{2.5 * 2 log 3} ~ 243; quadruple it
-        enlarged = higher_power_prime_sum(form, phi, 2, prime_limit=1000)
+        enlarged = prime_sums(form, phi, 2, prime_limit=1000)["higher_power"]
         assert natural == enlarged
+
+
+def separate_sums(form, phi, r, prime_limit=None):
+    """The three prime sums as three separate loops over their own primes.
+
+    Without prime_limit each loop stops at its own natural bound, so the
+    square loop sieves only to exp(nu * scale / 2).  Term expressions and
+    summation follow the historical per-sum implementations exactly.
+    """
+    scale = r * math.log(form.q)
+    nu = float(phi.nu)
+
+    def natural(factor):
+        return int(math.floor(math.exp(nu * scale / factor))) + 1
+
+    def primes(limit):
+        return [p for p in sympy.primerange(2, limit + 1) if p != form.q]
+
+    first_limit = natural(1.0) if prime_limit is None else prime_limit
+    square_limit = natural(2.0) if prime_limit is None else prime_limit
+    first = []
+    for p in primes(first_limit):
+        lp = math.log(p)
+        weight = phi.phi_hat(lp / scale)
+        if weight != 0.0:
+            first.append(eigenvalue_power(form.angle(p), r) * lp / math.sqrt(p) * weight)
+    squares = []
+    for m in range(r):
+        terms = []
+        for p in primes(square_limit):
+            lp = math.log(p)
+            weight = phi.phi_hat(2.0 * lp / scale)
+            if weight != 0.0:
+                lam = eigenvalue_power(form.angle(p), 2 * (r - m))
+                terms.append(lam * lp / p * weight)
+        squares.append(-(2.0 / scale) * math.fsum(terms))
+    higher = []
+    for p in primes(round(first_limit ** (1.0 / 3.0)) + 1):
+        theta = form.angle(p)
+        lp = math.log(p)
+        n = 3
+        while p**n <= first_limit:
+            weight = phi.phi_hat(n * lp / scale)
+            if weight != 0.0:
+                higher.append(_power_bracket(theta, n, r) * lp / p ** (n / 2.0) * weight)
+            n += 1
+    return {
+        "first_power": -(2.0 / scale) * math.fsum(first),
+        "square_power": squares,
+        "higher_power": -(2.0 / scale) * math.fsum(higher),
+    }
+
+
+WALK_CASES = [
+    (q, r, nu)
+    for q in (2, 3, 11, 101)
+    for r in (1, 2, 3, 4)
+    for nu in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2))
+    if q ** (r * nu) <= 20000
+]
+
+
+class TestOneWalk:
+    """prime_sums against separate_sums with ==, not a tolerance."""
+
+    @pytest.mark.parametrize("window", ["fejer", "sampled"])
+    @pytest.mark.parametrize("variant", ["sato-tate", "uniform", "flipped"])
+    def test_bit_identical_to_separate_loops(self, window, variant):
+        samples = [1.0, 0.9, 0.75, 0.2, -0.1, 0.05, 0.0]
+        for q, r, nu in WALK_CASES:
+            form = make_form(q=q, distribution="uniform" if variant == "uniform" else "sato-tate")
+            if variant == "flipped":
+                form = form.flipped()
+            if window == "fejer":
+                phi = fejer_test_function(nu)
+            else:
+                phi = sampled_test_function(nu, samples)
+            own_bounds = separate_sums(form, phi, r)
+            assert prime_sums(form, phi, r) == own_bounds, (q, r, nu)
+            # An enlarged sieve only appends terms of weight exactly 0.
+            wide = 3 * prime_cutoffs(q, r, nu)["first_power"]
+            enlarged = prime_sums(form, phi, r, prime_limit=wide)
+            assert enlarged == own_bounds == separate_sums(form, phi, r, wide), (q, r, nu)
+            # A limit of 2^11 cuts some supports short, right at a prime power.
+            cut = prime_sums(form, phi, r, prime_limit=2**11)
+            assert cut == separate_sums(form, phi, r, 2**11), (q, r, nu)
+
+    def test_cases_reach_every_class(self):
+        # The grid is only a check if each class has nonzero values in it.
+        values = [prime_sums(make_form(q=q), fejer_test_function(nu), r)
+                  for q, r, nu in WALK_CASES]
+        assert len(WALK_CASES) >= 20
+        assert any(v["first_power"] != 0.0 for v in values)
+        assert any(v["square_power"][-1] != 0.0 for v in values)
+        assert any(v["higher_power"] != 0.0 for v in values)
 
 
 class TestSquareIdentity:
