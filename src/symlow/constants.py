@@ -6,8 +6,9 @@ uncertainty (its convergence is fluctuation-limited, so no rigorous bound is
 claimed), while the even-power constant carries a rigorous integral-comparison
 tail bound.  The even-power constant is also completed past the cutoff by a
 prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', which gives
-it to double precision with a rigorous radius.  The digamma routine is pinned
-to one fixed algorithm so reports are bit-stable across runs.
+it to double precision with a rigorous radius.  Both constants and that
+completion's trip-wire read one sieved prime table.  The digamma routine is
+pinned to one fixed algorithm so reports are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -56,16 +57,34 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def _pnt_value_at(primes: np.ndarray, logs: np.ndarray, cutoff: int) -> float:
-    sel = primes <= cutoff
-    log_over_p = float(np.sum(logs[sel] / primes[sel]))
-    theta = float(np.sum(logs[sel]))
+def _prime_logs(cutoff: int, table=None) -> tuple[int, np.ndarray, np.ndarray]:
+    """The prime table (cutoff, float64 primes <= cutoff, their logs).
+
+    Sieved, or prefix views of the table of a call at a bound >= cutoff (the
+    optional table of c_pnt and c_sym_even), in a fresh sieve's values and order.
+    """
+    cutoff = int(cutoff)
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    if table is None:
+        primes = primes_up_to(cutoff).astype(np.float64)
+        return cutoff, primes, np.log(primes)
+    bound, primes, logs = table
+    if bound < cutoff:
+        raise ValueError(f"prime table sieved to {bound} cannot serve cutoff {cutoff}")
+    k = int(np.searchsorted(primes, cutoff, "right"))
+    return cutoff, primes[:k], logs[:k]
+
+
+def _pnt_value_at(cutoff: int, primes: np.ndarray, logs: np.ndarray) -> float:
+    log_over_p = float(np.sum(logs / primes))
+    theta = float(np.sum(logs))
     return 1.0 + log_over_p - theta / cutoff - math.log(cutoff)
 
-def c_pnt(cutoff: int) -> tuple[float, float]:
+def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     """The prime-counting constant 1 + int_1^X (theta(t) - t)/t^2 dt.
 
     The integral is evaluated through the exact partial-summation identity
@@ -74,18 +93,13 @@ def c_pnt(cutoff: int) -> tuple[float, float]:
     uncertainty) where uncertainty = |value(X) - value(X/10)|, an empirical
     stabilization estimate, not a rigorous bound.
     """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    primes = primes_up_to(cutoff)
-    logs = np.log(primes.astype(np.float64))
-    value = _pnt_value_at(primes, logs, cutoff)
-    lower = max(2, cutoff // 10)
-    uncertainty = abs(value - _pnt_value_at(primes, logs, lower))
-    return value, uncertainty
+    view = _prime_logs(cutoff, table)
+    value = _pnt_value_at(*view)
+    decade = _pnt_value_at(*_prime_logs(max(2, view[0] // 10), view))
+    return value, abs(value - decade)
 
 
-def c_sym_even(cutoff: int) -> tuple[float, float]:
+def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     """The even-power constant sum_p log p / (p^{3/2} - p), with tail bound.
 
     The truncation error is below sum_{n>X} log n/(n^{3/2}-n); the summand is
@@ -95,11 +109,8 @@ def c_sym_even(cutoff: int) -> tuple[float, float]:
     precision at any feasible cutoff; c_sym_even_completed adds the remainder
     past X and serves the constant itself, with this route as its cross-check.
     """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    primes = primes_up_to(cutoff).astype(np.float64)
-    value = float(np.sum(np.log(primes) / (primes**1.5 - primes)))
+    cutoff, primes, logs = _prime_logs(cutoff, table)
+    value = float(np.sum(logs / (primes**1.5 - primes)))
     tail_bound = (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
     return value, tail_bound
 
@@ -258,14 +269,10 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
 
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
-    the independent truncation route c_sym_even.
+    the independent truncation route c_sym_even, read from the same table.
     """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    sieve_value, sieve_tail = c_sym_even(cutoff)
-    primes = primes_up_to(cutoff).astype(np.float64)
-    logs = np.log(primes)
+    cutoff, primes, logs = table = _prime_logs(cutoff)
+    sieve_value, sieve_tail = c_sym_even(cutoff, table)
     partial = math.fsum((logs / (primes**1.5 - primes)).tolist())
     parts = [partial]
     magnitude = partial  # prime-sum summands, all positive
@@ -385,8 +392,9 @@ def compute_constants(
     pnt_cutoff: int = DEFAULT_PNT_CUTOFF,
     c_cutoff: int = DEFAULT_C_CUTOFF,
 ) -> ConstantsBundle:
-    pnt_value, pnt_unc = c_pnt(pnt_cutoff)
-    c_value, c_tail = c_sym_even(c_cutoff)
+    table = _prime_logs(max(pnt_cutoff, c_cutoff))
+    pnt_value, pnt_unc = c_pnt(pnt_cutoff, table)
+    c_value, c_tail = c_sym_even(c_cutoff, table)
     gamma_value = c_gamma(r, kappa)
     return ConstantsBundle(
         r=r,

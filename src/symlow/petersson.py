@@ -353,16 +353,8 @@ def old_part_terms(
     return list(zip(ells, deltas))
 
 
-def old_part_sum(
-    p: int,
-    k: int,
-    q: int,
-    kappa: int,
-    ell_max: int,
-    c_max: int,
-) -> float:
-    """sum over ell in {1, q, q^2, ...} <= ell_max of (1/ell) * diagonal(p^k ell^2)."""
-    pieces = old_part_terms(p, k, q, kappa, ell_max, c_max)
+def old_part_sum(pieces: list[tuple[int, PeterssonTerm]]) -> float:
+    """sum of (1/ell) * diagonal(p^k ell^2) over the pieces old_part_terms returns."""
     return math.fsum(term.value / ell for ell, term in pieces)
 
 

@@ -283,7 +283,7 @@ def test_criterion_10_old_part_bound_grid():
                 for k in (1, 2, 3):
                     ell_max = int(math.isqrt(10**4 // p**k))
                     terms = old_part_terms(p, k, q, 12, ell_max=ell_max, c_max=1000)
-                    value = old_part_sum(p, k, q, 12, ell_max=ell_max, c_max=1000)
+                    value = old_part_sum(terms)
                     budget = 2 * (k + 1) + math.fsum(t.tail_estimate / ell for ell, t in terms)
                     assert abs(value) <= budget, (p, k, q, value, budget)
                     worst_fill = max(worst_fill, abs(value) / budget)

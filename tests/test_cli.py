@@ -270,6 +270,7 @@ class TestRecordedDigests:
             "petersson --m 2 --kappa 12",
             "tau-check --output csv",
             "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
+            "predict --r 2 --kappa 12 --q 1000003 --nu 19/40 --cutoff 100000000",
             "pterms --r 2 --kappa 12 --q 1000003 --nu 19/40",
             "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1730",
         ],

@@ -16,6 +16,7 @@ import mpmath
 import pytest
 import sympy
 
+import symlow.constants
 from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
@@ -23,6 +24,7 @@ from symlow.constants import (
     c_gamma_from_shifts,
     c_infty,
     c_pnt,
+    _prime_logs,
     _series_coefficient,
     c_sym_even,
     c_sym_even_completed,
@@ -194,7 +196,7 @@ class TestCompletedEvenPowerConstant:
 
     def test_trip_wire_raises_on_disagreeing_truncation(self, monkeypatch):
         truncated, tail_bound = c_sym_even(50)
-        monkeypatch.setattr("symlow.constants.c_sym_even", lambda cutoff: (truncated + 1.0, tail_bound))
+        monkeypatch.setattr("symlow.constants.c_sym_even", lambda cutoff, table=None: (truncated + 1.0, tail_bound))
         with pytest.raises(RuntimeError):
             c_sym_even_completed(50)
 
@@ -203,6 +205,42 @@ class TestCompletedEvenPowerConstant:
             c_sym_even_completed(1)
         with pytest.raises(ValueError):
             zeta(1.25)
+
+
+class TestSharedPrimeTable:
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6])
+    def test_views_equal_fresh_sieve(self, cutoff):
+        for table in (_prime_logs(cutoff), _prime_logs(10**7)):
+            assert c_pnt(cutoff, table) == c_pnt(cutoff)
+            assert c_sym_even(cutoff, table) == c_sym_even(cutoff)
+
+    def test_table_below_cutoff_rejected(self):
+        # Sieved to 10, the table ends at 7 and could not tell 11 from a gap.
+        table = _prime_logs(10)
+        for cutoff in (11, 100):
+            with pytest.raises(ValueError, match="sieved to 10"):
+                c_pnt(cutoff, table)
+            with pytest.raises(ValueError, match="sieved to 10"):
+                c_sym_even(cutoff, table)
+        with pytest.raises(ValueError):
+            _prime_logs(1, table)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: compute_constants(2, 12, 10**4, 10**4),
+            lambda: compute_constants(1, 12, 2000, 10**4),
+            lambda: compute_constants(2, 12),
+            lambda: c_sym_even_completed(10**4),
+        ],
+        ids=["equal-cutoffs", "unequal-cutoffs", "default-cutoffs", "completed"],
+    )
+    def test_one_sieve(self, compute, monkeypatch):
+        calls = []
+        sieve = symlow.constants.primes_up_to
+        monkeypatch.setattr(symlow.constants, "primes_up_to", lambda n: calls.append(n) or sieve(n))
+        compute()
+        assert len(calls) == 1, calls
 
 
 class TestDigamma:

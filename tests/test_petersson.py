@@ -155,6 +155,45 @@ class TestKloosterman:
             )
             assert abs(left - right) < 1e-9, (m, n, c1, c2)
 
+    def test_twisted_multiplicativity_every_composite(self):
+        # Second route to S(m, 1; c) for every composite c <= 4000 that is not
+        # a prime power: c = c1 * c2 with c1 the full power of c's least
+        # prime, and S(m, 1; c) = S(m c2', c2'; c1) * S(m c1', c1'; c2) with
+        # c2' = c2^-1 mod c1 and c1' = c1^-1 mod c2.
+        #
+        # Rounding model for a computed sum s at modulus c: each cosine's
+        # argument fl(fl(2 pi / c) * k) lies in [0, 2 pi) after three relative
+        # roundings (2 pi, the quotient, the product), so it is within 6 pi u
+        # of 2 pi k / c; math.cos is within 1 ulp (<= u on [-1, 1]); so each
+        # of the < c terms is within 20 u, taken as 32 u, and math.fsum
+        # rounds once: |s - S| <= u (32 c + |s|).  The product's radius
+        # propagates both factors' radii and adds its own rounding.
+        u = 2.0**-53
+
+        def radius(s, c):
+            return u * (32 * c + abs(s))
+
+        ms = [0, 1, 2, 997]
+        worst = 0.0
+        for c in range(6, 4001):
+            p = next((d for d in range(2, math.isqrt(c) + 1) if c % d == 0), c)
+            c1 = p
+            while c % (c1 * p) == 0:
+                c1 *= p
+            c2 = c // c1
+            if c2 == 1:
+                continue
+            c1_bar, c2_bar = pow(c1, -1, c2), pow(c2, -1, c1)
+            direct = kloosterman_sums(ms, 1, c)
+            first = kloosterman_sums([m * c2_bar for m in ms], c2_bar, c1)
+            second = kloosterman_sums([m * c1_bar for m in ms], c1_bar, c2)
+            for m, s, a, b in zip(ms, direct, first, second):
+                ra, rb = radius(a, c1), radius(b, c2)
+                bound = ra * abs(b) + (abs(a) + ra) * rb + u * abs(a * b) + radius(s, c)
+                assert abs(a * b - s) <= bound, (m, c, c1, c2, a * b - s, bound)
+                worst = max(worst, abs(a * b - s))
+        assert worst > 0.0  # the sweep compared rounded sums, not only exact ones
+
     def test_ramanujan_sums(self):
         # n = 0 degenerates to a Ramanujan sum with its divisor formula.
         for m in (1, 2, 6):
@@ -392,7 +431,7 @@ class TestOldPart:
         ell, term = terms[0]
         assert ell == 1
         assert term.m == 2
-        direct = old_part_sum(2, 1, 11, 12, ell_max=10, c_max=300)
+        direct = old_part_sum(old_part_terms(2, 1, 11, 12, ell_max=10, c_max=300))
         assert direct == term.value
 
     def test_level_power_ladder(self):
@@ -406,13 +445,13 @@ class TestOldPart:
     def test_sum_is_weighted_ladder(self):
         terms = old_part_terms(2, 2, 11, 12, ell_max=11, c_max=400)
         want = math.fsum(t.value / ell for ell, t in terms)
-        got = old_part_sum(2, 2, 11, 12, ell_max=11, c_max=400)
+        got = old_part_sum(old_part_terms(2, 2, 11, 12, ell_max=11, c_max=400))
         assert got == want
 
     def test_bound_with_tails(self):
         for p, k in ((2, 1), (3, 2)):
             terms = old_part_terms(p, k, 11, 12, ell_max=11, c_max=500)
-            value = old_part_sum(p, k, 11, 12, ell_max=11, c_max=500)
+            value = old_part_sum(old_part_terms(p, k, 11, 12, ell_max=11, c_max=500))
             budget = 2 * (k + 1) + math.fsum(t.tail_estimate / ell for ell, t in terms)
             assert abs(value) <= budget
 
@@ -420,8 +459,8 @@ class TestOldPart:
         # Appending the ell = q rung moves the sum by at most (1/q) times
         # the diagonal bound for the induced index, plus tails.
         p, k, q = 2, 1, 11
-        short = old_part_sum(p, k, q, 12, ell_max=1, c_max=400)
-        longer = old_part_sum(p, k, q, 12, ell_max=q, c_max=400)
+        short = old_part_sum(old_part_terms(p, k, q, 12, ell_max=1, c_max=400))
+        longer = old_part_sum(old_part_terms(p, k, q, 12, ell_max=q, c_max=400))
         induced_k = divisor_count(p**k * q * q) - 1
         rung = old_part_terms(p, k, q, 12, ell_max=q, c_max=400)[-1][1]
         assert abs(longer - short) <= (2 * (induced_k + 1) + rung.tail_estimate) / q
