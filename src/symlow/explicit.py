@@ -3,10 +3,14 @@
 The prediction assembles the main term and the single 1/log-scale correction
 from precomputed constants.  The prime side is one explicit-formula walk over
 the prime powers p^n of a synthetic form: ``prime_sums`` sieves once, takes
-log p once, reads each angle at most once, and splits the terms into the
-first-power, even-square and higher-power sums.  Every sum is finite because
-the window transform has compact support: enlarging the sieve past the
-natural cutoff only appends terms with exactly zero weight.
+log p once, draws the angles of the primes with some nonzero weight as one
+batch, and splits the terms into the first-power, even-square and
+higher-power sums.  The first-power and square terms are numpy arrays built
+with the same operations in the same order as the scalar expressions (math.log
+and math.sin through ``map``; products, quotients and np.sqrt, which are
+correctly rounded), so every sum is bit-identical to a per-prime loop.  Every
+sum is finite because the window transform has compact support: enlarging
+the sieve past the natural cutoff only appends terms with exactly zero weight.
 """
 
 from __future__ import annotations
@@ -17,8 +21,17 @@ import warnings
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from .constants import ConstantsBundle, compute_constants, nu_max, primes_up_to
-from .forms import SyntheticForm, TestFunction, eigenvalue_power, is_prime, satake_power_sum
+from .forms import (
+    SyntheticForm,
+    TestFunction,
+    _eigenvalue_powers,
+    eigenvalue_power,
+    is_prime,
+    satake_power_sum,
+)
 
 REMAINDER_MARKER = "O(1/log^3(q^r))"
 
@@ -163,45 +176,56 @@ def prime_sums(
 
     prime_limit bounds p for n = 1 and n = 2 and p^n for n >= 3; it defaults
     to the first-power natural bound.  One sieve serves all three sums, and
-    the angle at p is read once, only if some term at p has nonzero weight.
-    Terms past a sum's own natural bound have weight exactly 0, so each value
-    is bit-identical to that sum taken alone at its own bound.
+    the angle at p is drawn once, in one batch, only if some term at p has
+    nonzero weight.  Terms past a sum's own natural bound have weight exactly
+    0, so each value is bit-identical to that sum taken alone at its own
+    bound.  The higher powers (p <= prime_limit^(1/3)) are summed per prime.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     scale = r * math.log(form.q)
     if prime_limit is None:
         prime_limit = _natural_prime_limit(scale, float(phi.nu), 1.0)
-    first: list[float] = []
-    squares: list[list[float]] = [[] for _ in range(r)]
-    higher: list[float] = []
-    for p in primes_up_to(prime_limit).tolist():
-        if p == form.q:
-            continue
-        lp = math.log(p)
-        first_weight = phi.phi_hat(lp / scale)
-        square_weight = phi.phi_hat(2.0 * lp / scale)
-        higher_weights = []
+    primes = primes_up_to(prime_limit)
+    primes = primes[primes != form.q]
+    # math.log, not np.log, which may differ from it in the last bit.
+    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+    first_weights = phi.phi_hat_array(logs / scale)
+    square_weights = phi.phi_hat_array(2.0 * logs / scale)
+    weighted = (first_weights != 0.0) | (square_weights != 0.0)
+    # Every p with p^3 <= prime_limit, and a few more, which add no terms.
+    cubed = np.searchsorted(primes, int(max(prime_limit, 0) ** (1.0 / 3.0)) + 1, "right")
+    higher_weights = []
+    for i, (p, lp) in enumerate(zip(primes[:cubed].tolist(), logs[:cubed].tolist())):
         n = 3
         while p**n <= prime_limit:
             weight = phi.phi_hat(n * lp / scale)
             if weight != 0.0:
-                higher_weights.append((n, weight))
+                higher_weights.append((i, p, lp, n, weight))
+                weighted[i] = True
             n += 1
-        if first_weight == 0.0 and square_weight == 0.0 and not higher_weights:
-            continue
-        # p comes from the sieve and is not q, so skip angle()'s primality check.
-        theta = form._sieved_angle(p)
-        if first_weight != 0.0:
-            first.append(eigenvalue_power(theta, r) * lp / math.sqrt(p) * first_weight)
-        if square_weight != 0.0:
-            for m, terms in enumerate(squares):
-                terms.append(eigenvalue_power(theta, 2 * (r - m)) * lp / p * square_weight)
-        for n, weight in higher_weights:
-            higher.append(_power_bracket(theta, n, r) * lp / p ** (n / 2.0) * weight)
+    theta = np.zeros(primes.size)
+    # The primes come from the sieve and exclude q: no primality recheck.
+    theta[weighted] = form._sieved_angles(primes[weighted])
+    first = first_weights != 0.0
+    square = square_weights != 0.0
+    as_float = primes.astype(np.float64)  # exact below 2**53
+    first_terms = (
+        _eigenvalue_powers(theta[first], r) * logs[first] / np.sqrt(as_float[first])
+        * first_weights[first]
+    )
+    square_terms = [
+        _eigenvalue_powers(theta[square], 2 * (r - m)) * logs[square] / as_float[square]
+        * square_weights[square]
+        for m in range(r)
+    ]
+    higher = [
+        _power_bracket(theta.item(i), n, r) * lp / p ** (n / 2.0) * weight
+        for i, p, lp, n, weight in higher_weights
+    ]
     return {
-        "first_power": -(2.0 / scale) * math.fsum(first),
-        "square_power": [-(2.0 / scale) * math.fsum(terms) for terms in squares],
+        "first_power": -(2.0 / scale) * math.fsum(first_terms.tolist()),
+        "square_power": [-(2.0 / scale) * math.fsum(t.tolist()) for t in square_terms],
         "higher_power": -(2.0 / scale) * math.fsum(higher),
     }
 

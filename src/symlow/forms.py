@@ -4,7 +4,12 @@ A SyntheticForm carries weight, prime level, a sign input, and a seeded,
 reproducible map prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
 distribution, so the same (seed, distribution) pair yields bit-identical
-angles on every platform.
+angles on every platform.  Angles are computed a whole array of primes at a
+time: the Sato-Tate bisection runs on numpy arrays and redoes with math.sin
+every comparison that np.sin could decide differently, so a batch equals
+the scalar recurrence bit for bit (see ``_sato_tate_inverse_cdf`` for the
+margin and the one-ulp assumption behind it).  The prime walk reads whole
+batches through a small cache; ``SyntheticForm.angle`` reads one prime.
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
 their three evaluation routes, gamma-factor shifts, root numbers, and the
@@ -19,6 +24,8 @@ import hashlib
 import math
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 DISTRIBUTIONS = ("sato-tate", "uniform")
 
@@ -50,31 +57,110 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _uniform_unit(seed: int, p: int) -> float:
-    """Stable uniform draw in (0,1) keyed by (seed, p)."""
-    digest = hashlib.blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
-    return (int.from_bytes(digest, "big") + 0.5) / 2.0**64
+def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
+    """Stable uniform draws in (0, 1], one per prime p, keyed by (seed, p).
+
+    Each draw is the 64-bit BLAKE2b digest of "seed:p" read big-endian; the
+    digests come from one hash of the prefix "seed:" copied and fed b"%d" % p,
+    which BLAKE2b, a streaming hash, makes identical to hashing the whole
+    string.  The arithmetic stays in Python ints and floats: a numpy uint64
+    to float cast rounds as the C implementation chooses.
+    """
+    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=8)
+
+    def draw(p: int) -> float:
+        h = prefix.copy()
+        h.update(b"%d" % p)
+        return (int.from_bytes(h.digest(), "big") + 0.5) / 2.0**64
+
+    return np.fromiter(map(draw, primes.tolist()), np.float64, primes.size)
 
 
-def _sato_tate_inverse_cdf(u: float) -> float:
-    # Solve (2t - sin 2t) / (2 pi) = u by bisection; the CDF is strictly
-    # increasing so 64 halvings pin the root to ~5e-19.
-    lo, hi = 0.0, math.pi
+# A comparison of the bisection that np.sin may decide differently from
+# math.sin is redone with math.sin; see _sato_tate_inverse_cdf.
+BISECTION_MARGIN = 2.0**-51
+
+
+def _sines(x: np.ndarray) -> np.ndarray:
+    """math.sin of every entry of x (np.sin may differ from it in the last bit)."""
+    return np.fromiter(map(math.sin, x.tolist()), np.float64, x.size)
+
+
+def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """Solve F(t) = (2t - sin 2t) / (2 pi) = u for every entry of u in (0, 1].
+
+    The same 64 bisection steps as the scalar loop, which halves [lo, hi] =
+    [0, pi] by setting lo = mid if F(mid) < u and hi = mid otherwise (F is
+    strictly increasing, so 64 halvings pin each root to ~5e-19).  Each step
+    evaluates F(mid) on the whole array with np.sin, then redoes with
+    math.sin every entry where |F(mid) - u| <= BISECTION_MARGIN, so every
+    comparison, and so every result, is the one the loop with math.sin makes.
+
+    Why the margin suffices.  Assume np.sin and math.sin are each within 1 ulp
+    of sin, hence within 2^-53 of it, since |sin| <= 1.  The two sines then
+    differ by at most 2^-52.  Doubling mid is exact, and the subtraction and
+    the division are correctly rounded in numpy and in Python alike.  With
+    d = 2 mid - sin 2 mid < 8, the two values of d differ by at most
+    2^-52 + ulp(d) <= 5 * 2^-52, and after dividing by 2 pi and rounding the
+    two values of F differ by less than 5 * 2^-52 / 6.28 + 2^-53 < 1.3 * 2^-52.
+    So wherever |F - u| > 2^-51 (a rounded |F - u| above 2^-51 means the
+    exact one is too), both values of F lie strictly on the same side of u.
+
+    An entry leaves the loop, with mid as its result, once mid rounds to lo
+    or to hi: F(lo) < u and F(hi) >= u hold with math.sin (lo was set by
+    that comparison or is 0, where F = 0; hi was set by it or is pi, where
+    F = 1), so every later step would keep lo and hi, and mid, as they are.
+    """
+    out = np.empty_like(u)
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, math.pi)
+    index = np.arange(u.size)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if (2.0 * mid - math.sin(2.0 * mid)) / (2.0 * math.pi) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if np.count_nonzero(done):
+            out[index[done]] = mid[done]
+            keep = ~done
+            lo, hi, mid, u, index = lo[keep], hi[keep], mid[keep], u[keep], index[keep]
+            if not index.size:
+                return out
+        two_mid = 2.0 * mid
+        cdf = (two_mid - np.sin(two_mid)) / (2.0 * math.pi)
+        close = np.abs(cdf - u) <= BISECTION_MARGIN
+        if np.count_nonzero(close):
+            near = two_mid[close]
+            cdf[close] = (near - _sines(near)) / (2.0 * math.pi)
+        below = cdf < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out[index] = 0.5 * (lo + hi)
+    return out
+
+
+def _draw_angles(seed: int, distribution: str, primes: np.ndarray) -> np.ndarray:
+    """The seeded angles at the given primes, one draw each; uncached."""
+    u = _uniform_units(seed, primes)
+    if distribution == "uniform":
+        return u * math.pi
+    return _sato_tate_inverse_cdf(u)
 
 
 @functools.lru_cache(maxsize=1 << 20)
 def _angle(seed: int, distribution: str, p: int) -> float:
-    u = _uniform_unit(seed, p)
-    if distribution == "uniform":
-        return u * math.pi
-    return _sato_tate_inverse_cdf(u)
+    # Object dtype: a prime checked by is_prime may exceed int64.
+    return float(_draw_angles(seed, distribution, np.array([p], dtype=object))[0])
+
+
+@functools.lru_cache(maxsize=4)
+def _angle_batch(seed: int, distribution: str, primes: bytes) -> np.ndarray:
+    """Angles at the int64 primes packed in ``primes``; read-only and cached.
+
+    A few whole batches are kept, so a walk repeated in the same process
+    (the same form with another sign eps_f, or its flip) draws nothing.
+    """
+    angles = _draw_angles(seed, distribution, np.frombuffer(primes, np.int64))
+    angles.flags.writeable = False
+    return angles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,19 +187,21 @@ class SyntheticForm:
     def angle(self, p: int) -> float:
         """Satake angle at p; defined only away from the level.
 
-        Checks that p is a prime other than q, then reads the seeded angle.
-        Callers that already hold sieved primes away from q (the prime sums)
-        read ``_sieved_angle`` directly and skip the Miller-Rabin recheck.
+        Checks that p is a prime other than q, then reads the seeded angle,
+        a batch of one, kept in a per-prime cache.  Callers that already hold
+        sieved primes away from q (the prime sums) read ``_sieved_angles``
+        for all of them at once and skip the Miller-Rabin recheck.
         """
         if p == self.q:
             raise ValueError("angle is undefined at the level prime")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return self._sieved_angle(p)
-
-    def _sieved_angle(self, p: int) -> float:
-        """The seeded angle at a prime p != q, reflected when flipped; unchecked."""
         theta = _angle(self.seed, self.distribution, p)
+        return math.pi - theta if self.flip else theta
+
+    def _sieved_angles(self, primes: np.ndarray) -> np.ndarray:
+        """The seeded angles at sieved primes != q, reflected when flipped; unchecked."""
+        theta = _angle_batch(self.seed, self.distribution, primes.astype(np.int64, copy=False).tobytes())
         return math.pi - theta if self.flip else theta
 
     def eigenvalue(self, p: int, n: int = 1) -> float:
@@ -146,6 +234,21 @@ def eigenvalue_power(theta: float, n: int) -> float:
         return float(sign * (n + 1))
     value = math.sin((n + 1) * theta) / s
     return max(-(n + 1.0), min(n + 1.0, value))
+
+
+def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
+    """eigenvalue_power(t, n) for every t in theta, equal to it bit for bit.
+
+    Both sines come from math.sin, the ratio and the clamp are correctly
+    rounded, and the endpoint limits are the same.  theta must lie in
+    [0, pi] (unchecked).
+    """
+    sines = _sines(theta)
+    bound = n + 1.0
+    edge = sines < 1e-8
+    value = _sines((n + 1) * theta) / np.where(edge, 1.0, sines)
+    limits = np.where(theta < math.pi / 2, bound, (-1) ** n * bound)
+    return np.where(edge, limits, np.clip(value, -bound, bound))
 
 
 def alpha_pair_power(theta: float, n: int) -> float:
@@ -261,13 +364,20 @@ class TestFunction:
     phi_hat vanishes outside [-nu, nu]; the Fourier convention is
     phi_hat(u) = integral of phi(x) e^{-2 pi i x u} dx.  nu keeps whatever
     exact type it was built with (Fraction survives) so support comparisons
-    against exact rational bounds stay exact.
+    against exact rational bounds stay exact.  phi_hat_array is phi_hat on
+    a float64 array, equal to it entry by entry, bit for bit; when not given
+    it maps phi_hat over the entries.
     """
 
     nu: float | Fraction
     phi: Callable[[float], float]
     phi_hat: Callable[[float], float]
     kind: str
+    phi_hat_array: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if self.phi_hat_array is None:
+            object.__setattr__(self, "phi_hat_array", np.vectorize(self.phi_hat, otypes=[float]))
 
     @property
     def nu_exact(self) -> Fraction:
@@ -284,13 +394,18 @@ def fejer_test_function(nu: float | Fraction) -> TestFunction:
     def phi_hat(u: float) -> float:
         return max(0.0, 1.0 - abs(u) / nu_f)
 
+    def phi_hat_array(u: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, 1.0 - np.abs(u) / nu_f)
+
     def phi(x: float) -> float:
         if x == 0.0:
             return nu_f
         s = math.sin(math.pi * nu_f * x) / (math.pi * nu_f * x)
         return nu_f * s * s
 
-    return TestFunction(nu=nu, phi=phi, phi_hat=phi_hat, kind="fejer")
+    return TestFunction(
+        nu=nu, phi=phi, phi_hat=phi_hat, kind="fejer", phi_hat_array=phi_hat_array
+    )
 
 
 def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
@@ -316,6 +431,16 @@ def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
         frac = u / step - i
         return values[i] * (1.0 - frac) + values[i + 1] * frac
 
+    knots = np.array(values)
+
+    def phi_hat_array(u: np.ndarray) -> np.ndarray:
+        u = np.abs(u)
+        inside = u < nu_f
+        ratio = np.where(inside, u, 0.0) / step
+        i = np.minimum(ratio.astype(np.int64), len(values) - 2)
+        frac = ratio - i
+        return np.where(inside, knots[i] * (1.0 - frac) + knots[i + 1] * frac, 0.0)
+
     def phi(x: float) -> float:
         # 2 * integral over [0, nu] of phi_hat(u) cos(w u) du with w = 2 pi x,
         # done exactly on each linear segment.
@@ -336,4 +461,6 @@ def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
                 total += c1 * ((cb - ca) / (w * w) + (b * sb - a * sa) / w)
         return 2.0 * total
 
-    return TestFunction(nu=nu, phi=phi, phi_hat=phi_hat, kind="sampled")
+    return TestFunction(
+        nu=nu, phi=phi, phi_hat=phi_hat, kind="sampled", phi_hat_array=phi_hat_array
+    )

@@ -18,6 +18,8 @@ import symlow.explicit
 import symlow.forms
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
+from symlow.constants import primes_up_to
+from symlow.forms import fejer_test_function
 from symlow.petersson import default_c_max
 
 
@@ -256,6 +258,34 @@ class TestPtermsCommand:
         assert len(json.loads(capsys.readouterr().out)["square_power"]) == 2
         assert calls == {"primes_up_to": 1, "is_prime": 1}
 
+    def test_one_draw_per_weighted_prime_and_none_on_replay(self, monkeypatch, capsys):
+        # A cold walk hashes each weighted prime once, in one batch; the same
+        # form with the other sign, in the same process, reads the cached batch.
+        draws = []
+        draw = symlow.forms._uniform_units
+
+        def counted(seed, primes):
+            draws.append(len(primes))
+            return draw(seed, primes)
+
+        monkeypatch.setattr(symlow.forms, "_uniform_units", counted)
+        symlow.forms._angle_batch.cache_clear()
+        command = "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1747".split()
+        assert main(command) == 0
+        cold = json.loads(capsys.readouterr().out)
+        # The Fejer weight falls with the argument, so a prime has some nonzero
+        # weight exactly when its first-power weight is nonzero.
+        phi = fejer_test_function(Fraction(3, 2))
+        scale = math.log(10007)
+        weighted = [
+            p for p in primes_up_to(cold["cutoffs"]["first_power"]).tolist()
+            if p != 10007 and phi.phi_hat(math.log(p) / scale) != 0.0
+        ]
+        assert draws == [len(weighted)]
+        assert main([*command, "--eps", "-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["first_power"] == cold["first_power"]
+        assert draws == [len(weighted)]
+
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -273,6 +303,9 @@ class TestRecordedDigests:
             "predict --r 2 --kappa 12 --q 1000003 --nu 19/40 --cutoff 100000000",
             "pterms --r 2 --kappa 12 --q 1000003 --nu 19/40",
             "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1730",
+            # A cold walk, then the cached replay prime_side makes.
+            "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1761",
+            "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1761 --eps -1",
         ],
     )
     def test_stdout_digest(self, command, capsys):

@@ -2,12 +2,14 @@
 
 Every prime sum is checked against a hand enumeration over an independent
 prime list (sympy), the one-walk ``prime_sums`` is checked bit for bit
-against each sum transcribed as its own loop at its own natural bound, the
+against each sum transcribed as its own per-prime loop at its own natural
+bound, with angles from the scalar oracle ``test_forms.scalar_angle``, the
 telescoping identities are cross-checked between modules, and the exact-zero
 sieve-enlargement invariance is asserted as an equality, not a tolerance.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import symlow.forms
 from symlow.constants import compute_constants, nu_max
 from symlow.explicit import (
     REMAINDER_MARKER,
@@ -33,6 +36,8 @@ from symlow.forms import (
 )
 
 import random
+
+from test_forms import scalar_angle
 
 SMALL_BUNDLES = {
     (r, kappa): compute_constants(r, kappa, pnt_cutoff=10**4, c_cutoff=10**4)
@@ -298,13 +303,29 @@ class TestHigherPowerSum:
         assert natural == enlarged
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_angle(seed, distribution, p):
+    return scalar_angle(seed, distribution, p)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_primes(limit):
+    return tuple(sympy.primerange(2, limit + 1))
+
+
 def separate_sums(form, phi, r, prime_limit=None):
     """The three prime sums as three separate loops over their own primes.
 
     Without prime_limit each loop stops at its own natural bound, so the
     square loop sieves only to exp(nu * scale / 2).  Term expressions and
-    summation follow the historical per-sum implementations exactly.
+    summation follow the historical per-sum implementations exactly; each
+    angle is the scalar oracle's, not the program's.
     """
+
+    def angle(p):
+        theta = oracle_angle(form.seed, form.distribution, p)
+        return math.pi - theta if form.flip else theta
+
     scale = r * math.log(form.q)
     nu = float(phi.nu)
 
@@ -312,7 +333,7 @@ def separate_sums(form, phi, r, prime_limit=None):
         return int(math.floor(math.exp(nu * scale / factor))) + 1
 
     def primes(limit):
-        return [p for p in sympy.primerange(2, limit + 1) if p != form.q]
+        return [p for p in oracle_primes(limit) if p != form.q]
 
     first_limit = natural(1.0) if prime_limit is None else prime_limit
     square_limit = natural(2.0) if prime_limit is None else prime_limit
@@ -321,7 +342,7 @@ def separate_sums(form, phi, r, prime_limit=None):
         lp = math.log(p)
         weight = phi.phi_hat(lp / scale)
         if weight != 0.0:
-            first.append(eigenvalue_power(form.angle(p), r) * lp / math.sqrt(p) * weight)
+            first.append(eigenvalue_power(angle(p), r) * lp / math.sqrt(p) * weight)
     squares = []
     for m in range(r):
         terms = []
@@ -329,12 +350,12 @@ def separate_sums(form, phi, r, prime_limit=None):
             lp = math.log(p)
             weight = phi.phi_hat(2.0 * lp / scale)
             if weight != 0.0:
-                lam = eigenvalue_power(form.angle(p), 2 * (r - m))
+                lam = eigenvalue_power(angle(p), 2 * (r - m))
                 terms.append(lam * lp / p * weight)
         squares.append(-(2.0 / scale) * math.fsum(terms))
     higher = []
     for p in primes(round(first_limit ** (1.0 / 3.0)) + 1):
-        theta = form.angle(p)
+        theta = angle(p)
         lp = math.log(p)
         n = 3
         while p**n <= first_limit:
@@ -382,6 +403,46 @@ class TestOneWalk:
             # A limit of 2^11 cuts some supports short, right at a prime power.
             cut = prime_sums(form, phi, r, prime_limit=2**11)
             assert cut == separate_sums(form, phi, r, 2**11), (q, r, nu)
+
+    def test_prime_weighted_only_at_a_higher_power(self):
+        # hat vanishes on [0, 1/2]: at q = 101, p = 3 has log p/scale in
+        # (1/6, 1/4), so its first and square weights are 0 and its cube's not.
+        phi = sampled_test_function(1, [0.0, 0.0, 0.0, 1.0, 0.0])
+        for variant in (make_form(q=101), make_form(q=101).flipped()):
+            sums = prime_sums(variant, phi, 1)
+            assert sums == separate_sums(variant, phi, 1)
+            assert sums["higher_power"] != 0.0
+
+    def test_angles_drawn_only_where_some_weight_is_nonzero(self, monkeypatch):
+        # Past the natural bound every weight is 0, so no angle is drawn there.
+        draws = []
+        draw = symlow.forms._uniform_units
+
+        def counted(seed, primes):
+            draws.extend(primes.tolist())
+            return draw(seed, primes)
+
+        monkeypatch.setattr(symlow.forms, "_uniform_units", counted)
+        symlow.forms._angle_batch.cache_clear()
+        form, phi, r = make_form(q=3, seed=99), sampled_test_function(1, [1.0, 0.0, 0.5, 0.0]), 2
+        scale = r * math.log(3)
+        limit = 3 * prime_cutoffs(3, r, 1)["first_power"]
+        prime_sums(form, phi, r, prime_limit=limit)
+        weighted = [
+            p for p in sympy.primerange(2, limit + 1) if p != 3 and any(
+                phi.phi_hat(n * math.log(p) / scale) != 0.0
+                for n in range(1, 40) if n <= 2 or p**n <= limit
+            )
+        ]
+        assert draws == weighted
+        assert len(weighted) < len(list(sympy.primerange(2, limit + 1))) - 1
+
+    def test_limits_below_two_give_zero_sums(self):
+        form, phi = make_form(), fejer_test_function(Fraction(1, 2))
+        for limit in (-3, 0, 1):
+            assert prime_sums(form, phi, 2, prime_limit=limit) == {
+                "first_power": 0.0, "square_power": [0.0, 0.0], "higher_power": 0.0
+            }
 
     def test_cases_reach_every_class(self):
         # The grid is only a check if each class has nonzero values in it.

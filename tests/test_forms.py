@@ -5,10 +5,13 @@ two admissible test-function constructors.
 Oracles used here: scipy's Chebyshev-U evaluator for the sine ratios, a
 truncated forward Fourier integral with an exact sine-integral tail for
 the Fejer transform pair, direct quadrature of the piecewise-linear
-transform for sampled kernels, and mod-4 arithmetic on the fourth-root
-exponent for the sign table.
+transform for sampled kernels, mod-4 arithmetic on the fourth-root
+exponent for the sign table, and ``scalar_angle``, the per-prime draw and
+64-step math.sin bisection that the batched angles must reproduce bit for
+bit (``tests/test_explicit.py`` takes its oracle angles from it too).
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,10 +24,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_chebyu, sici
 
+import symlow.forms
+from symlow.constants import primes_up_to
 from symlow.forms import (
     DISTRIBUTIONS,
     GammaShifts,
     SyntheticForm,
+    _angle_batch,
+    _draw_angles,
+    _eigenvalue_powers,
+    _sato_tate_inverse_cdf,
     alpha_pair_power,
     eigenvalue_power,
     fejer_test_function,
@@ -40,6 +49,30 @@ from symlow.forms import (
 def chebu_at_angle(n: int, theta: float) -> float:
     """Independent route to sin((n+1)t)/sin(t) via scipy's recurrence."""
     return float(eval_chebyu(n, math.cos(theta)))
+
+
+def scalar_inverse_cdf(u: float) -> float:
+    """Solve (2t - sin 2t) / (2 pi) = u by 64 halvings of [0, pi], one at a time."""
+    lo, hi = 0.0, math.pi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (2.0 * mid - math.sin(2.0 * mid)) / (2.0 * math.pi) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_draw(seed: int, p: int) -> float:
+    """The seeded uniform draw at p: BLAKE2b-64 of "seed:p", hashed whole."""
+    digest = hashlib.blake2b(f"{seed}:{p}".encode(), digest_size=8).digest()
+    return (int.from_bytes(digest, "big") + 0.5) / 2.0**64
+
+
+def scalar_angle(seed: int, distribution: str, p: int) -> float:
+    """The unflipped seeded angle at p, computed per prime with math.sin."""
+    u = scalar_draw(seed, p)
+    return u * math.pi if distribution == "uniform" else scalar_inverse_cdf(u)
 
 
 class TestPrimality:
@@ -104,6 +137,172 @@ class TestEigenvaluePower:
             eigenvalue_power(math.pi + 0.1, 2)
         with pytest.raises(ValueError):
             eigenvalue_power(1.0, -1)
+
+
+def eigenvalue_grid() -> list[float]:
+    """Angles at both endpoints, on both sides of the s = 1e-8 snap, where
+    the clamp bites (just inside pi), and spread over (0, pi)."""
+    grid = [0.0, math.pi, 1e-9, math.pi - 1e-9, math.pi / 2]
+    for edge in (1e-8, math.asin(1e-8), math.pi - 1e-8, math.pi - math.asin(1e-8)):
+        t = edge
+        for _ in range(4):
+            t = float(numpy.nextafter(t, 0.0))
+        for _ in range(8):
+            grid.append(t)
+            t = float(numpy.nextafter(t, 4.0))
+    for base in (1e-8, 2e-8, 5e-8, 1e-7):
+        grid.extend(math.pi - base * (1 + k * 1e-3) for k in range(-50, 50))
+    grid.extend(random.Random(7).uniform(0.0, math.pi) for _ in range(500))
+    return grid
+
+
+class TestVectorEigenvaluePower:
+    """_eigenvalue_powers against eigenvalue_power with ==, not a tolerance."""
+
+    def test_equals_scalar_on_edge_grid(self):
+        grid = eigenvalue_grid()
+        theta = numpy.array(grid)
+        sines = [math.sin(t) for t in grid]
+        assert any(s < 1e-8 for s in sines) and any(1e-8 <= s < 1.1e-8 for s in sines)
+        clamped = 0
+        for n in range(13):
+            assert _eigenvalue_powers(theta, n).tolist() == [eigenvalue_power(t, n) for t in grid]
+            clamped += sum(
+                abs(math.sin((n + 1) * t) / s) > n + 1 for t, s in zip(grid, sines) if s >= 1e-8
+            )
+        assert clamped > 0  # the grid reaches the clamp
+
+    def test_empty(self):
+        assert _eigenvalue_powers(numpy.array([]), 3).tolist() == []
+
+
+class TestVectorTransform:
+    """phi_hat_array against phi_hat with ==, for both kinds of window."""
+
+    @staticmethod
+    def points(nu: float, knots: int) -> list[float]:
+        step = nu / (knots - 1)
+        pts = [i * step for i in range(knots)] + [(i + 0.5) * step for i in range(knots)]
+        pts += [nu, float(numpy.nextafter(nu, 0.0)), float(numpy.nextafter(nu, 9.0)), 2 * nu, 1e300]
+        pts += [random.Random(3).uniform(0.0, 1.2 * nu) for _ in range(200)]
+        return pts + [-x for x in pts]
+
+    def check(self, kernel, nu, knots):
+        pts = self.points(float(nu), knots)
+        assert kernel.phi_hat_array(numpy.array(pts)).tolist() == [kernel.phi_hat(u) for u in pts]
+
+    @pytest.mark.parametrize("nu", [0.7, 1.5, Fraction(3, 2), Fraction(19, 10)])
+    def test_fejer(self, nu):
+        self.check(fejer_test_function(nu), nu, 7)
+
+    @pytest.mark.parametrize("nu", [0.7, 1.5, Fraction(3, 2)])
+    @pytest.mark.parametrize(
+        "samples", [[1.0, 0.9, 0.75, 0.2, -0.1, 0.05, 0.0], [1.0, 0.0], [0.5, -0.25, 0.0, 0.3]]
+    )
+    def test_sampled(self, nu, samples):
+        self.check(sampled_test_function(nu, samples), nu, len(samples))
+
+    def test_default_maps_the_scalar_transform(self):
+        fejer = fejer_test_function(1.5)
+        # (Read through the module: pytest would collect a class named Test*.)
+        built = symlow.forms.TestFunction(1.5, fejer.phi, fejer.phi_hat, "custom")
+        self.check(built, 1.5, 7)
+        assert built.phi_hat_array(numpy.array([])).tolist() == []
+
+
+ANGLE_LIMIT = math.isqrt(10007**3)  # the first-power bound of pterms --r 1 --q 10007 --nu 3/2
+
+
+class TestBatchedAngles:
+    """Batched angles against the per-prime scalar oracle, with ==."""
+
+    @pytest.mark.parametrize("seed", [1729, 1742, 1761])
+    def test_every_prime_matches_scalar_oracle(self, seed):
+        primes = primes_up_to(ANGLE_LIMIT)
+        draws = [scalar_draw(seed, p) for p in primes.tolist()]
+        sato_tate = [scalar_inverse_cdf(u) for u in draws]
+        uniform = [u * math.pi for u in draws]
+        for distribution, want in (("sato-tate", sato_tate), ("uniform", uniform)):
+            form = SyntheticForm(kappa=12, q=10007, eps_f=1, seed=seed, distribution=distribution)
+            assert form._sieved_angles(primes).tolist() == want
+            flipped = form.flipped()._sieved_angles(primes).tolist()
+            assert flipped == [math.pi - t for t in want]
+
+    def test_edge_draws(self):
+        smallest = (0 + 0.5) / 2.0**64
+        largest = (2**64 - 1 + 0.5) / 2.0**64
+        assert (smallest, largest) == (2.0**-65, 1.0)
+        # F(pi/2) = 1/2 exactly, so u = 1/2 meets an exact tie at the first step.
+        assert (math.pi - math.sin(math.pi)) / (2.0 * math.pi) == 0.5
+        draws = [smallest, largest, 0.5, float(numpy.nextafter(0.5, 0.0)), 0.25]
+        got = _sato_tate_inverse_cdf(numpy.array(draws)).tolist()
+        assert got == [scalar_inverse_cdf(u) for u in draws]
+        assert 0.0 < got[0] < got[4] < got[3] <= got[2] < got[1] <= math.pi
+
+    def test_empty_batch(self):
+        assert _draw_angles(1729, "sato-tate", numpy.array([], numpy.int64)).tolist() == []
+
+    def test_public_angle_is_the_batch_entry(self):
+        primes = primes_up_to(600)
+        primes = primes[primes != 11]
+        for distribution in DISTRIBUTIONS:
+            form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=4242, distribution=distribution)
+            for f in (form, form.flipped()):
+                batch = f._sieved_angles(primes).tolist()
+                assert [f.angle(p) for p in primes.tolist()] == batch
+
+    def test_public_angle_beyond_int64(self):
+        p = 2**64 + 13  # prime
+        for distribution in DISTRIBUTIONS:
+            form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=4242, distribution=distribution)
+            assert form.angle(p) == scalar_angle(4242, distribution, p)
+
+    def test_batches_are_cached_read_only(self):
+        _angle_batch.cache_clear()
+        primes = primes_up_to(500)
+        form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=5, distribution="sato-tate")
+        first = form._sieved_angles(primes)
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert form._sieved_angles(primes) is first
+        assert form.flipped()._sieved_angles(primes).tolist() == [math.pi - t for t in first]
+        assert _angle_batch.cache_info().hits == 2
+
+
+def skewed_sin(real_sin):
+    """A sine that errs by one ulp, up and down by turns, entry by entry and
+    call by call: within the one-ulp assumption behind BISECTION_MARGIN."""
+    calls = [0]
+
+    def sin(x):
+        exact = real_sin(x)
+        calls[0] += 1
+        up = (numpy.arange(exact.size) + calls[0]) % 2 == 0
+        return numpy.where(
+            up, numpy.nextafter(exact, numpy.inf), numpy.nextafter(exact, -numpy.inf)
+        )
+
+    return sin
+
+
+class TestBisectionMargin:
+    """Fault injection: a one-ulp-off np.sin leaves every angle as it is."""
+
+    PRIMES = primes_up_to(10**5)
+
+    def test_skewed_sine_keeps_every_angle(self, monkeypatch):
+        want = [scalar_angle(1729, "sato-tate", p) for p in self.PRIMES.tolist()]
+        monkeypatch.setattr(numpy, "sin", skewed_sin(numpy.sin))
+        assert _draw_angles(1729, "sato-tate", self.PRIMES).tolist() == want
+
+    def test_without_margin_the_skew_shows(self, monkeypatch):
+        # Control: with the margin at 0 the same skew moves some angles, so
+        # the arbitration, not a lucky sine, is what keeps the bytes.
+        want = _draw_angles(1729, "sato-tate", self.PRIMES).tolist()
+        monkeypatch.setattr(numpy, "sin", skewed_sin(numpy.sin))
+        monkeypatch.setattr(symlow.forms, "BISECTION_MARGIN", 0.0)
+        got = _draw_angles(1729, "sato-tate", self.PRIMES).tolist()
+        assert sum(a != b for a, b in zip(got, want)) > 100
 
 
 class TestAlphaPairPower:
@@ -449,15 +648,16 @@ class TestSyntheticForm:
     def test_semicircle_moments(self):
         # First and second moments of the eigenvalue statistic over ~2e3
         # primes; the semicircle weight gives 0 and 1, the flat angle
-        # measure gives 0 and 2.
-        primes = [int(p) for p in sympy.primerange(2, 20000) if p != 11]
+        # measure gives 0 and 2.  The angles are read as one batch, which
+        # equals angle(p) entry by entry (TestBatchedAngles).
+        primes = numpy.array([int(p) for p in sympy.primerange(2, 20000) if p != 11])
         f = self.make()
-        values = [f.eigenvalue(p) for p in primes]
+        values = [eigenvalue_power(t, 1) for t in f._sieved_angles(primes).tolist()]
         assert abs(sum(values) / len(values)) < 0.05
         assert abs(sum(v * v for v in values) / len(values) - 1.0) < 0.05
 
         flat = self.make(distribution="uniform")
-        flat_values = [flat.eigenvalue(p) for p in primes]
+        flat_values = [eigenvalue_power(t, 1) for t in flat._sieved_angles(primes).tolist()]
         assert abs(sum(flat_values) / len(flat_values)) < 0.05
         assert abs(sum(v * v for v in flat_values) / len(flat_values) - 2.0) < 0.05
 
