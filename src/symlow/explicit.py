@@ -8,7 +8,11 @@ batch, and splits the terms into the first-power, even-square and
 higher-power sums.  The first-power and square terms are numpy arrays built
 with the same operations in the same order as the scalar expressions (math.log
 and math.sin through ``map``; products, quotients and np.sqrt, which are
-correctly rounded), so every sum is bit-identical to a per-prime loop.  Every
+correctly rounded), so every sum is bit-identical to a per-prime loop.  The
+eigenvalues and weights come from the array kernels of ``forms``
+(``_eigenvalue_powers`` and ``TestFunction.phi_hat_array``), the one
+definition of each formula; the few higher-power terms go through the scalar
+entry points, which call the same kernels on one-element arrays.  Every
 sum is finite because the window transform has compact support: enlarging
 the sieve past the natural cutoff only appends terms with exactly zero weight.
 """
@@ -132,10 +136,18 @@ def _natural_prime_limit(scale: float, nu: float, transform_arg_factor: float) -
     The weight vanishes once factor*log(p)/scale >= nu, so the bound is
     exp(nu*scale/factor); one extra integer of slack keeps the bound safe
     against rounding, harmless because the appended weights are exactly 0.
+    ValueError when the bound overflows a float.
     """
     if nu <= 0.0:
         return 0
-    return int(math.floor(math.exp(nu * scale / transform_arg_factor))) + 1
+    try:
+        bound = math.exp(nu * scale / transform_arg_factor)
+    except OverflowError:
+        raise ValueError(
+            f"support radius nu = {nu} is too large: the prime bound"
+            f" exp({nu} * {scale:.6g} / {transform_arg_factor:g}) overflows a float"
+        ) from None
+    return int(math.floor(bound)) + 1
 
 
 def prime_cutoffs(q: int, r: int, nu: float | Fraction) -> dict[str, int]:
@@ -179,7 +191,11 @@ def prime_sums(
     the angle at p is drawn once, in one batch, only if some term at p has
     nonzero weight.  Terms past a sum's own natural bound have weight exactly
     0, so each value is bit-identical to that sum taken alone at its own
-    bound.  The higher powers (p <= prime_limit^(1/3)) are summed per prime.
+    bound.  The first-power and square terms are arrays over the primes; the
+    higher powers (p <= prime_limit^(1/3)) are summed per prime through
+    ``phi.phi_hat`` and ``eigenvalue_power``, one-element calls of the same
+    kernels at a few microseconds each (136 eigenvalues and 68 weights for
+    ``pterms --r 1 --kappa 12 --q 10007 --nu 3/2``).
     """
     if r < 1:
         raise ValueError("r must be >= 1")

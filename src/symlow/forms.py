@@ -9,11 +9,16 @@ time: the Sato-Tate bisection runs on numpy arrays and redoes with math.sin
 every comparison that np.sin could decide differently, so a batch equals
 the scalar recurrence bit for bit (see ``_sato_tate_inverse_cdf`` for the
 margin and the one-ulp assumption behind it).  The prime walk reads whole
-batches through a small cache; ``SyntheticForm.angle`` reads one prime.
+batches through a small cache.
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
 their three evaluation routes, gamma-factor shifts, root numbers, and the
-admissible test functions (Fejer kernel and sampled transforms).
+admissible test functions (Fejer kernel and sampled transforms).  Each
+prime-side formula (angle, eigenvalue ratio, window transform) has one
+definition, an array kernel; ``SyntheticForm.angle``, ``eigenvalue_power``
+and ``TestFunction.phi_hat`` check their input and call it on a one-element
+array, at microseconds a call (a whole bisection for an angle), so loops
+pass arrays.
 """
 
 from __future__ import annotations
@@ -29,12 +34,21 @@ import numpy as np
 
 DISTRIBUTIONS = ("sato-tate", "uniform")
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to every base in _SMALL_PRIMES (psi_13;
+# Sorenson and Webster, Math. Comp. 86, 2017): the test is proven below it.
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin with bases 2..41, exact for every n below
+    MILLER_RABIN_BOUND (about 3.3e24); ValueError at or above it."""
     n = int(n)  # accept numpy integers; 3-arg pow needs plain ints
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"{n} is not below {MILLER_RABIN_BOUND}, the proven range of the primality test"
+        )
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -145,12 +159,6 @@ def _draw_angles(seed: int, distribution: str, primes: np.ndarray) -> np.ndarray
     return _sato_tate_inverse_cdf(u)
 
 
-@functools.lru_cache(maxsize=1 << 20)
-def _angle(seed: int, distribution: str, p: int) -> float:
-    # Object dtype: a prime checked by is_prime may exceed int64.
-    return float(_draw_angles(seed, distribution, np.array([p], dtype=object))[0])
-
-
 @functools.lru_cache(maxsize=4)
 def _angle_batch(seed: int, distribution: str, primes: bytes) -> np.ndarray:
     """Angles at the int64 primes packed in ``primes``; read-only and cached.
@@ -187,16 +195,19 @@ class SyntheticForm:
     def angle(self, p: int) -> float:
         """Satake angle at p; defined only away from the level.
 
-        Checks that p is a prime other than q, then reads the seeded angle,
-        a batch of one, kept in a per-prime cache.  Callers that already hold
-        sieved primes away from q (the prime sums) read ``_sieved_angles``
-        for all of them at once and skip the Miller-Rabin recheck.
+        Checks that p is a prime other than q, then draws the seeded angle
+        as an uncached batch of one: about 0.27 ms a call on a 2-core machine
+        (64 bisection steps on a one-element array), where a batch costs about
+        2 us a prime.  Callers that hold many primes away from q (the prime
+        sums) read ``_sieved_angles`` for all of them at once, which is cached
+        and skips the Miller-Rabin recheck.
         """
         if p == self.q:
             raise ValueError("angle is undefined at the level prime")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        theta = _angle(self.seed, self.distribution, p)
+        # Object dtype: a prime checked by is_prime may exceed int64.
+        theta = float(_draw_angles(self.seed, self.distribution, np.array([p], dtype=object))[0])
         return math.pi - theta if self.flip else theta
 
     def _sieved_angles(self, primes: np.ndarray) -> np.ndarray:
@@ -221,27 +232,22 @@ def _check_angle(theta: float) -> None:
 def eigenvalue_power(theta: float, n: int) -> float:
     """Eigenvalue at the n-th prime power: sin((n+1)t)/sin(t) = U_n(2 cos t).
 
-    Endpoint limits are n+1 at t=0 and (-1)^n (n+1) at t=pi; the result is
-    clamped to the sharp bound |value| <= n+1.
+    Checks t and n, then evaluates ``_eigenvalue_powers`` on a one-element
+    array: about 5 us a call, so loops over angles should pass the array.
     """
     _check_angle(theta)
     if n < 0:
         raise ValueError("power must be nonnegative")
-    s = math.sin(theta)
-    if s < 1e-8:
-        # Limit value; the omitted correction is O(n^2 theta^2) ~ 1e-16 here.
-        sign = 1 if theta < math.pi / 2 else (-1) ** n
-        return float(sign * (n + 1))
-    value = math.sin((n + 1) * theta) / s
-    return max(-(n + 1.0), min(n + 1.0, value))
+    return float(_eigenvalue_powers(np.array([theta], dtype=np.float64), n)[0])
 
 
 def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
-    """eigenvalue_power(t, n) for every t in theta, equal to it bit for bit.
+    """sin((n+1)t)/sin(t) for every t in theta, which must lie in [0, pi] (unchecked).
 
-    Both sines come from math.sin, the ratio and the clamp are correctly
-    rounded, and the endpoint limits are the same.  theta must lie in
-    [0, pi] (unchecked).
+    Both sines come from math.sin.  Where sin t < 1e-8 the value is the
+    endpoint limit, n+1 at t=0 and (-1)^n (n+1) at t=pi (the omitted
+    correction is O(n^2 t^2) ~ 1e-16 there); elsewhere the ratio is clamped
+    to the sharp bound |value| <= n+1.
     """
     sines = _sines(theta)
     bound = n + 1.0
@@ -364,20 +370,19 @@ class TestFunction:
     phi_hat vanishes outside [-nu, nu]; the Fourier convention is
     phi_hat(u) = integral of phi(x) e^{-2 pi i x u} dx.  nu keeps whatever
     exact type it was built with (Fraction survives) so support comparisons
-    against exact rational bounds stay exact.  phi_hat_array is phi_hat on
-    a float64 array, equal to it entry by entry, bit for bit; when not given
-    it maps phi_hat over the entries.
+    against exact rational bounds stay exact.  phi_hat_array, the transform
+    on a float64 array, is its one definition.
     """
 
     nu: float | Fraction
     phi: Callable[[float], float]
-    phi_hat: Callable[[float], float]
     kind: str
-    phi_hat_array: Callable[[np.ndarray], np.ndarray] | None = None
+    phi_hat_array: Callable[[np.ndarray], np.ndarray]
 
-    def __post_init__(self) -> None:
-        if self.phi_hat_array is None:
-            object.__setattr__(self, "phi_hat_array", np.vectorize(self.phi_hat, otypes=[float]))
+    def phi_hat(self, u: float) -> float:
+        """The transform at u, as phi_hat_array on a one-element array: about
+        1.5 us a call (Fejer) or 5 us (sampled), so loops should pass the array."""
+        return float(self.phi_hat_array(np.array([u], dtype=np.float64))[0])
 
     @property
     def nu_exact(self) -> Fraction:
@@ -391,9 +396,6 @@ def fejer_test_function(nu: float | Fraction) -> TestFunction:
     if nu_f <= 0:
         raise ValueError("support radius must be positive")
 
-    def phi_hat(u: float) -> float:
-        return max(0.0, 1.0 - abs(u) / nu_f)
-
     def phi_hat_array(u: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 1.0 - np.abs(u) / nu_f)
 
@@ -403,9 +405,7 @@ def fejer_test_function(nu: float | Fraction) -> TestFunction:
         s = math.sin(math.pi * nu_f * x) / (math.pi * nu_f * x)
         return nu_f * s * s
 
-    return TestFunction(
-        nu=nu, phi=phi, phi_hat=phi_hat, kind="fejer", phi_hat_array=phi_hat_array
-    )
+    return TestFunction(nu=nu, phi=phi, kind="fejer", phi_hat_array=phi_hat_array)
 
 
 def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
@@ -422,14 +422,6 @@ def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
     if len(values) < 2:
         raise ValueError("need at least two samples of the transform")
     step = nu_f / (len(values) - 1)
-
-    def phi_hat(u: float) -> float:
-        u = abs(u)
-        if u >= nu_f:
-            return 0.0
-        i = min(int(u / step), len(values) - 2)
-        frac = u / step - i
-        return values[i] * (1.0 - frac) + values[i + 1] * frac
 
     knots = np.array(values)
 
@@ -461,6 +453,4 @@ def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
                 total += c1 * ((cb - ca) / (w * w) + (b * sb - a * sa) / w)
         return 2.0 * total
 
-    return TestFunction(
-        nu=nu, phi=phi, phi_hat=phi_hat, kind="sampled", phi_hat_array=phi_hat_array
-    )
+    return TestFunction(nu=nu, phi=phi, kind="sampled", phi_hat_array=phi_hat_array)

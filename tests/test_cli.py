@@ -19,8 +19,9 @@ import symlow.forms
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
 from symlow.constants import primes_up_to
-from symlow.forms import fejer_test_function
 from symlow.petersson import default_c_max
+
+from test_forms import scalar_fejer_hat
 
 
 def run_cli(*args, env_extra=None):
@@ -217,6 +218,14 @@ class TestPredictCommand:
         assert proc.returncode == 1
         assert "symlow: error:" in proc.stderr
 
+    def test_strong_pseudoprime_level_rejected(self, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37.
+        argv = ["predict", "--r", "1", "--kappa", "12", "--q", "318665857834031151167461",
+                "--nu", "1/1000", "--cutoff", "100"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("symlow: error: q must be prime")
+
 
 class TestPtermsCommand:
     def test_document_shape_and_determinism(self):
@@ -237,6 +246,13 @@ class TestPtermsCommand:
             "pterms", "--r", "1", "--kappa", "11", "--q", "11", "--nu", "1/2",
         )
         assert proc.returncode == 1
+
+    def test_oversized_support_is_a_clean_error(self):
+        # exp(nu * log q) overflows a float; the error names the support radius.
+        proc = run_cli("pterms", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "100")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("symlow: error: support radius nu = 100")
+        assert "Traceback" not in proc.stderr
 
     def test_one_sieve_and_one_primality_proof(self, monkeypatch, capsys):
         # The three sums share one sieve, and sieved primes are not re-proved
@@ -275,11 +291,11 @@ class TestPtermsCommand:
         cold = json.loads(capsys.readouterr().out)
         # The Fejer weight falls with the argument, so a prime has some nonzero
         # weight exactly when its first-power weight is nonzero.
-        phi = fejer_test_function(Fraction(3, 2))
+        hat = scalar_fejer_hat(Fraction(3, 2))
         scale = math.log(10007)
         weighted = [
             p for p in primes_up_to(cold["cutoffs"]["first_power"]).tolist()
-            if p != 10007 and phi.phi_hat(math.log(p) / scale) != 0.0
+            if p != 10007 and hat(math.log(p) / scale) != 0.0
         ]
         assert draws == [len(weighted)]
         assert main([*command, "--eps", "-1"]) == 0

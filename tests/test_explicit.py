@@ -3,7 +3,8 @@
 Every prime sum is checked against a hand enumeration over an independent
 prime list (sympy), the one-walk ``prime_sums`` is checked bit for bit
 against each sum transcribed as its own per-prime loop at its own natural
-bound, with angles from the scalar oracle ``test_forms.scalar_angle``, the
+bound, with angles, eigenvalues and window transforms from the scalar
+oracles in ``test_forms`` and a bracket built on them here, the
 telescoping identities are cross-checked between modules, and the exact-zero
 sieve-enlargement invariance is asserted as an equality, not a tolerance.
 """
@@ -37,7 +38,12 @@ from symlow.forms import (
 
 import random
 
-from test_forms import scalar_angle
+from test_forms import (
+    scalar_angle,
+    scalar_eigenvalue_power,
+    scalar_fejer_hat,
+    scalar_sampled_hat,
+)
 
 SMALL_BUNDLES = {
     (r, kappa): compute_constants(r, kappa, pnt_cutoff=10**4, c_cutoff=10**4)
@@ -313,13 +319,31 @@ def oracle_primes(limit):
     return tuple(sympy.primerange(2, limit + 1))
 
 
-def separate_sums(form, phi, r, prime_limit=None):
+def oracle_bracket(theta, n, r):
+    """Sum over j = r mod 2, 1 <= j <= r, of lambda(p^{jn}) - lambda(p^{jn-2})."""
+    start = 1 if r % 2 else 2
+    return math.fsum(
+        scalar_eigenvalue_power(theta, j * n) - scalar_eigenvalue_power(theta, j * n - 2)
+        for j in range(start, r + 1, 2)
+    )
+
+
+def window(nu, samples=None):
+    """A Fejer (no samples) or sampled test function and its transform's
+    scalar oracle."""
+    if samples is None:
+        return fejer_test_function(nu), scalar_fejer_hat(nu)
+    return sampled_test_function(nu, samples), scalar_sampled_hat(nu, samples)
+
+
+def separate_sums(form, hat, nu, r, prime_limit=None):
     """The three prime sums as three separate loops over their own primes.
 
+    hat is the window transform, of support radius nu, one point at a time.
     Without prime_limit each loop stops at its own natural bound, so the
     square loop sieves only to exp(nu * scale / 2).  Term expressions and
     summation follow the historical per-sum implementations exactly; each
-    angle is the scalar oracle's, not the program's.
+    angle, eigenvalue and weight is a scalar oracle's, not the program's.
     """
 
     def angle(p):
@@ -327,7 +351,7 @@ def separate_sums(form, phi, r, prime_limit=None):
         return math.pi - theta if form.flip else theta
 
     scale = r * math.log(form.q)
-    nu = float(phi.nu)
+    nu = float(nu)
 
     def natural(factor):
         return int(math.floor(math.exp(nu * scale / factor))) + 1
@@ -340,17 +364,17 @@ def separate_sums(form, phi, r, prime_limit=None):
     first = []
     for p in primes(first_limit):
         lp = math.log(p)
-        weight = phi.phi_hat(lp / scale)
+        weight = hat(lp / scale)
         if weight != 0.0:
-            first.append(eigenvalue_power(angle(p), r) * lp / math.sqrt(p) * weight)
+            first.append(scalar_eigenvalue_power(angle(p), r) * lp / math.sqrt(p) * weight)
     squares = []
     for m in range(r):
         terms = []
         for p in primes(square_limit):
             lp = math.log(p)
-            weight = phi.phi_hat(2.0 * lp / scale)
+            weight = hat(2.0 * lp / scale)
             if weight != 0.0:
-                lam = eigenvalue_power(angle(p), 2 * (r - m))
+                lam = scalar_eigenvalue_power(angle(p), 2 * (r - m))
                 terms.append(lam * lp / p * weight)
         squares.append(-(2.0 / scale) * math.fsum(terms))
     higher = []
@@ -359,9 +383,9 @@ def separate_sums(form, phi, r, prime_limit=None):
         lp = math.log(p)
         n = 3
         while p**n <= first_limit:
-            weight = phi.phi_hat(n * lp / scale)
+            weight = hat(n * lp / scale)
             if weight != 0.0:
-                higher.append(_power_bracket(theta, n, r) * lp / p ** (n / 2.0) * weight)
+                higher.append(oracle_bracket(theta, n, r) * lp / p ** (n / 2.0) * weight)
             n += 1
     return {
         "first_power": -(2.0 / scale) * math.fsum(first),
@@ -382,35 +406,32 @@ WALK_CASES = [
 class TestOneWalk:
     """prime_sums against separate_sums with ==, not a tolerance."""
 
-    @pytest.mark.parametrize("window", ["fejer", "sampled"])
+    @pytest.mark.parametrize("kind", ["fejer", "sampled"])
     @pytest.mark.parametrize("variant", ["sato-tate", "uniform", "flipped"])
-    def test_bit_identical_to_separate_loops(self, window, variant):
+    def test_bit_identical_to_separate_loops(self, kind, variant):
         samples = [1.0, 0.9, 0.75, 0.2, -0.1, 0.05, 0.0]
         for q, r, nu in WALK_CASES:
             form = make_form(q=q, distribution="uniform" if variant == "uniform" else "sato-tate")
             if variant == "flipped":
                 form = form.flipped()
-            if window == "fejer":
-                phi = fejer_test_function(nu)
-            else:
-                phi = sampled_test_function(nu, samples)
-            own_bounds = separate_sums(form, phi, r)
+            phi, hat = window(nu, samples if kind == "sampled" else None)
+            own_bounds = separate_sums(form, hat, nu, r)
             assert prime_sums(form, phi, r) == own_bounds, (q, r, nu)
             # An enlarged sieve only appends terms of weight exactly 0.
             wide = 3 * prime_cutoffs(q, r, nu)["first_power"]
             enlarged = prime_sums(form, phi, r, prime_limit=wide)
-            assert enlarged == own_bounds == separate_sums(form, phi, r, wide), (q, r, nu)
+            assert enlarged == own_bounds == separate_sums(form, hat, nu, r, wide), (q, r, nu)
             # A limit of 2^11 cuts some supports short, right at a prime power.
             cut = prime_sums(form, phi, r, prime_limit=2**11)
-            assert cut == separate_sums(form, phi, r, 2**11), (q, r, nu)
+            assert cut == separate_sums(form, hat, nu, r, 2**11), (q, r, nu)
 
     def test_prime_weighted_only_at_a_higher_power(self):
         # hat vanishes on [0, 1/2]: at q = 101, p = 3 has log p/scale in
         # (1/6, 1/4), so its first and square weights are 0 and its cube's not.
-        phi = sampled_test_function(1, [0.0, 0.0, 0.0, 1.0, 0.0])
+        phi, hat = window(1, [0.0, 0.0, 0.0, 1.0, 0.0])
         for variant in (make_form(q=101), make_form(q=101).flipped()):
             sums = prime_sums(variant, phi, 1)
-            assert sums == separate_sums(variant, phi, 1)
+            assert sums == separate_sums(variant, hat, 1, 1)
             assert sums["higher_power"] != 0.0
 
     def test_angles_drawn_only_where_some_weight_is_nonzero(self, monkeypatch):

@@ -6,9 +6,12 @@ Oracles used here: scipy's Chebyshev-U evaluator for the sine ratios, a
 truncated forward Fourier integral with an exact sine-integral tail for
 the Fejer transform pair, direct quadrature of the piecewise-linear
 transform for sampled kernels, mod-4 arithmetic on the fourth-root
-exponent for the sign table, and ``scalar_angle``, the per-prime draw and
-64-step math.sin bisection that the batched angles must reproduce bit for
-bit (``tests/test_explicit.py`` takes its oracle angles from it too).
+exponent for the sign table, and the scalar formulas that the array kernels
+in ``symlow.forms`` must reproduce bit for bit: ``scalar_angle``, the
+per-prime draw and 64-step math.sin bisection; ``scalar_eigenvalue_power``,
+the sine ratio one angle at a time; and ``scalar_fejer_hat`` and
+``scalar_sampled_hat``, the two window transforms one point at a time
+(``tests/test_explicit.py`` builds its per-prime sums from them too).
 """
 
 import hashlib
@@ -75,6 +78,41 @@ def scalar_angle(seed: int, distribution: str, p: int) -> float:
     return u * math.pi if distribution == "uniform" else scalar_inverse_cdf(u)
 
 
+def scalar_eigenvalue_power(theta: float, n: int) -> float:
+    """sin((n+1)t)/sin(t) at one angle: the endpoint limit (n+1 at t=0,
+    (-1)^n (n+1) at t=pi) where sin t < 1e-8, else the ratio clamped to n+1."""
+    s = math.sin(theta)
+    if s < 1e-8:
+        sign = 1 if theta < math.pi / 2 else (-1) ** n
+        return float(sign * (n + 1))
+    value = math.sin((n + 1) * theta) / s
+    return max(-(n + 1.0), min(n + 1.0, value))
+
+
+def scalar_fejer_hat(nu):
+    """The triangular transform max(0, 1 - |u|/nu), one point at a time."""
+    nu_f = float(nu)
+    return lambda u: max(0.0, 1.0 - abs(u) / nu_f)
+
+
+def scalar_sampled_hat(nu, samples):
+    """The even linear interpolant of samples on the uniform grid over
+    [0, nu], zero from nu on, one point at a time."""
+    nu_f = float(nu)
+    values = [float(v) for v in samples]
+    step = nu_f / (len(values) - 1)
+
+    def phi_hat(u: float) -> float:
+        u = abs(u)
+        if u >= nu_f:
+            return 0.0
+        i = min(int(u / step), len(values) - 2)
+        frac = u / step - i
+        return values[i] * (1.0 - frac) + values[i + 1] * frac
+
+    return phi_hat
+
+
 class TestPrimality:
     def test_matches_sympy_below_ten_thousand(self):
         for n in range(10000):
@@ -93,6 +131,21 @@ class TestPrimality:
     def test_accepts_numpy_integers(self):
         assert is_prime(numpy.int64(97))
         assert not is_prime(numpy.int64(91))
+
+    def test_strong_pseudoprime_to_bases_through_37(self):
+        # psi_12 passes every base 2..37; base 41 exposes it.
+        psi_12 = 318665857834031151167461
+        assert psi_12 == 399165290221 * 798330580441
+        assert not is_prime(psi_12)
+
+    def test_refuses_beyond_the_proven_range(self):
+        # psi_13 passes every base 2..41, so the test cannot decide it.
+        bound = symlow.forms.MILLER_RABIN_BOUND
+        assert bound == 3317044064679887385961981 == 1287836182261 * 2575672364521
+        assert is_prime(sympy.prevprime(bound))
+        for n in (bound, 10**30 + 57):
+            with pytest.raises(ValueError, match="proven range"):
+                is_prime(n)
 
 
 class TestEigenvaluePower:
@@ -157,7 +210,7 @@ def eigenvalue_grid() -> list[float]:
 
 
 class TestVectorEigenvaluePower:
-    """_eigenvalue_powers against eigenvalue_power with ==, not a tolerance."""
+    """_eigenvalue_powers and eigenvalue_power against the scalar oracle with ==."""
 
     def test_equals_scalar_on_edge_grid(self):
         grid = eigenvalue_grid()
@@ -166,7 +219,9 @@ class TestVectorEigenvaluePower:
         assert any(s < 1e-8 for s in sines) and any(1e-8 <= s < 1.1e-8 for s in sines)
         clamped = 0
         for n in range(13):
-            assert _eigenvalue_powers(theta, n).tolist() == [eigenvalue_power(t, n) for t in grid]
+            want = [scalar_eigenvalue_power(t, n) for t in grid]
+            assert _eigenvalue_powers(theta, n).tolist() == want
+            assert [eigenvalue_power(t, n) for t in grid] == want
             clamped += sum(
                 abs(math.sin((n + 1) * t) / s) > n + 1 for t, s in zip(grid, sines) if s >= 1e-8
             )
@@ -177,7 +232,8 @@ class TestVectorEigenvaluePower:
 
 
 class TestVectorTransform:
-    """phi_hat_array against phi_hat with ==, for both kinds of window."""
+    """phi_hat_array and phi_hat against the scalar oracles with ==, for both
+    kinds of window."""
 
     @staticmethod
     def points(nu: float, knots: int) -> list[float]:
@@ -187,27 +243,23 @@ class TestVectorTransform:
         pts += [random.Random(3).uniform(0.0, 1.2 * nu) for _ in range(200)]
         return pts + [-x for x in pts]
 
-    def check(self, kernel, nu, knots):
+    def check(self, kernel, oracle, nu, knots):
         pts = self.points(float(nu), knots)
-        assert kernel.phi_hat_array(numpy.array(pts)).tolist() == [kernel.phi_hat(u) for u in pts]
+        want = [oracle(u) for u in pts]
+        assert kernel.phi_hat_array(numpy.array(pts)).tolist() == want
+        assert [kernel.phi_hat(u) for u in pts] == want
 
     @pytest.mark.parametrize("nu", [0.7, 1.5, Fraction(3, 2), Fraction(19, 10)])
     def test_fejer(self, nu):
-        self.check(fejer_test_function(nu), nu, 7)
+        self.check(fejer_test_function(nu), scalar_fejer_hat(nu), nu, 7)
 
     @pytest.mark.parametrize("nu", [0.7, 1.5, Fraction(3, 2)])
     @pytest.mark.parametrize(
         "samples", [[1.0, 0.9, 0.75, 0.2, -0.1, 0.05, 0.0], [1.0, 0.0], [0.5, -0.25, 0.0, 0.3]]
     )
     def test_sampled(self, nu, samples):
-        self.check(sampled_test_function(nu, samples), nu, len(samples))
-
-    def test_default_maps_the_scalar_transform(self):
-        fejer = fejer_test_function(1.5)
-        # (Read through the module: pytest would collect a class named Test*.)
-        built = symlow.forms.TestFunction(1.5, fejer.phi, fejer.phi_hat, "custom")
-        self.check(built, 1.5, 7)
-        assert built.phi_hat_array(numpy.array([])).tolist() == []
+        kernel = sampled_test_function(nu, samples)
+        self.check(kernel, scalar_sampled_hat(nu, samples), nu, len(samples))
 
 
 ANGLE_LIMIT = math.isqrt(10007**3)  # the first-power bound of pterms --r 1 --q 10007 --nu 3/2
