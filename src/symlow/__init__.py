@@ -53,7 +53,6 @@ from .forms import (
     GammaShifts,
     SyntheticForm,
     TestFunction,
-    alpha_pair_power,
     eigenvalue_power,
     fejer_test_function,
     gamma_shifts,
@@ -81,7 +80,6 @@ __all__ = [
     "PeterssonTerm",
     "SyntheticForm",
     "TestFunction",
-    "alpha_pair_power",
     "bessel_j",
     "c_gamma",
     "c_infty",

@@ -1,10 +1,11 @@
 """Exact arithmetic for Chebyshev polynomials of the second kind.
 
-Everything in this module runs over exact integers, with ``Fraction`` only
-where a caller supplies one, so each identity check returns an exact
-polynomial residual: the empty polynomial means the identity holds, anything
-else is a genuine counterexample.  No floating point enters any computation
-here.
+Everything in this module runs over exact integers and returns ints where
+the mathematics is integral, with ``Fraction`` only where a caller supplies
+one, in ``eval_exact`` and in ``difference_monomial_coeff``'s factorial
+quotients.  Each identity check returns an exact polynomial residual: the
+empty polynomial means the identity holds, anything else is a genuine
+counterexample.  No floating point enters any computation here.
 
 Normalization: U_n denotes the degree-n Chebyshev polynomial of the second
 kind in the stretched variable, U_n(2 cos t) = sin((n+1)t) / sin t.  The
@@ -24,8 +25,9 @@ from fractions import Fraction
 class ExactPoly:
     """Dense univariate polynomial with exact integer coefficients.
 
-    Coefficients stay Python ints; a Fraction appears only where a caller
-    supplies one, and any other value is converted exactly by Fraction().
+    Coefficients stay Python ints, so int polynomials stay int polynomials;
+    a Fraction appears only where a caller supplies one, and any other value
+    is converted exactly by Fraction().
 
     coeffs[i] is the coefficient of T^i where T is the monomial variable
     (T = 2 cos t on the support of the weight).  The zero polynomial is the
@@ -119,17 +121,17 @@ T = ExactPoly.of(0, 1)
 class ChebExpansion:
     """Finite expansion sum_j coeffs[j] * U_j, keys are basis indices j >= 0."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int | Fraction], ...]
 
     @staticmethod
-    def of(mapping: dict[int, Fraction]) -> "ChebExpansion":
+    def of(mapping: dict[int, int | Fraction]) -> "ChebExpansion":
         return ChebExpansion(tuple(sorted(mapping.items())))
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict[int, int | Fraction]:
         return dict(self.coeffs)
 
-    def __getitem__(self, j: int) -> Fraction:
-        return self.as_dict().get(j, Fraction(0))
+    def __getitem__(self, j: int) -> int | Fraction:
+        return self.as_dict().get(j, 0)
 
     def to_poly(self) -> ExactPoly:
         acc = ZERO
@@ -162,20 +164,20 @@ def semicircle_moment(k: int) -> int:
     return 0 if k % 2 else catalan(k // 2)
 
 
-def inner_product(p: ExactPoly, q: ExactPoly) -> Fraction:
+def inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
     """(1/pi) integral over [-2,2] of p*q*sqrt(1-x^2/4), exactly.
 
     Computed through the moment sequence (odd moments vanish, even moment 2m
-    is Catalan(m)); no quadrature anywhere.
+    is Catalan(m)); no quadrature anywhere.  The moments are integers, so the
+    result is an int for integer polynomials and a Fraction only when a
+    coefficient is one.
     """
     prod = p * q
-    return Fraction(
-        sum(c * semicircle_moment(k) for k, c in enumerate(prod.coeffs) if c != 0)
-    )
+    return sum(c * semicircle_moment(k) for k, c in enumerate(prod.coeffs) if c != 0)
 
 
 def linearize_power(varpi: int, r: int) -> ChebExpansion:
-    """All coefficients of U_r^varpi in the U basis, indices 0..r*varpi.
+    """All coefficients of U_r^varpi in the U basis, indices 0..r*varpi, as ints.
 
     Entries of the wrong parity (j not congruent to r*varpi mod 2) are exact
     zeros and are kept in the map so callers can check the vanishing.
@@ -264,18 +266,16 @@ def odd_reduction_residual(big_k: int) -> ExactPoly:
     return cheb_poly(2 * big_k + 1) - cheb_poly(2 * big_k - 1) - rhs
 
 
-def vanishing_chain_sum(k0: int) -> Fraction:
-    """Chain sum weighted by C(2k_j, k_j) * k_j/(1+k_j).
+def vanishing_chain_sum(k0: int) -> int:
+    """Chain sum weighted by C(2k_j, k_j) * k_j/(1+k_j) = k_j * Catalan(k_j).
 
-    Equals -<U_{2k0} - U_{2k0-2}, U_0> in general: 1 at k0 = 1 and 0 for every
+    Each weight is an integer, so the sum is an int.  Equals
+    -<U_{2k0} - U_{2k0-2}, U_0> in general: 1 at k0 = 1 and 0 for every
     k0 >= 2.  Both behaviors are part of the contract.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    acc = Fraction(0)
-    for sign, weight, tail in _chains(k0):
-        acc += sign * weight * math.comb(2 * tail, tail) * Fraction(tail, 1 + tail)
-    return acc
+    return sum(sign * weight * tail * catalan(tail) for sign, weight, tail in _chains(k0))
 
 
 def difference_monomial_coeff(big_k: int, k: int) -> Fraction:

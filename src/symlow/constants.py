@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -42,14 +43,21 @@ def sieve_cap() -> int:
     return cap
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array, guarded by the sieve memory cap."""
+def check_sieve_bound(n: int, what: str = "sieve bound") -> None:
+    """ValueError naming ``what`` when n exceeds the sieve memory cap.
+
+    A bound of 17 digits or more is printed to 4 significant digits, so the
+    message stays one short line.
+    """
     cap = sieve_cap()
     if n > cap:
-        raise ValueError(
-            f"sieve bound {n} exceeds the memory guard {cap}"
-            f" (override with {SIEVE_CAP_ENV})"
-        )
+        shown = n if n < 10**16 else f"{Decimal(int(n)):.4g}"
+        raise ValueError(f"{what} {shown} exceeds the memory guard {cap} (override with {SIEVE_CAP_ENV})")
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array, guarded by the sieve memory cap."""
+    check_sieve_bound(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .constants import ConstantsBundle, compute_constants, nu_max, primes_up_to
+from .constants import ConstantsBundle, check_sieve_bound, compute_constants, nu_max, primes_up_to
 from .forms import (
     SyntheticForm,
     TestFunction,
@@ -202,6 +202,7 @@ def prime_sums(
     scale = r * math.log(form.q)
     if prime_limit is None:
         prime_limit = _natural_prime_limit(scale, float(phi.nu), 1.0)
+        check_sieve_bound(prime_limit, f"support radius nu = {float(phi.nu)} is too large: its prime bound")
     primes = primes_up_to(prime_limit)
     primes = primes[primes != form.q]
     # math.log, not np.log, which may differ from it in the last bit.

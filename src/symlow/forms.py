@@ -215,10 +215,6 @@ class SyntheticForm:
         theta = _angle_batch(self.seed, self.distribution, primes.astype(np.int64, copy=False).tobytes())
         return math.pi - theta if self.flip else theta
 
-    def eigenvalue(self, p: int, n: int = 1) -> float:
-        """Eigenvalue at the n-th power of p, from the angle at p."""
-        return eigenvalue_power(self.angle(p), n)
-
     def flipped(self) -> "SyntheticForm":
         """Copy whose every angle is reflected t -> pi - t."""
         return dataclasses.replace(self, flip=not self.flip)
@@ -257,14 +253,6 @@ def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
     return np.where(edge, limits, np.clip(value, -bound, bound))
 
 
-def alpha_pair_power(theta: float, n: int) -> float:
-    """alpha^n + alpha^{-n} for alpha = e^{i t}: 2 cos(n t)."""
-    _check_angle(theta)
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    return 2.0 * math.cos(n * theta)
-
-
 def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float, float]:
     """The unit power sum sum_{j=0}^r e^{i t n (2j - r)} by three routes.
 
@@ -288,13 +276,9 @@ def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float,
         ratio = parity * math.sin((r + 1) * d) / math.sin(d)
 
     y = 2.0 * math.cos(w)
-    prev, cur = 1.0, y
-    if r == 0:
-        cheb = prev
-    else:
-        for _ in range(r - 1):
-            prev, cur = cur, y * cur - prev
-        cheb = cur
+    prev, cheb = 1.0, y
+    for _ in range(r - 1):
+        prev, cheb = cheb, y * cheb - prev
 
     spread = max(direct, ratio, cheb) - min(direct, ratio, cheb)
     if spread > 1e-8 * (r + 1):
@@ -376,7 +360,6 @@ class TestFunction:
 
     nu: float | Fraction
     phi: Callable[[float], float]
-    kind: str
     phi_hat_array: Callable[[np.ndarray], np.ndarray]
 
     def phi_hat(self, u: float) -> float:
@@ -405,7 +388,7 @@ def fejer_test_function(nu: float | Fraction) -> TestFunction:
         s = math.sin(math.pi * nu_f * x) / (math.pi * nu_f * x)
         return nu_f * s * s
 
-    return TestFunction(nu=nu, phi=phi, kind="fejer", phi_hat_array=phi_hat_array)
+    return TestFunction(nu=nu, phi=phi, phi_hat_array=phi_hat_array)
 
 
 def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
@@ -453,4 +436,4 @@ def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
                 total += c1 * ((cb - ca) / (w * w) + (b * sb - a * sa) / w)
         return 2.0 * total
 
-    return TestFunction(nu=nu, phi=phi, kind="sampled", phi_hat_array=phi_hat_array)
+    return TestFunction(nu=nu, phi=phi, phi_hat_array=phi_hat_array)

@@ -76,8 +76,6 @@ def kloosterman_sums(ms: Sequence[int], n: int, c: int) -> list[float]:
         raise ValueError("modulus must be >= 1")
     if c >= MODULUS_LIMIT:
         raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
-    if c == 1:
-        return [1.0] * len(ms)
     # No boolean arrays of length c: numpy keeps freed buffers under 1 KiB
     # for reuse at the same byte size, and a sweep over c would leave one
     # behind for every c below 1024.
@@ -141,11 +139,13 @@ def _bessel_series(order: int, x: float) -> float:
     if term == 0.0:
         return 0.0
     terms = [term]
+    largest = abs(term)
     hh = half * half
     for t in range(1, 200):
         term *= -hh / (t * (order + t))
         terms.append(term)
-        if abs(term) < 1e-18 * max(abs(v) for v in terms):
+        largest = max(largest, abs(term))
+        if abs(term) < 1e-18 * largest:
             break
     return math.fsum(terms)
 

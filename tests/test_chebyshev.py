@@ -202,8 +202,20 @@ class TestIntegerRing:
         assert hash(ints) == hash(fractions)
 
     def test_rational_api_edges_return_fractions(self):
-        assert type(inner_product(cheb_poly(3), cheb_poly(3))) is Fraction
+        # Integer inputs give ints; a Fraction appears only where a caller
+        # supplies one, in eval_exact, and in the factorial closed forms.
+        for i in range(8):
+            for j in range(8):
+                assert type(inner_product(cheb_poly(i), cheb_poly(j))) is int
+        assert all(type(c) is int for _, c in linearize_power(3, 2).coeffs)
+        assert type(linearize_power(3, 2)[99]) is int
+        for k0 in range(1, 6):
+            assert type(vanishing_chain_sum(k0)) is int
+        half = cheb_poly(3) * Fraction(1, 2)
+        assert type(inner_product(half, cheb_poly(3))) is Fraction
+        assert inner_product(half, cheb_poly(3)) == Fraction(1, 2)
         assert type(cheb_poly(3).eval_exact(2)) is Fraction
+        assert type(difference_monomial_coeff(4, 2)) is Fraction
 
 
 class TestMonomialExpansion:

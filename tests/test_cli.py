@@ -254,6 +254,17 @@ class TestPtermsCommand:
         assert proc.stderr.startswith("symlow: error: support radius nu = 100")
         assert "Traceback" not in proc.stderr
 
+    def test_support_beyond_the_sieve_cap_is_one_short_line(self):
+        # The prime bound (201 digits) is finite but far above the sieve cap;
+        # the error names the radius and shows the bound to 4 digits.
+        proc = run_cli("pterms", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "50")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 160, proc.stderr
+        assert lines[0].startswith("symlow: error: support radius nu = 50")
+        assert "1.036e+200" in lines[0] and "SYMLOW_SIEVE_CAP" in lines[0]
+        assert "Traceback" not in proc.stderr
+
     def test_one_sieve_and_one_primality_proof(self, monkeypatch, capsys):
         # The three sums share one sieve, and sieved primes are not re-proved
         # before their angle is read; the only Miller-Rabin run is the level's.
@@ -313,6 +324,7 @@ class TestRecordedDigests:
         "command",
         [
             "identities",
+            "identities --kmax 10 --coeff-kmax 60 --lmax 80 --ortho-max 40 --power-max 8",
             "petersson --m 2 --kappa 12",
             "tau-check --output csv",
             "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
