@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import gamma_shifts
+from .forms import _items, gamma_shifts
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -56,16 +56,26 @@ def check_sieve_bound(n: int, what: str = "sieve bound") -> None:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array, guarded by the sieve memory cap."""
+    """All primes <= n as a sorted int64 array, guarded by the sieve memory cap.
+
+    The sieve holds odd numbers only: mask[i] stands for 2i + 1, so it costs
+    (n + 1) / 2 bytes, and the result 8 bytes per prime; the mask is freed
+    before the result is formed in place.  Slot 0, the number 1, is never
+    cleared and becomes the prime 2.
+    """
     check_sieve_bound(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    mask = np.ones((n + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if mask[p // 2]:
+            mask[p * p // 2 :: p] = False
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    del mask
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _prime_logs(cutoff: int, table=None) -> tuple[int, np.ndarray, np.ndarray]:
@@ -107,6 +117,13 @@ def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     return value, abs(value - decade)
 
 
+def _even_quotient(primes: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log p / (p^{3/2} - p) for every prime, formed in one fresh array."""
+    quotient = primes**1.5
+    quotient -= primes
+    return np.divide(logs, quotient, out=quotient)
+
+
 def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     """The even-power constant sum_p log p / (p^{3/2} - p), with tail bound.
 
@@ -118,7 +135,7 @@ def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     past X and serves the constant itself, with this route as its cross-check.
     """
     cutoff, primes, logs = _prime_logs(cutoff, table)
-    value = float(np.sum(logs / (primes**1.5 - primes)))
+    value = float(np.sum(_even_quotient(primes, logs)))
     tail_bound = (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
     return value, tail_bound
 
@@ -281,7 +298,7 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     """
     cutoff, primes, logs = table = _prime_logs(cutoff)
     sieve_value, sieve_tail = c_sym_even(cutoff, table)
-    partial = math.fsum((logs / (primes**1.5 - primes)).tolist())
+    partial = math.fsum(_items(_even_quotient(primes, logs)))
     parts = [partial]
     magnitude = partial  # prime-sum summands, all positive
     propagated = 0.0
@@ -296,7 +313,9 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
             ratio = -slope / zeta_value
             # zeta >= 1 for real s > 1 bounds the quotient's error.
             ratio_radius = (slope_radius + (-slope + slope_radius) * zeta_radius) / zeta_value
-            head = math.fsum((logs / (primes ** (t / 2) - 1.0)).tolist())
+            den = primes ** (t / 2)
+            den -= 1.0
+            head = math.fsum(_items(np.divide(logs, den, out=den)))
             parts += [a * ratio, -a * head]
             magnitude += abs(a) * head
             propagated += abs(a) * (ratio_radius + _UNIT_ROUNDOFF * ratio)

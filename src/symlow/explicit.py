@@ -32,6 +32,7 @@ from .forms import (
     SyntheticForm,
     TestFunction,
     _eigenvalue_powers,
+    _items,
     eigenvalue_power,
     is_prime,
     satake_power_sum,
@@ -206,7 +207,7 @@ def prime_sums(
     primes = primes_up_to(prime_limit)
     primes = primes[primes != form.q]
     # math.log, not np.log, which may differ from it in the last bit.
-    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+    logs = np.fromiter(map(math.log, _items(primes)), np.float64, primes.size)
     first_weights = phi.phi_hat_array(logs / scale)
     square_weights = phi.phi_hat_array(2.0 * logs / scale)
     weighted = (first_weights != 0.0) | (square_weights != 0.0)
@@ -241,8 +242,8 @@ def prime_sums(
         for i, p, lp, n, weight in higher_weights
     ]
     return {
-        "first_power": -(2.0 / scale) * math.fsum(first_terms.tolist()),
-        "square_power": [-(2.0 / scale) * math.fsum(t.tolist()) for t in square_terms],
+        "first_power": -(2.0 / scale) * math.fsum(_items(first_terms)),
+        "square_power": [-(2.0 / scale) * math.fsum(_items(t)) for t in square_terms],
         "higher_power": -(2.0 / scale) * math.fsum(higher),
     }
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,6 +72,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Entries _items converts to Python objects at a time.
+_CHUNK = 1 << 16
+
+
+def _items(x: np.ndarray) -> Iterator:
+    """The entries of the 1-d array x as ``x.tolist()`` gives them, 2**16 at a time.
+
+    A map or a math.fsum over a long array then holds one chunk of Python
+    objects instead of one per entry (about 40 bytes each, list slot included).
+    """
+    return itertools.chain.from_iterable(x[i : i + _CHUNK].tolist() for i in range(0, x.size, _CHUNK))
+
+
 def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
     """Stable uniform draws in (0, 1], one per prime p, keyed by (seed, p).
 
@@ -87,7 +101,7 @@ def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
         h.update(b"%d" % p)
         return (int.from_bytes(h.digest(), "big") + 0.5) / 2.0**64
 
-    return np.fromiter(map(draw, primes.tolist()), np.float64, primes.size)
+    return np.fromiter(map(draw, _items(primes)), np.float64, primes.size)
 
 
 # A comparison of the bisection that np.sin may decide differently from
@@ -97,7 +111,7 @@ BISECTION_MARGIN = 2.0**-51
 
 def _sines(x: np.ndarray) -> np.ndarray:
     """math.sin of every entry of x (np.sin may differ from it in the last bit)."""
-    return np.fromiter(map(math.sin, x.tolist()), np.float64, x.size)
+    return np.fromiter(map(math.sin, _items(x)), np.float64, x.size)
 
 
 def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:

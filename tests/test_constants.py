@@ -10,9 +10,11 @@ series with mpmath's zeta and zeta' at 40 digits, with no sieve.
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 import sympy
 
@@ -24,6 +26,7 @@ from symlow.constants import (
     c_gamma_from_shifts,
     c_infty,
     c_pnt,
+    _even_quotient,
     _prime_logs,
     _series_coefficient,
     c_sym_even,
@@ -78,7 +81,59 @@ def even_square_oracle() -> float:
         return float(total)
 
 
+def eratosthenes(n: int) -> numpy.ndarray:
+    """Primes <= n from a full-length mask, one slot per integer."""
+    mask = numpy.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return numpy.flatnonzero(mask)
+
+
+def traced_peak(compute) -> int:
+    """Bytes above the live baseline at the peak of compute(), per tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# pi(10**7); the memory guards below budget in units of its int64 or float64 array.
+PI_1E7 = 664_579
+
+
 class TestSieve:
+    def test_matches_oracle_at_every_small_bound(self):
+        for n in range(2001):
+            assert primes_up_to(n).tolist() == eratosthenes(n).tolist(), n
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_matches_oracle_around_powers_of_ten(self, k):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            assert numpy.array_equal(primes_up_to(n), eratosthenes(n)), n
+
+    @pytest.mark.parametrize("n", [0, 2, 3, 10**4])
+    def test_int64_and_contiguous(self, n):
+        primes = primes_up_to(n)
+        assert primes.dtype == numpy.int64
+        assert primes.flags.c_contiguous
+
+    def test_sieve_memory_is_half_mask_plus_primes(self):
+        n = 10**7
+        assert primes_up_to(n).size == PI_1E7
+        budget = (n + 1) // 2 + 8 * PI_1E7
+        assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
+
+    def test_constants_memory_is_three_prime_arrays(self):
+        # The float64 primes and logs of the table and one quotient at a time.
+        budget = 3 * 8 * PI_1E7
+        assert traced_peak(lambda: compute_constants(2, 12, 10**7, 10**7)) <= 1.05 * budget
+
     def test_primes_match_sympy(self):
         got = primes_up_to(10**4).tolist()
         want = list(sympy.primerange(2, 10**4 + 1))
@@ -213,6 +268,13 @@ class TestSharedPrimeTable:
         for table in (_prime_logs(cutoff), _prime_logs(10**7)):
             assert c_pnt(cutoff, table) == c_pnt(cutoff)
             assert c_sym_even(cutoff, table) == c_sym_even(cutoff)
+
+    def test_even_quotient_same_doubles_table_untouched(self):
+        _, primes, logs = table = _prime_logs(10**5)
+        kept = primes.copy(), logs.copy()
+        assert numpy.array_equal(_even_quotient(primes, logs), logs / (primes**1.5 - primes))
+        c_sym_even(10**4, table)
+        assert numpy.array_equal(primes, kept[0]) and numpy.array_equal(logs, kept[1])
 
     def test_table_below_cutoff_rejected(self):
         # Sieved to 10, the table ends at 7 and could not tell 11 from a gap.

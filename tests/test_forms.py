@@ -33,9 +33,11 @@ from symlow.forms import (
     DISTRIBUTIONS,
     GammaShifts,
     SyntheticForm,
+    _CHUNK,
     _angle_batch,
     _draw_angles,
     _eigenvalue_powers,
+    _items,
     _sato_tate_inverse_cdf,
     eigenvalue_power,
     fejer_test_function,
@@ -206,6 +208,18 @@ def eigenvalue_grid() -> list[float]:
         grid.extend(math.pi - base * (1 + k * 1e-3) for k in range(-50, 50))
     grid.extend(random.Random(7).uniform(0.0, math.pi) for _ in range(500))
     return grid
+
+
+class TestChunkedItems:
+    @pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3])
+    def test_equal_to_tolist_across_chunk_edges(self, size):
+        ints = numpy.arange(size, dtype=numpy.int64) * 7919
+        floats = numpy.sqrt(ints.astype(numpy.float64))
+        for x in (ints, floats):
+            got = list(_items(x))
+            assert got == x.tolist()
+            assert [type(v) for v in got[:1]] == [type(v) for v in x.tolist()[:1]]
+        assert math.fsum(_items(floats)) == math.fsum(floats.tolist())
 
 
 class TestVectorEigenvaluePower:
