@@ -174,15 +174,16 @@ def _draw_angles(seed: int, distribution: str, primes: np.ndarray) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _angle_batch(seed: int, distribution: str, primes: bytes) -> np.ndarray:
-    """Angles at the int64 primes packed in ``primes``; read-only and cached.
+def _angle_batch(seed: int, distribution: str, size: int, digest: bytes) -> list[np.ndarray]:
+    """The cache slot of one batch of angles: empty until the batch is drawn.
 
-    A few whole batches are kept, so a walk repeated in the same process
-    (the same form with another sign eps_f, or its flip) draws nothing.
+    A batch is keyed by its primes' count and the BLAKE2b digest of their
+    int64 bytes, so a cached batch keeps its read-only angles and not a copy
+    of its primes.  A few whole batches are kept, so a walk repeated in the
+    same process (the same form with another sign eps_f, or its flip) draws
+    nothing.
     """
-    angles = _draw_angles(seed, distribution, np.frombuffer(primes, np.int64))
-    angles.flags.writeable = False
-    return angles
+    return []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,7 +227,13 @@ class SyntheticForm:
 
     def _sieved_angles(self, primes: np.ndarray) -> np.ndarray:
         """The seeded angles at sieved primes != q, reflected when flipped; unchecked."""
-        theta = _angle_batch(self.seed, self.distribution, primes.astype(np.int64, copy=False).tobytes())
+        primes = np.ascontiguousarray(primes, dtype=np.int64)
+        slot = _angle_batch(self.seed, self.distribution, primes.size, hashlib.blake2b(primes).digest())
+        if not slot:
+            angles = _draw_angles(self.seed, self.distribution, primes)
+            angles.flags.writeable = False
+            slot.append(angles)
+        theta = slot[0]
         return math.pi - theta if self.flip else theta
 
     def flipped(self) -> "SyntheticForm":

@@ -1,11 +1,11 @@
 """Trace-formula numerics: Kloosterman sums, Bessel J, truncated diagonals.
 
-Kloosterman sums are exact (modular inverses in integer arithmetic, cosines
+Kloosterman sums are exact (residue counts in integer arithmetic, cosines
 summed in double precision) and are built once per modulus for every index
 that needs it.  Bessel J switches between the power series and Miller's
-backward recurrence.  The truncated diagonal term carries a rigorous
-tail bound built from the Weil bound and the small-argument Bessel bound, so
-every reported value comes with an explicit error radius.
+backward recurrence.  The truncated diagonal term carries a rigorous bound
+on its truncation tail, built from the Weil bound and the small-argument
+Bessel bound; that radius does not cover the rounding of the computed terms.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
 _BESSEL_MAX_ARGUMENT = 1e6
 _SERIES_WINDOW_CAP = 14.0
-# Residues m x + n x^-1 with every factor below the modulus stay below
-# 2 (c-1)^2, which int64 holds exactly while c < 2**31.
+# Residues m x + n x^-1 with every factor below the modulus, and squares k^2,
+# stay below 2 (c-1)^2, which int64 holds exactly while c < 2**31 (4 n m is
+# reduced with Python ints first).  Tests enumerate count tables up to a prime
+# near 2**20 only: near 2**31 the bound rests on this argument alone.
 MODULUS_LIMIT = 2**31
 
 # Classical coefficients of the weight-12 level-1 cusp form's q-expansion,
@@ -60,57 +62,97 @@ def _factorization(c: int) -> dict[int, int]:
     return factors
 
 
-def kloosterman_sums(ms: Sequence[int], n: int, c: int) -> list[float]:
-    """Exact S(m, n; c) for every m in ms, sharing the work for the modulus c.
+def _count_table(ms: Sequence[int], n: int, q: int, p: int) -> np.ndarray:
+    """N_q(k) = #{units x mod q : m x + n x^-1 = k mod q}, one int64 row per m.
 
-    The units x of c, their inverses x^(phi(c)-1) and each residue
-    (m x + n x^-1) mod c are exact int64 arithmetic (hence c < 2**31).  The
-    cosine of 2 pi k / c is evaluated once per residue k that occurs for any
-    m, with the same double expression for every m, and each sum is
-    math.fsum of its terms.  fsum is exactly rounded, so the order of the
-    terms cannot change a sum: S(m, n; c) is the same double whichever ms
-    share the modulus.  The x <-> -x symmetry makes each sum real, so the
-    imaginary part is never formed.  |S| <= phi(c).
+    q = p^e.  At an odd prime p not dividing n, m x^2 - k x + n = 0 has
+    1 + chi_p(k^2 - 4 m n) roots x if p does not divide m, else one, x = n/k,
+    for k != 0.  Other prime powers enumerate their units, inverting the
+    lower half by square-and-multiply and mirroring: (q - x)^-1 = q - x^-1.
     """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    if c >= MODULUS_LIMIT:
-        raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
-    # No boolean arrays of length c: numpy keeps freed buffers under 1 KiB
-    # for reuse at the same byte size, and a sweep over c would leave one
-    # behind for every c below 1024.
-    sieve = np.ones(c, dtype=np.int64)
-    for p in _factorization(c):
-        sieve[::p] = 0
-    units = np.flatnonzero(sieve).astype(np.int64, copy=False)
-    # Only the lower half is raised to the power: the upper half is
-    # c - (lower half reversed), and (c - x)^-1 = c - x^-1.
+    k = np.arange(q, dtype=np.int64)
+    table = np.empty((len(ms), q), dtype=np.int64)
+    if q == p > 2 and n % p:
+        squares = k * k % p
+        roots = np.zeros(p, dtype=np.int64)  # roots[d] = #{y : y^2 = d} = 1 + chi_p(d)
+        roots[squares] = 2
+        roots[0] = 1
+        for row, m in zip(table, ms):
+            # 4 n m is reduced as a Python int: it can reach 2**64.
+            row[:] = roots[(squares - 4 * n * m % p) % p] if m % p else np.minimum(k, 1)
+        return table
+    units = k.reshape(-1, p)[:, 1:].ravel()
     inverses = np.ones(len(units) - len(units) // 2, dtype=np.int64)
     base = units[: len(inverses)]
     e = len(units) - 1
     while e:
         if e & 1:
-            inverses = inverses * base % c
-        base = base * base % c
+            inverses = inverses * base % q
+        base = base * base % q
         e >>= 1
-    inverses = np.concatenate([inverses, c - inverses[::-1][: len(units) // 2]])
-    nr = n % c
-    residues = [(m % c * units + nr * inverses) % c for m in ms]
+    inverses = np.concatenate([inverses, q - inverses[::-1][: len(units) // 2]])
+    for row, m in zip(table, ms):
+        row[:] = np.bincount((m % q * units + n % q * inverses) % q, minlength=q)
+    return table
+
+
+def kloosterman_sums(
+    ms: Sequence[int], n: int, c: int, tables: dict | None = None
+) -> list[float]:
+    """Exact S(m, n; c) for every m in ms, from the multiplicities of the residues.
+
+    S(m, n; c) = sum over k mod c of N(k) cos(2 pi k / c), where N(k) counts
+    the units x with m x + n x^-1 = k mod c (x <-> -x makes the sum real).
+    N is the CRT product of _count_table over the prime powers q || c, in
+    exact int64.  Each cosine is the double a sum over the units would use,
+    evaluated once per residue that occurs, and enters as 2^b cos over the
+    set bits b of N(k), exactly.  So math.fsum, exactly rounded, returns the
+    per-unit sum's double, whichever ms share c.  |S| <= phi(c).  tables,
+    when given, keeps the count tables of the prime powers q with 8 q <= c
+    (small, recurring q, in O(c) memory), keyed by q, n mod q and each m mod q.
+    """
+    if c < 1:
+        raise ValueError("modulus must be >= 1")
+    if c >= MODULUS_LIMIT:
+        raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
+    tables = {} if tables is None else tables
+    counts = np.ones((len(ms), c), dtype=np.int64)
+    for p, e in _factorization(c).items():
+        q = p**e
+        key = (q, n % q, *(m % q for m in ms))
+        table = tables.get(key)
+        if table is None:
+            table = _count_table(ms, n, q, p)
+            if 8 * q <= c:
+                tables[key] = table
+        counts.reshape(len(ms), c // q, q)[...] *= table[:, None, :]
     cosines = np.zeros(c)
-    for r in residues:
-        cosines[r] = 1.0  # marks the residues that occur
-    ks = np.flatnonzero(cosines)
+    ks = np.flatnonzero(counts.sum(axis=0))  # the residues that occur for some m
     cosines[ks] = np.fromiter(map(math.cos, ((2.0 * math.pi / c) * ks).tolist()), float, len(ks))
-    return [math.fsum(cosines[r].tolist()) for r in residues]
+    flat = np.flatnonzero(counts)  # row by row, so each m's terms are contiguous
+    terms, weights = cosines.take(flat, mode="wrap"), counts.take(flat)  # wrap: k = flat mod c
+    parts: list[list[float]] = [[] for _ in ms]
+    while True:
+        low = weights & -weights  # the lowest set bit of each multiplicity
+        scaled = (terms * low).tolist()
+        ends = flat.searchsorted(range(c, c * len(ms) + 1, c)).tolist()
+        for part, start, end in zip(parts, [0, *ends], ends):
+            part += scaled[start:end]
+        weights -= low
+        if not weights.any():
+            break
+        keep = np.flatnonzero(weights)
+        flat, terms, weights = flat[keep], terms[keep], weights[keep]
+    return [math.fsum(part) for part in parts]
 
 
 def kloosterman(m: int, n: int, c: int) -> float:
     """Exact S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c).
 
-    The fraction (m x + n x^-1)/c is reduced modulo 1 in integer arithmetic
-    before the cosine, so the only rounding is the cosine itself and the
-    final exactly rounded sum.  One-index case of kloosterman_sums, and the
-    same double it gives; c < 2**31.  |result| <= phi(c).
+    One-index case of kloosterman_sums, and the same double it gives: the
+    residues (m x + n x^-1) mod c are counted in integer arithmetic before
+    any cosine, so the only roundings are the cosines themselves and the
+    final exactly rounded sum; c < 2**31.  |result| <= phi(c).
     """
     return kloosterman_sums([m], n, c)[0]
 
@@ -257,10 +299,11 @@ def petersson_deltas(
     The term at m is [m = 1] + 2 pi (-1)^{kappa/2} times the sum over
     c <= c_max with k | c of S(m,1;c)/c J_{kappa-1}(4 pi sqrt m / c).
     Each c's Kloosterman sums come from one kloosterman_sums call for every
-    m whose cutoff reaches c.  Each m keeps its own cutoff (default_c_max(m)
-    when c_max is None), tail bound and truncation warning, and its term is
-    the same double it would be alone: every summand is the same expression
-    and the c-sum is exactly rounded by math.fsum.  i^kappa is evaluated as
+    m whose cutoff reaches c, with one dict of count tables for the sweep.
+    Each m keeps its own cutoff (default_c_max(m) when c_max is None), tail
+    bound (of the truncation only) and warning, and its term is the same
+    double it would be alone: every summand is the same expression and the
+    c-sum is exactly rounded by math.fsum.  i^kappa is evaluated as
     (-1)^{kappa/2}; no complex arithmetic appears.  Warns for each m with
     c_max <= 4 pi sqrt(m), where the reported tail bound is not yet in its
     provably decreasing regime.  Cutoffs must be below 2**31.
@@ -285,9 +328,10 @@ def petersson_deltas(
                 stacklevel=2,
             )
     terms = [array("d") for _ in ms]  # 8 bytes a term, not a float object
+    tables: dict = {}  # count tables of the small prime powers, for this sweep only
     for c in range(k, max(c_maxes, default=0) + 1, k):
         live = [i for i, top in enumerate(c_maxes) if c <= top]
-        sums = kloosterman_sums([ms[i] for i in live], 1, c)
+        sums = kloosterman_sums([ms[i] for i in live], 1, c, tables)
         for i, s in zip(live, sums):
             terms[i].append(s / c * bessel_j(kappa - 1, roots[i] / c))
     sign = -1.0 if (kappa // 2) % 2 else 1.0

@@ -326,7 +326,9 @@ class TestRecordedDigests:
             "identities",
             "identities --kmax 10 --coeff-kmax 60 --lmax 80 --ortho-max 40 --power-max 8",
             "petersson --m 2 --kappa 12",
+            "petersson --m 997 --kappa 12 --cmax 4000",
             "tau-check --output csv",
+            "tau-check --m-list 2,3,4,5,6,7,8,9,10",
             "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
             "predict --r 2 --kappa 12 --q 1000003 --nu 19/40 --cutoff 100000000",
             "pterms --r 2 --kappa 12 --q 1000003 --nu 19/40",

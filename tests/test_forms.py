@@ -17,6 +17,7 @@ the sine ratio one angle at a time; and ``scalar_fejer_hat`` and
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy
@@ -332,6 +333,23 @@ class TestBatchedAngles:
         assert form._sieved_angles(primes) is first
         assert form.flipped()._sieved_angles(primes).tolist() == [math.pi - t for t in first]
         assert _angle_batch.cache_info().hits == 2
+
+    def test_cached_batch_pins_only_its_angles(self, monkeypatch):
+        # The cache key is the primes' count and digest, not a copy of them.
+        # What a batch holds does not depend on its draws, so they are stubbed.
+        primes = primes_up_to(16_000_000)
+        assert primes.size > 10**6
+        monkeypatch.setattr(symlow.forms, "_draw_angles", lambda s, d, p: numpy.zeros(p.size))
+        form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=5, distribution="uniform")
+        _angle_batch.cache_clear()
+        tracemalloc.start()
+        try:
+            form._sieved_angles(primes)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            _angle_batch.cache_clear()
+        assert held <= 8 * primes.size + 1024
 
 
 def skewed_sin(real_sin):

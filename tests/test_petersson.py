@@ -9,10 +9,14 @@ for the tau cross-check.
 """
 
 import cmath
+import functools
 import math
+import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
+import numpy
 import pytest
 import sympy
 from scipy.special import jv
@@ -51,23 +55,40 @@ def kloosterman_bruteforce(m: int, n: int, c: int) -> float:
     return total.real
 
 
-def kloosterman_scalar(m: int, n: int, c: int) -> float:
-    """One modulus, one index: gcd and pow(x, -1, c) per unit, then fsum.
+@functools.lru_cache(maxsize=1)
+def units_and_inverses(c: int) -> list[tuple[int, int]]:
+    """(x, pow(x, -1, c)) for every unit x mod c; the last modulus is kept."""
+    return [(x, pow(x, -1, c)) for x in range(c) if math.gcd(x, c) == 1]
 
-    The per-unit loop the batched kernel replaced; every cosine is the same
-    double expression, so the two must agree exactly.
-    """
-    if c == 1:
-        return 1.0
+
+def unit_residues(m: int, n: int, c: int) -> list[int]:
+    """(m x + n x^-1) mod c for every unit x mod c, one at a time."""
     mr, nr = m % c, n % c
+    return [(mr * x + nr * xinv) % c for x, xinv in units_and_inverses(c)]
+
+
+def kloosterman_scalar(m: int, n: int, c: int) -> float:
+    """One modulus, one index: a cosine per unit, then fsum.
+
+    The per-unit loop the residue-count kernel replaced; every cosine is the
+    same double expression and fsum is exactly rounded, so the two must
+    agree exactly.
+    """
     two_pi_over_c = 2.0 * math.pi / c
-    terms = []
-    for x in range(1, c):
-        if math.gcd(x, c) != 1:
-            continue
-        xinv = pow(x, -1, c)
-        terms.append(math.cos(two_pi_over_c * ((mr * x + nr * xinv) % c)))
-    return math.fsum(terms)
+    return math.fsum([math.cos(two_pi_over_c * k) for k in unit_residues(m, n, c)])
+
+
+@functools.lru_cache(maxsize=1)
+def prime_inverses(p: int) -> numpy.ndarray:
+    """pow(x, -1, p) for x = 1 .. p-1; the last prime is kept."""
+    return numpy.array([pow(x, -1, p) for x in range(1, p)])
+
+
+def count_table_oracle(ms: list[int], n: int, p: int) -> numpy.ndarray:
+    """N_p(k) = #{units x : m x + n x^-1 = k mod p} for each m, by enumeration."""
+    units = numpy.arange(1, p)
+    residues = [(m % p * units + n % p * prime_inverses(p)) % p for m in ms]
+    return numpy.array([numpy.bincount(r, minlength=p) for r in residues])
 
 
 def tau_coefficients(count: int) -> list[int]:
@@ -95,8 +116,9 @@ class TestKloosterman:
                 assert abs(got - want) < 1e-9, (m, n, c)
 
     def test_bit_identical_to_scalar_loop(self):
-        moduli = list(range(1, 301)) + [1024, 2048, 2187, 3960, 3989, 4000]
+        moduli = list(range(1, 1201)) + [2048, 2187, 3960, 3989, 4000]
         ms = [0, 1, 2, 997, 10**6]
+        split = None  # a sum with m n != 0 and a multiplicity of two or more set bits
         for c in moduli:
             for n in (1, 0, 5, -3):
                 batch = kloosterman_sums(ms, n, c)
@@ -104,6 +126,18 @@ class TestKloosterman:
                     want = kloosterman_scalar(m, n, c)
                     assert kloosterman(m, n, c) == want, (m, n, c)
                     assert shared == want, (m, n, c)
+                    if split is None and m * n and any(
+                        v & (v - 1) for v in Counter(unit_residues(m, n, c)).values()
+                    ):
+                        split = (m, n, c)
+        assert split is not None, "no multiplicity in the grid needs the bit split"
+
+    def test_odd_prime_count_tables_match_enumeration(self):
+        for p in [*sympy.primerange(3, 2001), sympy.prevprime(2**20)]:
+            ms = [0, 1, 2, p - 1, p + 3, 10**6]
+            for n in (1, 5, -3):
+                got = symlow.petersson._count_table(ms, n, p, p)
+                assert numpy.array_equal(got, count_table_oracle(ms, n, p)), (p, n)
 
     def test_batch_keeps_order_and_duplicates(self):
         ms = [7, 3, 7, 0, 3 + 97]
@@ -421,6 +455,32 @@ class TestPeterssonDeltas:
 
     def test_empty_batch(self):
         assert petersson_deltas([], 1, 12) == []
+
+    def test_ten_indices_match_single_calls(self):
+        # The sweep shares its count tables across indices and moduli.
+        batch = petersson_deltas(range(1, 11), 1, 12, 1000)
+        assert batch == [petersson_delta(m, 1, 12, 1000) for m in range(1, 11)]
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: petersson_delta(997, 1, 12, 4000),
+            lambda: petersson_deltas(range(1, 11), 1, 12, 1000),
+        ],
+        ids=["deep", "sweep"],
+    )
+    def test_peak_memory(self, compute):
+        # A sweep keeps count tables only for prime powers q <= c_max / 8.
+        petersson_delta(2, 1, 12, 20)  # first-call state, outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestOldPart:
