@@ -4,12 +4,12 @@ A SyntheticForm carries weight, prime level, a sign input, and a seeded,
 reproducible map prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
 distribution, so the same (seed, distribution) pair yields bit-identical
-angles on every platform.  Angles are computed a whole array of primes at a
-time: the Sato-Tate bisection runs on numpy arrays and redoes with math.sin
-every comparison that np.sin could decide differently, so a batch equals
-the scalar recurrence bit for bit (see ``_sato_tate_inverse_cdf`` for the
-margin and the one-ulp assumption behind it).  The prime walk reads whole
-batches through a small cache.
+angles on every platform.  Angles are drawn in blocks of 8192 primes: the
+Sato-Tate bisection takes its first 12 steps from one table lookup, runs the
+rest on numpy arrays and redoes with math.sin every comparison that np.sin
+could decide differently, so a batch equals the scalar recurrence bit for
+bit (see ``_sato_tate_inverse_cdf``).  The prime walk reads whole batches
+through a small cache.
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
 their three evaluation routes, gamma-factor shifts, root numbers, and the
@@ -85,23 +85,43 @@ def _items(x: np.ndarray) -> Iterator:
     return itertools.chain.from_iterable(x[i : i + _CHUNK].tolist() for i in range(0, x.size, _CHUNK))
 
 
+# Draws hashed or bisected at a time: a block's dozen arrays stay in L2 cache.
+_BLOCK = 1 << 13
+# Bisection steps that one lookup in _head_table replaces.
+_HEAD_LEVELS = 12
+
+
+def _units_from_digests(words: np.ndarray) -> np.ndarray:
+    """(n + 0.5) / 2**64 for every uint64 n in words, as Python computes it.
+
+    Python first rounds n to a double, to nearest with ties to even, and so
+    does hi * 2**32 + lo, one IEEE addition of the exact 32-bit halves of n;
+    a cast of n itself would round as the C implementation chooses."""
+    hi = (words >> 32).astype(np.float64)
+    lo = (words & 0xFFFFFFFF).astype(np.float64)
+    return (hi * 2.0**32 + lo + 0.5) / 2.0**64
+
+
 def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
     """Stable uniform draws in (0, 1], one per prime p, keyed by (seed, p).
 
     Each draw is the 64-bit BLAKE2b digest of "seed:p" read big-endian; the
     digests come from one hash of the prefix "seed:" copied and fed b"%d" % p,
     which BLAKE2b, a streaming hash, makes identical to hashing the whole
-    string.  The arithmetic stays in Python ints and floats: a numpy uint64
-    to float cast rounds as the C implementation chooses.
+    string.  Each block's digests are joined and read as big-endian uint64.
     """
     prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=8)
 
-    def draw(p: int) -> float:
+    def digest(p: int) -> bytes:
         h = prefix.copy()
         h.update(b"%d" % p)
-        return (int.from_bytes(h.digest(), "big") + 0.5) / 2.0**64
+        return h.digest()
 
-    return np.fromiter(map(draw, _items(primes)), np.float64, primes.size)
+    out = np.empty(primes.size)
+    for i in range(0, primes.size, _BLOCK):
+        words = np.frombuffer(b"".join(map(digest, primes[i : i + _BLOCK].tolist())), ">u8")
+        out[i : i + _BLOCK] = _units_from_digests(words)
+    return out
 
 
 # A comparison of the bisection that np.sin may decide differently from
@@ -114,14 +134,39 @@ def _sines(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.sin, _items(x)), np.float64, x.size)
 
 
+@functools.cache
+def _head_table() -> tuple[np.ndarray, np.ndarray]:
+    """The points [0, pi] and the midpoints its first _HEAD_LEVELS bisection
+    steps reach, in order and each formed as the loop forms it, and F at the
+    midpoints with math.sin; ArithmeticError unless F strictly increases."""
+    grid = np.array([0.0, math.pi])
+    for _ in range(_HEAD_LEVELS):
+        grid = np.insert(grid, np.arange(1, grid.size), 0.5 * (grid[:-1] + grid[1:]))
+    two_mid = 2.0 * grid[1:-1]
+    head = (two_mid - _sines(two_mid)) / (2.0 * math.pi)
+    if not np.all(head[:-1] < head[1:]):
+        raise ArithmeticError("the Sato-Tate head table is not strictly increasing")
+    grid.flags.writeable = head.flags.writeable = False  # shared by every caller
+    return grid, head
+
+
 def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     """Solve F(t) = (2t - sin 2t) / (2 pi) = u for every entry of u in (0, 1].
 
     The same 64 bisection steps as the scalar loop, which halves [lo, hi] =
     [0, pi] by setting lo = mid if F(mid) < u and hi = mid otherwise (F is
-    strictly increasing, so 64 halvings pin each root to ~5e-19).  Each step
-    evaluates F(mid) on the whole array with np.sin, then redoes with
-    math.sin every entry where |F(mid) - u| <= BISECTION_MARGIN, so every
+    strictly increasing, so 64 halvings pin each root to ~5e-19).  Entries go
+    _BLOCK at a time, as each entry's steps depend on that entry alone.
+
+    The first _HEAD_LEVELS steps are a binary search over F at the midpoints
+    of ``_head_table``, taken with math.sin, which decides every comparison
+    of the loop (below).  F is strictly increasing there, so the search ends
+    in the bracket numbered by the count of table values below u, which is
+    np.searchsorted(head, u, "left").  That bracket is still pi / 4096 wide,
+    far above one ulp, so no entry can leave the loop inside the head.
+
+    Each later step evaluates F(mid) on the block with np.sin, then redoes
+    with math.sin every entry where |F(mid) - u| <= BISECTION_MARGIN, so every
     comparison, and so every result, is the one the loop with math.sin makes.
 
     Why the margin suffices.  Assume np.sin and math.sin are each within 1 ulp
@@ -140,10 +185,18 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     F = 1), so every later step would keep lo and hi, and mid, as they are.
     """
     out = np.empty_like(u)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, math.pi)
+    for i in range(0, u.size, _BLOCK):
+        _bisect_block(u[i : i + _BLOCK], out[i : i + _BLOCK])
+    return out
+
+
+def _bisect_block(u: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the inverse CDF of each entry of u (see _sato_tate_inverse_cdf)."""
+    grid, head = _head_table()
+    start = np.searchsorted(head, u, "left")
+    lo, hi = grid[start], grid[start + 1]
     index = np.arange(u.size)
-    for _ in range(64):
+    for _ in range(64 - _HEAD_LEVELS):
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
         if np.count_nonzero(done):
@@ -151,7 +204,7 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
             keep = ~done
             lo, hi, mid, u, index = lo[keep], hi[keep], mid[keep], u[keep], index[keep]
             if not index.size:
-                return out
+                return
         two_mid = 2.0 * mid
         cdf = (two_mid - np.sin(two_mid)) / (2.0 * math.pi)
         close = np.abs(cdf - u) <= BISECTION_MARGIN
@@ -162,7 +215,6 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out[index] = 0.5 * (lo + hi)
-    return out
 
 
 def _draw_angles(seed: int, distribution: str, primes: np.ndarray) -> np.ndarray:
@@ -211,9 +263,9 @@ class SyntheticForm:
         """Satake angle at p; defined only away from the level.
 
         Checks that p is a prime other than q, then draws the seeded angle
-        as an uncached batch of one: about 0.27 ms a call on a 2-core machine
-        (64 bisection steps on a one-element array), where a batch costs about
-        2 us a prime.  Callers that hold many primes away from q (the prime
+        as an uncached batch of one: about 0.22 ms a call on a 2-core machine
+        (52 bisection steps on a one-element array), where a batch costs about
+        1.2 us a prime.  Callers that hold many primes away from q (the prime
         sums) read ``_sieved_angles`` for all of them at once, which is cached
         and skips the Miller-Rabin recheck.
         """

@@ -30,16 +30,22 @@ from scipy.special import eval_chebyu, sici
 
 import symlow.forms
 from symlow.constants import primes_up_to
+from test_constants import traced_peak
 from symlow.forms import (
     DISTRIBUTIONS,
     GammaShifts,
     SyntheticForm,
+    _BLOCK,
     _CHUNK,
+    _HEAD_LEVELS,
     _angle_batch,
     _draw_angles,
     _eigenvalue_powers,
+    _head_table,
     _items,
     _sato_tate_inverse_cdf,
+    _uniform_units,
+    _units_from_digests,
     eigenvalue_power,
     fejer_test_function,
     gamma_shifts,
@@ -350,6 +356,91 @@ class TestBatchedAngles:
             tracemalloc.stop()
             _angle_batch.cache_clear()
         assert held <= 8 * primes.size + 1024
+
+
+def scalar_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints the scalar loop can reach from [lo, hi] in `levels` steps, in order."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return scalar_midpoints(lo, mid, levels - 1) + [mid] + scalar_midpoints(mid, hi, levels - 1)
+
+
+class TestHeadTableAndBlocks:
+    """The looked-up first steps and the blocked bisection against the scalar loop, with ==."""
+
+    def test_grid_is_the_loops_midpoints(self):
+        grid, head = _head_table()
+        assert grid.tolist() == [0.0, *scalar_midpoints(0.0, math.pi, _HEAD_LEVELS), math.pi]
+        values = head.tolist()
+        assert len(values) == 2**_HEAD_LEVELS - 1
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_table_values_and_their_neighbours(self):
+        draws = [2.0**-65, 0.5, 1.0]
+        for v in _head_table()[1][::64].tolist():
+            draws += [float(numpy.nextafter(v, 0.0)), v, float(numpy.nextafter(v, 1.0))]
+        got = _sato_tate_inverse_cdf(numpy.array(draws)).tolist()
+        assert got == [scalar_inverse_cdf(u) for u in draws]
+
+    def test_too_deep_a_table_is_refused(self, monkeypatch):
+        # At 20 levels two midpoints near 0 round to the same F.
+        monkeypatch.setattr(symlow.forms, "_HEAD_LEVELS", 20)
+        _head_table.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="strictly increasing"):
+                _head_table()
+        finally:
+            _head_table.cache_clear()
+
+    def test_batches_across_block_edges(self):
+        sizes = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+        primes = primes_up_to(300_000)[: max(sizes)]
+        assert primes.size == max(sizes)
+        draws = [scalar_draw(1729, p) for p in primes.tolist()]
+        oracles = {"sato-tate": [scalar_inverse_cdf(u) for u in draws], "uniform": [u * math.pi for u in draws]}
+        for distribution, want in oracles.items():
+            for size in sizes:
+                assert _draw_angles(1729, distribution, primes[:size]).tolist() == want[:size]
+
+
+class TestUnitsFromDigests:
+    """The digest-to-draw conversion against Python's (n + 0.5) / 2**64, with ==."""
+
+    @staticmethod
+    def check(words: numpy.ndarray) -> None:
+        want = [(n + 0.5) / 2.0**64 for n in words.tolist()]
+        assert _units_from_digests(words).tolist() == want
+        assert _units_from_digests(words.astype(">u8")).tolist() == want
+
+    def test_edges_and_ties(self):
+        ns = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**64 - 1]
+        for k in range(50, 64):
+            # From 2**53 on, 2**(k - 53) is half an ulp: these are ties to even.
+            ties = (1 << (k - 53), 3 << (k - 53)) if k >= 53 else ()
+            ns += [(1 << k) + d for d in (-1, 0, 1, *ties)]
+        self.check(numpy.array(ns, dtype=numpy.uint64))
+
+    def test_random_digests(self):
+        rng = numpy.random.default_rng(20240611)
+        self.check(numpy.frombuffer(rng.bytes(8 * 10**5), ">u8"))
+
+
+class TestBoundedWorkingSet:
+    """At 2**18 draws, the hashing and the bisection hold their output and
+    one block's working set, not a dozen full-length arrays."""
+
+    N = 2**18
+
+    def test_inverse_cdf(self):
+        u = (numpy.arange(self.N) + 0.5) / self.N
+        _head_table()  # built once per process, outside the count
+        assert traced_peak(lambda: _sato_tate_inverse_cdf(u)) <= 8 * self.N + 2 * 2**20
+
+    def test_uniform_units(self):
+        primes = primes_up_to(4_000_000)[: self.N]
+        assert primes.size == self.N
+        assert traced_peak(lambda: _uniform_units(1729, primes)) <= 8 * self.N + 2 * 2**20
 
 
 def skewed_sin(real_sin):
