@@ -64,7 +64,6 @@ from .petersson import (
     PeterssonTerm,
     bessel_j,
     kloosterman,
-    new_part_admissible,
     old_part_sum,
     petersson_delta,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "kloosterman",
     "linearize_power",
     "monomial_expansion",
-    "new_part_admissible",
     "nu_max",
     "odd_reduction_residual",
     "old_part_sum",

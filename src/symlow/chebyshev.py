@@ -105,12 +105,6 @@ class ExactPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
 
 ZERO = ExactPoly(())
 ONE = ExactPoly.of(1)

@@ -5,10 +5,11 @@ from precomputed constants.  The prime side is one explicit-formula walk over
 the prime powers p^n of a synthetic form: ``prime_sums`` sieves once, takes
 log p once, draws the angles of the primes with some nonzero weight as one
 batch, and splits the terms into the first-power, even-square and
-higher-power sums.  The first-power and square terms are numpy arrays built
-with the same operations in the same order as the scalar expressions (math.log
-and math.sin through ``map``; products, quotients and np.sqrt, which are
-correctly rounded), so every sum is bit-identical to a per-prime loop.  The
+higher-power sums.  The first-power and square terms stream into math.fsum a
+block of primes at a time, each formed with the same operations in the same
+order as the scalar expression (math.log and math.sin through
+``forms._libm``; products, quotients and np.sqrt, which are correctly
+rounded), so every sum is bit-identical to a per-prime loop.  The
 eigenvalues and weights come from the array kernels of ``forms``
 (``_eigenvalue_powers`` and ``TestFunction.phi_hat_array``), the one
 definition of each formula; the few higher-power terms go through the scalar
@@ -23,7 +24,8 @@ import dataclasses
 import math
 import warnings
 from fractions import Fraction
-from typing import Any
+from itertools import chain
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .constants import ConstantsBundle, check_sieve_bound, compute_constants, nu
 from .forms import (
     SyntheticForm,
     TestFunction,
+    _blocks,
     _eigenvalue_powers,
-    _items,
+    _libm,
     eigenvalue_power,
     is_prime,
     satake_power_sum,
@@ -192,8 +195,9 @@ def prime_sums(
     the angle at p is drawn once, in one batch, only if some term at p has
     nonzero weight.  Terms past a sum's own natural bound have weight exactly
     0, so each value is bit-identical to that sum taken alone at its own
-    bound.  The first-power and square terms are arrays over the primes; the
-    higher powers (p <= prime_limit^(1/3)) are summed per prime through
+    bound.  The first-power and square terms stream into math.fsum a block
+    at a time, over the primes of nonzero weight in that block; the higher
+    powers (p <= prime_limit^(1/3)) are summed per prime through
     ``phi.phi_hat`` and ``eigenvalue_power``, one-element calls of the same
     kernels at a few microseconds each (136 eigenvalues and 68 weights for
     ``pterms --r 1 --kappa 12 --q 10007 --nu 3/2``).
@@ -206,8 +210,7 @@ def prime_sums(
         check_sieve_bound(prime_limit, f"support radius nu = {float(phi.nu)} is too large: its prime bound")
     primes = primes_up_to(prime_limit)
     primes = primes[primes != form.q]
-    # math.log, not np.log, which may differ from it in the last bit.
-    logs = np.fromiter(map(math.log, _items(primes)), np.float64, primes.size)
+    logs = _libm(math.log, primes)
     first_weights = phi.phi_hat_array(logs / scale)
     square_weights = phi.phi_hat_array(2.0 * logs / scale)
     weighted = (first_weights != 0.0) | (square_weights != 0.0)
@@ -225,25 +228,25 @@ def prime_sums(
     theta = np.zeros(primes.size)
     # The primes come from the sieve and exclude q: no primality recheck.
     theta[weighted] = form._sieved_angles(primes[weighted])
-    first = first_weights != 0.0
-    square = square_weights != 0.0
-    as_float = primes.astype(np.float64)  # exact below 2**53
-    first_terms = (
-        _eigenvalue_powers(theta[first], r) * logs[first] / np.sqrt(as_float[first])
-        * first_weights[first]
-    )
-    square_terms = [
-        _eigenvalue_powers(theta[square], 2 * (r - m)) * logs[square] / as_float[square]
-        * square_weights[square]
-        for m in range(r)
-    ]
+
+    def terms(n: int, weights: np.ndarray, root: Callable) -> Iterator[list[float]]:
+        """lambda(p^n) log p / root(p) * weight at the primes of nonzero weight, per block."""
+        for t, lp, p, w in zip(_blocks(theta), _blocks(logs), _blocks(primes), _blocks(weights)):
+            keep = w != 0.0
+            if np.count_nonzero(keep):
+                as_float = p[keep].astype(np.float64)  # exact below 2**53
+                yield (_eigenvalue_powers(t[keep], n) * lp[keep] / root(as_float) * w[keep]).tolist()
+
     higher = [
         _power_bracket(theta.item(i), n, r) * lp / p ** (n / 2.0) * weight
         for i, p, lp, n, weight in higher_weights
     ]
     return {
-        "first_power": -(2.0 / scale) * math.fsum(_items(first_terms)),
-        "square_power": [-(2.0 / scale) * math.fsum(_items(t)) for t in square_terms],
+        "first_power": -(2.0 / scale) * math.fsum(chain.from_iterable(terms(r, first_weights, np.sqrt))),
+        "square_power": [
+            -(2.0 / scale) * math.fsum(chain.from_iterable(terms(2 * (r - m), square_weights, lambda x: x)))
+            for m in range(r)
+        ],
         "higher_power": -(2.0 / scale) * math.fsum(higher),
     }
 

@@ -4,12 +4,19 @@ A SyntheticForm carries weight, prime level, a sign input, and a seeded,
 reproducible map prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
 distribution, so the same (seed, distribution) pair yields bit-identical
-angles on every platform.  Angles are drawn in blocks of 8192 primes: the
-Sato-Tate bisection takes its first 12 steps from one table lookup, runs the
-rest on numpy arrays and redoes with math.sin every comparison that np.sin
-could decide differently, so a batch equals the scalar recurrence bit for
-bit (see ``_sato_tate_inverse_cdf``).  The prime walk reads whole batches
-through a small cache.
+angles on every platform.  The Sato-Tate bisection takes its first 12 steps
+from one table lookup, runs the rest on numpy arrays and redoes with
+math.sin every comparison that np.sin could decide differently, so a batch
+equals the scalar recurrence bit for bit (see ``_sato_tate_inverse_cdf``).
+The prime walk reads whole batches through a small cache.
+
+Two decisions live here for every module: how long a pass is, and which
+library computes an elementary function.  A long pass over a prime-indexed
+array goes _BLOCK = 8192 entries at a time (``_blocks``; ``_items`` and
+``_blockwise`` build on it), so its temporaries stay in cache and its
+working set stays bounded whatever the number of primes.  A value that a
+scalar formula takes from the C library (math.sin, math.log) comes through
+``_libm``, never from the numpy ufunc.
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
 their three evaluation routes, gamma-factor shifts, root numbers, and the
@@ -72,21 +79,49 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Entries _items converts to Python objects at a time.
-_CHUNK = 1 << 16
+# Entries one pass over a long array takes at a time: a block's dozen float64
+# arrays stay in L2 cache, and its Python objects stay few.
+_BLOCK = 1 << 13
+
+
+def _blocks(x: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive _BLOCK-entry views of the 1-d array x, the last one shorter."""
+    return (x[i : i + _BLOCK] for i in range(0, x.size, _BLOCK))
 
 
 def _items(x: np.ndarray) -> Iterator:
-    """The entries of the 1-d array x as ``x.tolist()`` gives them, 2**16 at a time.
+    """The entries of the 1-d array x as ``x.tolist()`` gives them, a block at a time.
 
-    A map or a math.fsum over a long array then holds one chunk of Python
+    A map or a math.fsum over a long array then holds one block of Python
     objects instead of one per entry (about 40 bytes each, list slot included).
     """
-    return itertools.chain.from_iterable(x[i : i + _CHUNK].tolist() for i in range(0, x.size, _CHUNK))
+    return itertools.chain.from_iterable(block.tolist() for block in _blocks(x))
 
 
-# Draws hashed or bisected at a time: a block's dozen arrays stay in L2 cache.
-_BLOCK = 1 << 13
+def _blockwise(kernel: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """kernel(block) for each block of x, written into one float64 array of x's size.
+
+    For a kernel whose every output entry depends on its own input entry
+    alone, this equals kernel(x), while the kernel's temporaries stay a
+    block long whatever the size of x.
+    """
+    out = np.empty(x.size)
+    for block, target in zip(_blocks(x), _blocks(out)):
+        target[...] = kernel(block)
+    return out
+
+
+def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f (math.sin, math.log, ...) of every entry of x, as a float64 array.
+
+    The math module calls the C library, and that is the value every scalar
+    formula and recorded digest of this package was taken with; the numpy
+    ufuncs (np.sin, np.log) have their own implementations, which may differ
+    from it in the last bit.  Entries go through Python a block at a time.
+    """
+    return np.fromiter(map(f, _items(x)), np.float64, x.size)
+
+
 # Bisection steps that one lookup in _head_table replaces.
 _HEAD_LEVELS = 12
 
@@ -117,21 +152,15 @@ def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
         h.update(b"%d" % p)
         return h.digest()
 
-    out = np.empty(primes.size)
-    for i in range(0, primes.size, _BLOCK):
-        words = np.frombuffer(b"".join(map(digest, primes[i : i + _BLOCK].tolist())), ">u8")
-        out[i : i + _BLOCK] = _units_from_digests(words)
-    return out
+    def units(block: np.ndarray) -> np.ndarray:
+        return _units_from_digests(np.frombuffer(b"".join(map(digest, block.tolist())), ">u8"))
+
+    return _blockwise(units, primes)
 
 
 # A comparison of the bisection that np.sin may decide differently from
 # math.sin is redone with math.sin; see _sato_tate_inverse_cdf.
 BISECTION_MARGIN = 2.0**-51
-
-
-def _sines(x: np.ndarray) -> np.ndarray:
-    """math.sin of every entry of x (np.sin may differ from it in the last bit)."""
-    return np.fromiter(map(math.sin, _items(x)), np.float64, x.size)
 
 
 @functools.cache
@@ -143,7 +172,7 @@ def _head_table() -> tuple[np.ndarray, np.ndarray]:
     for _ in range(_HEAD_LEVELS):
         grid = np.insert(grid, np.arange(1, grid.size), 0.5 * (grid[:-1] + grid[1:]))
     two_mid = 2.0 * grid[1:-1]
-    head = (two_mid - _sines(two_mid)) / (2.0 * math.pi)
+    head = (two_mid - _libm(math.sin, two_mid)) / (2.0 * math.pi)
     if not np.all(head[:-1] < head[1:]):
         raise ArithmeticError("the Sato-Tate head table is not strictly increasing")
     grid.flags.writeable = head.flags.writeable = False  # shared by every caller
@@ -184,14 +213,12 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     that comparison or is 0, where F = 0; hi was set by it or is pi, where
     F = 1), so every later step would keep lo and hi, and mid, as they are.
     """
+    return _blockwise(_bisect_block, u)
+
+
+def _bisect_block(u: np.ndarray) -> np.ndarray:
+    """The inverse CDF of each entry of u (see _sato_tate_inverse_cdf)."""
     out = np.empty_like(u)
-    for i in range(0, u.size, _BLOCK):
-        _bisect_block(u[i : i + _BLOCK], out[i : i + _BLOCK])
-    return out
-
-
-def _bisect_block(u: np.ndarray, out: np.ndarray) -> None:
-    """Write into out the inverse CDF of each entry of u (see _sato_tate_inverse_cdf)."""
     grid, head = _head_table()
     start = np.searchsorted(head, u, "left")
     lo, hi = grid[start], grid[start + 1]
@@ -204,17 +231,18 @@ def _bisect_block(u: np.ndarray, out: np.ndarray) -> None:
             keep = ~done
             lo, hi, mid, u, index = lo[keep], hi[keep], mid[keep], u[keep], index[keep]
             if not index.size:
-                return
+                return out
         two_mid = 2.0 * mid
         cdf = (two_mid - np.sin(two_mid)) / (2.0 * math.pi)
         close = np.abs(cdf - u) <= BISECTION_MARGIN
         if np.count_nonzero(close):
             near = two_mid[close]
-            cdf[close] = (near - _sines(near)) / (2.0 * math.pi)
+            cdf[close] = (near - _libm(math.sin, near)) / (2.0 * math.pi)
         below = cdf < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out[index] = 0.5 * (lo + hi)
+    return out
 
 
 def _draw_angles(seed: int, distribution: str, primes: np.ndarray) -> np.ndarray:
@@ -318,10 +346,10 @@ def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
     correction is O(n^2 t^2) ~ 1e-16 there); elsewhere the ratio is clamped
     to the sharp bound |value| <= n+1.
     """
-    sines = _sines(theta)
+    sines = _libm(math.sin, theta)
     bound = n + 1.0
     edge = sines < 1e-8
-    value = _sines((n + 1) * theta) / np.where(edge, 1.0, sines)
+    value = _libm(math.sin, (n + 1) * theta) / np.where(edge, 1.0, sines)
     limits = np.where(theta < math.pi / 2, bound, (-1) ** n * bound)
     return np.where(edge, limits, np.clip(value, -bound, bound))
 

@@ -15,7 +15,6 @@ import math
 import warnings
 from array import array
 from collections.abc import Sequence
-from fractions import Fraction
 
 import numpy as np
 
@@ -400,10 +399,3 @@ def old_part_terms(
 def old_part_sum(pieces: list[tuple[int, PeterssonTerm]]) -> float:
     """sum of (1/ell) * diagonal(p^k ell^2) over the pieces old_part_terms returns."""
     return math.fsum(term.value / ell for ell, term in pieces)
-
-
-def new_part_admissible(nu: float | Fraction, r: int) -> bool:
-    """Exact predicate nu < 2/r^2 for the sieve-free support range."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return Fraction(nu) < Fraction(2, r * r)

@@ -38,6 +38,7 @@ from symlow.forms import (
 
 import random
 
+from test_constants import traced_peak
 from test_forms import (
     scalar_angle,
     scalar_eigenvalue_power,
@@ -464,6 +465,19 @@ class TestOneWalk:
             assert prime_sums(form, phi, 2, prime_limit=limit) == {
                 "first_power": 0.0, "square_power": [0.0, 0.0], "higher_power": 0.0
             }
+
+    def test_warm_walk_holds_a_few_arrays_over_the_primes(self):
+        # The first-power and square terms stream a block at a time, so a
+        # walk whose angles are cached peaks at a few full-length arrays
+        # (primes, logs, weights, angles), not at one array per term class.
+        form, phi = make_form(q=10007), fejer_test_function(Fraction(3, 2))
+        n = 78_578  # the primes below the natural bound 1,001,051, besides q
+        try:
+            prime_sums(form, phi, 1)  # draws and caches the angle batch
+            peak = traced_peak(lambda: prime_sums(form, phi, 1))
+        finally:
+            symlow.forms._angle_batch.cache_clear()
+        assert peak <= 7 * 8 * n + 2**20
 
     def test_cases_reach_every_class(self):
         # The grid is only a check if each class has nonzero values in it.

@@ -36,13 +36,14 @@ from symlow.forms import (
     GammaShifts,
     SyntheticForm,
     _BLOCK,
-    _CHUNK,
     _HEAD_LEVELS,
     _angle_batch,
+    _blockwise,
     _draw_angles,
     _eigenvalue_powers,
     _head_table,
     _items,
+    _libm,
     _sato_tate_inverse_cdf,
     _uniform_units,
     _units_from_digests,
@@ -218,7 +219,7 @@ def eigenvalue_grid() -> list[float]:
 
 
 class TestChunkedItems:
-    @pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
     def test_equal_to_tolist_across_chunk_edges(self, size):
         ints = numpy.arange(size, dtype=numpy.int64) * 7919
         floats = numpy.sqrt(ints.astype(numpy.float64))
@@ -226,6 +227,8 @@ class TestChunkedItems:
             got = list(_items(x))
             assert got == x.tolist()
             assert [type(v) for v in got[:1]] == [type(v) for v in x.tolist()[:1]]
+            assert _libm(math.sin, x).tolist() == [math.sin(v) for v in x.tolist()]
+            assert numpy.array_equal(_blockwise(numpy.negative, x), -x)
         assert math.fsum(_items(floats)) == math.fsum(floats.tolist())
 
 

@@ -32,7 +32,6 @@ from symlow.petersson import (
     divisor_count,
     kloosterman,
     kloosterman_sums,
-    new_part_admissible,
     old_part_sum,
     old_part_terms,
     petersson_delta,
@@ -542,18 +541,3 @@ class TestOldPart:
             old_part_terms(2, 0, 11, 12, ell_max=1, c_max=100)
         with pytest.raises(ValueError):
             old_part_terms(2, 1, 11, 12, ell_max=0, c_max=100)
-
-
-class TestNewPartPredicate:
-    def test_boundary_is_exact(self):
-        assert new_part_admissible(Fraction(2, 9) - Fraction(1, 10**12), 3)
-        assert not new_part_admissible(Fraction(2, 9), 3)
-        assert not new_part_admissible(Fraction(2, 9) + Fraction(1, 10**12), 3)
-
-    def test_float_inputs(self):
-        assert new_part_admissible(0.4, 2)
-        assert not new_part_admissible(0.5, 2)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            new_part_admissible(0.1, 0)
