@@ -19,7 +19,6 @@ from typing import Any, Sequence
 
 from .chebyshev import (
     ExactPoly,
-    ZERO,
     chain_decomposition_residual,
     cheb_poly,
     difference_monomial_residual,
@@ -36,7 +35,6 @@ from .forms import DISTRIBUTIONS, SyntheticForm, fejer_test_function
 from .petersson import (
     RAMANUJAN_TAU,
     default_c_max,
-    old_part_terms,
     petersson_delta,
     petersson_deltas,
 )

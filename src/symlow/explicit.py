@@ -5,26 +5,27 @@ from precomputed constants.  The prime side is one explicit-formula walk over
 the prime powers p^n of a synthetic form: ``prime_sums`` sieves once, takes
 log p once, draws the angles of the primes with some nonzero weight as one
 batch, and splits the terms into the first-power, even-square and
-higher-power sums.  The first-power and square terms stream into math.fsum a
-block of primes at a time, each formed with the same operations in the same
-order as the scalar expression (math.log and math.sin through
-``forms._libm``; products, quotients and np.sqrt, which are correctly
-rounded), so every sum is bit-identical to a per-prime loop.  The
-eigenvalues and weights come from the array kernels of ``forms``
+higher-power sums.  Every power n reads a prefix of the one sieve, and its
+terms stream into math.fsum a block of primes at a time, each formed with
+the same operations in the same order as the scalar expression (math.log,
+math.sin and pow through ``forms._libm``; products, quotients and np.sqrt,
+which are correctly rounded), so every sum is bit-identical to a per-prime
+loop.  The eigenvalues and weights come from the array kernels of ``forms``
 (``_eigenvalue_powers`` and ``TestFunction.phi_hat_array``), the one
-definition of each formula; the few higher-power terms go through the scalar
-entry points, which call the same kernels on one-element arrays.  Every
-sum is finite because the window transform has compact support: enlarging
-the sieve past the natural cutoff only appends terms with exactly zero weight.
+definition of each formula.  Every sum is finite because the window
+transform has compact support: enlarging the sieve past the natural cutoff
+only appends terms with exactly zero weight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import warnings
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, count
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -165,13 +166,21 @@ def prime_cutoffs(q: int, r: int, nu: float | Fraction) -> dict[str, int]:
     }
 
 
-def _power_bracket(theta: float, n: int, r: int) -> float:
-    """Sum over j = r mod 2, 1 <= j <= r, of lambda(p^{jn}) - lambda(p^{jn-2})."""
+def _power_brackets(theta: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Sum over j = r mod 2, 1 <= j <= r, of lambda(p^{jn}) - lambda(p^{jn-2})
+    at every angle of theta, one math.fsum over j per angle."""
     start = 1 if r % 2 else 2
-    return math.fsum(
-        eigenvalue_power(theta, j * n) - eigenvalue_power(theta, j * n - 2)
+    columns = [
+        (_eigenvalue_powers(theta, j * n) - _eigenvalue_powers(theta, j * n - 2)).tolist()
         for j in range(start, r + 1, 2)
-    )
+    ]
+    return np.fromiter(map(math.fsum, zip(*columns)), np.float64, theta.size)
+
+
+def _root_floor(x: int, n: int) -> int:
+    """The largest integer c with c**n <= x, for x >= 1, decided in integers
+    from a float guess that errs by far less than 1."""
+    return next(c for c in count(int(x ** (1.0 / n)) + 1, -1) if c**n <= x)
 
 
 def prime_sums(
@@ -191,63 +200,65 @@ def prime_sums(
       bracket(theta_p, n, r) (log p/p^{n/2}) hat(n log p/scale).
 
     prime_limit bounds p for n = 1 and n = 2 and p^n for n >= 3; it defaults
-    to the first-power natural bound.  One sieve serves all three sums, and
-    the angle at p is drawn once, in one batch, only if some term at p has
-    nonzero weight.  Terms past a sum's own natural bound have weight exactly
-    0, so each value is bit-identical to that sum taken alone at its own
-    bound.  The first-power and square terms stream into math.fsum a block
+    to the first-power natural bound.  One sieve serves every power n, each
+    reading a prefix of it: the primes up to the smaller of its own limit
+    (prime_limit, or prime_limit^(1/n) for n >= 3, in integers) and its
+    natural bound exp(nu scale/n), past which every weight is exactly 0, so
+    each value is bit-identical to that sum taken alone at its own bound.
+    The angle at p is drawn once, in one batch, only if some term at p has
+    nonzero weight.  Every class streams its terms into math.fsum a block
     at a time, over the primes of nonzero weight in that block; the higher
-    powers (p <= prime_limit^(1/3)) are summed per prime through
-    ``phi.phi_hat`` and ``eigenvalue_power``, one-element calls of the same
-    kernels at a few microseconds each (136 eigenvalues and 68 weights for
-    ``pterms --r 1 --kappa 12 --q 10007 --nu 3/2``).
+    powers share one fsum.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     scale = r * math.log(form.q)
+    nu = float(phi.nu)
     if prime_limit is None:
-        prime_limit = _natural_prime_limit(scale, float(phi.nu), 1.0)
-        check_sieve_bound(prime_limit, f"support radius nu = {float(phi.nu)} is too large: its prime bound")
+        prime_limit = _natural_prime_limit(scale, nu, 1.0)
+        check_sieve_bound(prime_limit, f"support radius nu = {nu} is too large: its prime bound")
     primes = primes_up_to(prime_limit)
     primes = primes[primes != form.q]
     logs = _libm(math.log, primes)
-    first_weights = phi.phi_hat_array(logs / scale)
-    square_weights = phi.phi_hat_array(2.0 * logs / scale)
-    weighted = (first_weights != 0.0) | (square_weights != 0.0)
-    # Every p with p^3 <= prime_limit, and a few more, which add no terms.
-    cubed = np.searchsorted(primes, int(max(prime_limit, 0) ** (1.0 / 3.0)) + 1, "right")
-    higher_weights = []
-    for i, (p, lp) in enumerate(zip(primes[:cubed].tolist(), logs[:cubed].tolist())):
-        n = 3
-        while p**n <= prime_limit:
-            weight = phi.phi_hat(n * lp / scale)
-            if weight != 0.0:
-                higher_weights.append((i, p, lp, n, weight))
-                weighted[i] = True
-            n += 1
+
+    def prefix_weights(n: int) -> np.ndarray:
+        """The window at n log p/scale over the primes that power n reads:
+        p^n within prime_limit (p within it for n <= 2) and p within the
+        natural bound, past which every weight is exactly 0."""
+        bound = prime_limit if n <= 2 else _root_floor(prime_limit, n)
+        with contextlib.suppress(ValueError):  # a bound past every float is past the sieve too
+            bound = min(bound, _natural_prime_limit(scale, nu, n))
+        return phi.phi_hat_array(n * logs[: np.searchsorted(primes, bound, "right")] / scale)
+
+    # weights[n - 1] for n <= 2 and every n with 2^n <= prime_limit.
+    weights = [prefix_weights(n) for n in range(1, max(3, int(prime_limit).bit_length()))]
+    weighted = np.zeros(primes.size, dtype=bool)
+    for w in weights:
+        weighted[: w.size] |= w != 0.0
     theta = np.zeros(primes.size)
     # The primes come from the sieve and exclude q: no primality recheck.
     theta[weighted] = form._sieved_angles(primes[weighted])
 
-    def terms(n: int, weights: np.ndarray, root: Callable) -> Iterator[list[float]]:
-        """lambda(p^n) log p / root(p) * weight at the primes of nonzero weight, per block."""
-        for t, lp, p, w in zip(_blocks(theta), _blocks(logs), _blocks(primes), _blocks(weights)):
+    def terms(n: int, values: Callable[[np.ndarray], np.ndarray]) -> Iterator[list[float]]:
+        """values(theta) log p / p^(n/2) * weight at the primes of nonzero weight, per block."""
+        size = weights[n - 1].size
+        for t, lp, p, w in zip(*(_blocks(x[:size]) for x in (theta, logs, primes, weights[n - 1]))):
             keep = w != 0.0
-            if np.count_nonzero(keep):
-                as_float = p[keep].astype(np.float64)  # exact below 2**53
-                yield (_eigenvalue_powers(t[keep], n) * lp[keep] / root(as_float) * w[keep]).tolist()
+            p = p[keep].astype(np.float64)  # exact below 2**53
+            # For n >= 3, the C pow that the scalar p ** (n / 2.0) calls.
+            root = np.sqrt(p) if n == 1 else p if n == 2 else _libm(lambda x: x ** (n / 2.0), p)
+            yield (values(t[keep]) * lp[keep] / root * w[keep]).tolist()
 
-    higher = [
-        _power_bracket(theta.item(i), n, r) * lp / p ** (n / 2.0) * weight
-        for i, p, lp, n, weight in higher_weights
-    ]
+    def total(parts: Iterator[list[float]]) -> float:
+        return -(2.0 / scale) * math.fsum(chain.from_iterable(parts))
+
     return {
-        "first_power": -(2.0 / scale) * math.fsum(chain.from_iterable(terms(r, first_weights, np.sqrt))),
-        "square_power": [
-            -(2.0 / scale) * math.fsum(chain.from_iterable(terms(2 * (r - m), square_weights, lambda x: x)))
-            for m in range(r)
-        ],
-        "higher_power": -(2.0 / scale) * math.fsum(higher),
+        "first_power": total(terms(1, partial(_eigenvalue_powers, n=r))),
+        "square_power": [total(terms(2, partial(_eigenvalue_powers, n=2 * (r - m)))) for m in range(r)],
+        # One fsum over every n >= 3: a sum of per-n sums would round differently.
+        "higher_power": total(chain.from_iterable(
+            terms(n, partial(_power_brackets, n=n, r=r)) for n in range(3, len(weights) + 1)
+        )),
     }
 
 

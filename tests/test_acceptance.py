@@ -20,6 +20,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from test_constants import even_square_oracle, pnt_segment_oracle
 from test_petersson import tau_coefficients
@@ -37,7 +38,7 @@ from symlow.constants import (
     nu_max,
 )
 from symlow.explicit import (
-    _power_bracket,
+    _power_brackets,
     density_prediction,
     prime_sums,
     square_power_identity_gap,
@@ -257,7 +258,7 @@ def test_criterion_09_prime_sum_properties():
         theta = rng.uniform(0.0, math.pi)
         n = rng.randint(3, 9)
         r = rng.randint(1, 8)
-        direct = _power_bracket(theta, n, r)
+        direct = _power_brackets(np.array([theta]), n, r)[0]
         via_power_sum = satake_power_sum(theta, n, r) - (1.0 if r % 2 == 0 else 0.0)
         bracket_gap = max(bracket_gap, abs(direct - via_power_sum))
 

@@ -15,6 +15,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -22,7 +23,7 @@ import symlow.forms
 from symlow.constants import compute_constants, nu_max
 from symlow.explicit import (
     REMAINDER_MARKER,
-    _power_bracket,
+    _power_brackets,
     density_prediction,
     prime_cutoffs,
     prime_sums,
@@ -278,7 +279,7 @@ class TestHigherPowerSum:
             theta = rng.uniform(0.0, math.pi)
             n = rng.randint(2, 9)
             r = rng.randint(1, 8)
-            direct = _power_bracket(theta, n, r)
+            direct = _power_brackets(np.array([theta]), n, r)[0]
             telescoped = satake_power_sum(theta, n, r) - (1.0 if r % 2 == 0 else 0.0)
             assert abs(direct - telescoped) < 1e-10
 
@@ -327,6 +328,18 @@ def oracle_bracket(theta, n, r):
         scalar_eigenvalue_power(theta, j * n) - scalar_eigenvalue_power(theta, j * n - 2)
         for j in range(start, r + 1, 2)
     )
+
+
+class TestPowerBrackets:
+    def test_equal_to_oracle(self):
+        # r up to 8 reaches brackets of three and four columns, one fsum per angle.
+        rng = random.Random(11)
+        angles = [0.0, math.pi, 1e-9, math.pi - 1e-9] + [rng.uniform(0.0, math.pi) for _ in range(200)]
+        theta = np.array(angles)
+        for r in range(1, 9):
+            for n in range(2, 10):
+                expected = [oracle_bracket(t, n, r) for t in angles]
+                assert _power_brackets(theta, n, r).tolist() == expected, (n, r)
 
 
 def window(nu, samples=None):
@@ -478,6 +491,28 @@ class TestOneWalk:
         finally:
             symlow.forms._angle_batch.cache_clear()
         assert peak <= 7 * 8 * n + 2**20
+
+    def test_window_evaluated_about_once_per_prime(self):
+        # Each power n evaluates the window only on its own prefix of the
+        # sieve: the first power on every prime, the square and higher powers
+        # on the few below their natural bounds.
+        entries = []
+        phi = fejer_test_function(Fraction(3, 2))
+
+        def counted(u):
+            entries.append(u.size)
+            return phi.phi_hat_array(u)
+
+        n = 78_577  # the primes below the natural bound 1,001,051, besides q
+        prime_sums(make_form(q=10007), dataclasses.replace(phi, phi_hat_array=counted), 1)
+        assert sum(entries) <= n + 500
+
+    def test_limit_given_with_a_natural_bound_past_every_float(self):
+        # exp(nu * log 11) overflows at nu = 400; an explicit limit still sums.
+        phi, hat = window(400)
+        assert prime_sums(make_form(q=11), phi, 1, prime_limit=300) == separate_sums(
+            make_form(q=11), hat, 400, 1, 300
+        )
 
     def test_cases_reach_every_class(self):
         # The grid is only a check if each class has nonzero values in it.
