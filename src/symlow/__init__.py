@@ -14,103 +14,8 @@ Submodules by concern:
 - ``petersson``: exact Kloosterman sums, Bessel J, truncated diagonal terms
   with rigorous tails, the old-part geometric sum.
 - ``cli``: reproducible JSON/CSV reporting over all of the above.
+
+Each name is imported from the module that defines it, for example
+``from symlow.petersson import kloosterman_sums``; the package itself
+imports nothing, so ``import symlow`` loads no submodule and no numpy.
 """
-
-from .chebyshev import (
-    ChebExpansion,
-    ExactPoly,
-    chain_decomposition_residual,
-    cheb_poly,
-    difference_monomial_coeff,
-    difference_monomial_residual,
-    inner_product,
-    linearize_power,
-    monomial_expansion,
-    odd_reduction_residual,
-    power_sum_identity_residual,
-    semicircle_moment,
-    vanishing_chain_sum,
-)
-from .constants import (
-    ConstantsBundle,
-    c_gamma,
-    c_infty,
-    c_pnt,
-    c_sym_even,
-    c_sym_even_completed,
-    compute_constants,
-    digamma,
-    nu_max,
-    primes_up_to,
-)
-from .explicit import (
-    ExpansionReport,
-    density_prediction,
-    prime_sums,
-    square_power_identity_gap,
-)
-from .forms import (
-    GammaShifts,
-    SyntheticForm,
-    TestFunction,
-    eigenvalue_power,
-    fejer_test_function,
-    gamma_shifts,
-    root_number,
-    sampled_test_function,
-    satake_power_sum,
-)
-from .petersson import (
-    PeterssonTerm,
-    bessel_j,
-    kloosterman,
-    old_part_sum,
-    petersson_delta,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ChebExpansion",
-    "ConstantsBundle",
-    "ExactPoly",
-    "ExpansionReport",
-    "GammaShifts",
-    "PeterssonTerm",
-    "SyntheticForm",
-    "TestFunction",
-    "bessel_j",
-    "c_gamma",
-    "c_infty",
-    "c_pnt",
-    "c_sym_even",
-    "c_sym_even_completed",
-    "chain_decomposition_residual",
-    "cheb_poly",
-    "compute_constants",
-    "density_prediction",
-    "difference_monomial_coeff",
-    "difference_monomial_residual",
-    "digamma",
-    "eigenvalue_power",
-    "fejer_test_function",
-    "gamma_shifts",
-    "inner_product",
-    "kloosterman",
-    "linearize_power",
-    "monomial_expansion",
-    "nu_max",
-    "odd_reduction_residual",
-    "old_part_sum",
-    "petersson_delta",
-    "power_sum_identity_residual",
-    "prime_sums",
-    "primes_up_to",
-    "root_number",
-    "sampled_test_function",
-    "satake_power_sum",
-    "semicircle_moment",
-    "square_power_identity_gap",
-    "vanishing_chain_sum",
-    "__version__",
-]

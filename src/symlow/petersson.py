@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .forms import is_prime
+from .forms import _libm, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -127,7 +127,7 @@ def kloosterman_sums(
         counts.reshape(len(ms), c // q, q)[...] *= table[:, None, :]
     cosines = np.zeros(c)
     ks = np.flatnonzero(counts.sum(axis=0))  # the residues that occur for some m
-    cosines[ks] = np.fromiter(map(math.cos, ((2.0 * math.pi / c) * ks).tolist()), float, len(ks))
+    cosines[ks] = _libm(math.cos, (2.0 * math.pi / c) * ks)
     flat = np.flatnonzero(counts)  # row by row, so each m's terms are contiguous
     terms, weights = cosines.take(flat, mode="wrap"), counts.take(flat)  # wrap: k = flat mod c
     parts: list[list[float]] = [[] for _ in ms]

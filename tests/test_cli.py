@@ -24,7 +24,7 @@ from symlow.petersson import default_c_max
 from test_forms import scalar_fejer_hat
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     # The child imports the same symlow as this process, installed or not.
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
@@ -32,12 +32,16 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "symlow.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "symlow.cli", *args, env_extra=env_extra)
 
 
 class TestRenderJson:
@@ -410,3 +414,16 @@ class TestUsageErrors:
     def test_exit_one(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
+
+
+class TestBareImport:
+    def test_loads_no_submodule_and_no_numpy(self):
+        # The package root imports nothing: each name comes from its module.
+        proc = run_python("-c", (
+            "import json, sys, symlow; print(json.dumps([symlow.__file__, sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('symlow.'))]))"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        path, loaded = json.loads(proc.stdout)
+        assert Path(path).parent == Path(cli.__file__).parent
+        assert loaded == []

@@ -20,7 +20,7 @@ import pytest
 import sympy
 
 import symlow.forms
-from symlow.constants import compute_constants, nu_max
+from symlow.constants import compute_constants, nu_max, primes_up_to
 from symlow.explicit import (
     REMAINDER_MARKER,
     _power_brackets,
@@ -484,7 +484,7 @@ class TestOneWalk:
         # walk whose angles are cached peaks at a few full-length arrays
         # (primes, logs, weights, angles), not at one array per term class.
         form, phi = make_form(q=10007), fejer_test_function(Fraction(3, 2))
-        n = 78_578  # the primes below the natural bound 1,001,051, besides q
+        n = primes_up_to(1_001_051).size - 1  # the primes below the natural bound, besides q
         try:
             prime_sums(form, phi, 1)  # draws and caches the angle batch
             peak = traced_peak(lambda: prime_sums(form, phi, 1))

@@ -26,12 +26,17 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src (raise an exception instead): {found}"
 
 
+def test_package_root_imports_nothing():
+    # Each name has one import path, the module that defines it.
+    path = Path(symlow.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"import statements in {path.name} at lines {found}"
+
+
 def test_no_unused_imports():
-    # __init__.py imports names to re-export them.
     found = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {
             (alias.asname or alias.name).split(".")[0]: node.lineno
