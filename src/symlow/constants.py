@@ -55,26 +55,69 @@ def check_sieve_bound(n: int, what: str = "sieve bound") -> None:
         raise ValueError(f"{what} {shown} exceeds the memory guard {cap} (override with {SIEVE_CAP_ENV})")
 
 
+# Odd numbers one sieve segment holds: 1 MiB of flags, inside a 2 MiB L2 cache.
+_SEGMENT = 1 << 20
+# The primes whose odd multiples every segment's pattern has crossed off
+# already, and the pattern's period in odd numbers, their product.
+_WHEEL = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL)
+
+
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as a sorted int64 array, guarded by the sieve memory cap.
 
-    The sieve holds odd numbers only: mask[i] stands for 2i + 1, so it costs
-    (n + 1) / 2 bytes, and the result 8 bytes per prime; the mask is freed
-    before the result is formed in place.  Slot 0, the number 1, is never
-    cleared and becomes the prime 2.
+    A segmented sieve over the odd numbers (Bays and Hudson, BIT 17, 1977):
+    flag i of a segment starting at slot lo stands for 2(lo + i) + 1.  Each
+    segment of at most _SEGMENT flags starts as a copy of one pattern with
+    the odd multiples of the _WHEEL primes crossed off, then crosses off the
+    odd multiples of every other prime up to sqrt(n), from p^2 on; in the
+    first segment the _WHEEL primes are restored, and slot 0, the number 1,
+    becomes the prime 2.  Each segment's primes go straight into one int64
+    output, sized by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962) and shrunk in place at the end.
+    So the sieve holds the output and a few segment-sized buffers, never a
+    flag per number up to n.
     """
     check_sieve_bound(n)
+    return _segmented_sieve(n)
+
+
+def _segmented_sieve(n: int) -> np.ndarray:
+    """primes_up_to(n) with no cap check, so its base primes come from itself."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones((n + 1) // 2, dtype=bool)
-    for p in range(3, math.isqrt(n) + 1, 2):
-        if mask[p // 2]:
-            mask[p * p // 2 :: p] = False
-    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
-    del mask
-    primes *= 2
-    primes += 1
+    slots = (n + 1) // 2
+    size = min(_SEGMENT, slots)
+    pattern = np.ones(size + _WHEEL_PERIOD, dtype=bool)
+    for p in _WHEEL:
+        pattern[p // 2 :: p] = False
+    base = _segmented_sieve(math.isqrt(n))[len(_WHEEL) + 1 :]
+    firsts = base * base // 2  # the slot of p^2, where crossing off starts
+    base_list = base.tolist()
+    flags = np.empty(size, dtype=bool)
+    primes = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+    count = 0
+    for lo in range(0, slots, size):
+        segment = flags[: min(size, slots - lo)]
+        offset = lo % _WHEEL_PERIOD
+        segment[...] = pattern[offset : offset + segment.size]
+        if lo == 0:
+            for p in _WHEEL:
+                if p // 2 < segment.size:
+                    segment[p // 2] = True
+        active = int(np.searchsorted(firsts, lo + segment.size))
+        gaps = firsts[:active] - lo
+        starts = np.maximum(gaps, gaps % base[:active])  # the first odd multiple >= lo
+        for p, start in zip(base_list, starts.tolist()):
+            segment[start::p] = False
+        found = np.flatnonzero(segment)
+        found *= 2
+        found += 2 * lo + 1
+        primes[count : count + found.size] = found
+        count += found.size
+        del found  # before the next segment's indices are allocated
     primes[0] = 2
+    primes.resize(count, refcheck=False)
     return primes
 
 

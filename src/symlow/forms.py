@@ -19,8 +19,8 @@ scalar formula takes from the C library (math.sin, math.log) comes through
 ``_libm``, never from the numpy ufunc.
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
-their three evaluation routes, gamma-factor shifts, root numbers, and the
-admissible test functions (Fejer kernel and sampled transforms).  Each
+their three evaluation routes, gamma-factor shifts, and the admissible test
+functions (Fejer kernel and sampled transforms).  Each
 prime-side formula (angle, eigenvalue ratio, window transform) has one
 definition, an array kernel; ``SyntheticForm.angle``, ``eigenvalue_power``
 and ``TestFunction.phi_hat`` check their input and call it on a one-element
@@ -117,9 +117,11 @@ def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     The math module calls the C library, and that is the value every scalar
     formula and recorded digest of this package was taken with; the numpy
     ufuncs (np.sin, np.log) have their own implementations, which may differ
-    from it in the last bit.  Entries go through Python a block at a time.
+    from it in the last bit.  Entries go through Python a block at a time;
+    an array of one block maps its one ``tolist()``, with no generator set up.
     """
-    return np.fromiter(map(f, _items(x)), np.float64, x.size)
+    items = x.tolist() if x.size <= _BLOCK else _items(x)
+    return np.fromiter(map(f, items), np.float64, x.size)
 
 
 # Bisection steps that one lookup in _head_table replaces.
@@ -430,22 +432,6 @@ def gamma_shifts(r: int, kappa: int) -> GammaShifts:
             base = Fraction(a * (kappa - 1))
             shifts.extend((base, 1 + base))
     return GammaShifts(r=r, kappa=kappa, shifts=tuple(shifts))
-
-
-def root_number(r: int, kappa: int, eps_f: int) -> int:
-    """Sign of the functional equation: +1 for even r; for odd r the sign
-    eps_f times a fourth-root pattern in r mod 8 (with i^kappa = (-1)^(kappa/2))."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if kappa < 2 or kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    if eps_f not in (-1, 1):
-        raise ValueError("eps_f must be +1 or -1")
-    if r % 2 == 0:
-        return 1
-    i_kappa = (-1) ** (kappa // 2)
-    table = {1: i_kappa, 3: -1, 5: -i_kappa, 7: 1}
-    return eps_f * table[r % 8]
 
 
 @dataclasses.dataclass(frozen=True)

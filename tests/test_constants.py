@@ -9,6 +9,7 @@ series with mpmath's zeta and zeta' at 40 digits, with no sieve.
 """
 
 import functools
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -133,6 +134,45 @@ class TestSieve:
         # The float64 primes and logs of the table and one quotient at a time.
         budget = 3 * 8 * PI_1E7
         assert traced_peak(lambda: compute_constants(2, 12, 10**7, 10**7)) <= 1.05 * budget
+
+    def test_matches_oracle_across_many_segments(self, monkeypatch):
+        # 64 odd numbers a segment: up to 24 segments, each boundary and the
+        # pattern's first segment, with the wheel primes restored, at every n.
+        monkeypatch.setattr(symlow.constants, "_SEGMENT", 64)
+        for n in range(3001):
+            assert primes_up_to(n).tolist() == eratosthenes(n).tolist(), n
+
+    def test_cap_sieve_keeps_its_bytes(self):
+        primes = primes_up_to(10**8)
+        assert primes.size == 5_761_455
+        assert primes[-1] == 99_999_989
+        # Recorded from the unsegmented odd-only sieve.
+        assert hashlib.sha256(primes.tobytes()).hexdigest() == (
+            "a7eead5377c738f5ecdd62fd01a0cedbcecee527cbf31739d4ecc1f3fae07766"
+        )
+
+    def test_cap_sieve_memory_is_output_plus_segment_buffers(self):
+        """At n = 10**8 the peak is the output and segment-sized buffers only.
+
+        The output is sized by the Rosser-Schoenfeld bound,
+        8 (floor(1.25506 n / ln n) + 1) bytes.  Beside it, at most 4 MiB:
+        - the flags of one segment, 2**20 bytes: 1 MiB;
+        - the wheel pattern, 2**20 + 15015 bytes: under 1.02 MiB;
+        - one segment's prime indices, 8 bytes each, freed before the next
+          segment's: a segment covers 2**21 integers, and below 10**8 none
+          holds more primes than the first, pi(2**21) = 155,611 (checked
+          here), so under 1.19 MiB;
+        - the 1,223 base primes from 17 to 10**4 with their start slots and
+          offsets, as int64 arrays and Python lists: under 0.2 MiB.
+        That is under 3.5 MiB.  No term grows like n / 2, the bytes of a
+        flag per odd number up to n (about 48 MiB).
+        """
+        n = 10**8
+        budget = 8 * (math.floor(1.25506 * n / math.log(n)) + 1) + 4 * 2**20
+        assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
+        primes = primes_up_to(n)
+        edges = numpy.arange(0, n + 2**21, 2**21)
+        assert numpy.diff(numpy.searchsorted(primes, edges)).max() == 155_611
 
     def test_primes_match_sympy(self):
         got = primes_up_to(10**4).tolist()

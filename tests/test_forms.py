@@ -1,12 +1,11 @@
 """Tests for the synthetic-form layer: seeded Satake angles, eigenvalue
-powers, unit power sums, gamma shifts, functional-equation signs, and the
-two admissible test-function constructors.
+powers, unit power sums, gamma shifts, and the two admissible
+test-function constructors.
 
 Oracles used here: scipy's Chebyshev-U evaluator for the sine ratios, a
 truncated forward Fourier integral with an exact sine-integral tail for
 the Fejer transform pair, direct quadrature of the piecewise-linear
-transform for sampled kernels, mod-4 arithmetic on the fourth-root
-exponent for the sign table, and the scalar formulas that the array kernels
+transform for sampled kernels, and the scalar formulas that the array kernels
 in ``symlow.forms`` must reproduce bit for bit: ``scalar_angle``, the
 per-prime draw and 64-step math.sin bisection; ``scalar_eigenvalue_power``,
 the sine ratio one angle at a time; and ``scalar_fejer_hat`` and
@@ -51,7 +50,6 @@ from symlow.forms import (
     fejer_test_function,
     gamma_shifts,
     is_prime,
-    root_number,
     sampled_test_function,
     satake_power_sum,
     satake_power_sum_routes,
@@ -230,6 +228,13 @@ class TestChunkedItems:
             assert _libm(math.sin, x).tolist() == [math.sin(v) for v in x.tolist()]
             assert numpy.array_equal(_blockwise(numpy.negative, x), -x)
         assert math.fsum(_items(floats)) == math.fsum(floats.tolist())
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK, _BLOCK + 1])
+    def test_libm_single_block_path_is_the_blocked_map(self, size):
+        x = numpy.linspace(0.5, 40.0, size)
+        for f in (math.cos, math.log):
+            blocked = numpy.fromiter(map(f, _items(x)), numpy.float64, x.size)
+            assert _libm(f, x).tobytes() == blocked.tobytes()
 
 
 class TestVectorEigenvaluePower:
@@ -585,47 +590,6 @@ class TestGammaShifts:
             gamma_shifts(2, 0)
         with pytest.raises(ValueError):
             GammaShifts(r=2, kappa=12, shifts=(Fraction(1),))
-
-
-def sign_oracle(r: int, kappa: int, eps_f: int) -> int:
-    """Fourth-root exponent computed from first principles, reduced mod 4."""
-    if r % 2 == 0:
-        return 1
-    h = (r + 1) // 2
-    e = (h * h * (kappa - 1) + h) % 4
-    assert e in (0, 2), "sign must be real"
-    return eps_f * (1 if e == 0 else -1)
-
-
-class TestRootNumber:
-    def test_even_rank_always_plus_one(self):
-        for r in (2, 4, 6, 10, 20):
-            for kappa in (2, 12, 16):
-                for eps in (-1, 1):
-                    assert root_number(r, kappa, eps) == 1
-
-    def test_odd_rank_matches_exponent_oracle(self):
-        for r in range(1, 34, 2):
-            for kappa in (2, 4, 6, 12, 16, 30):
-                for eps in (-1, 1):
-                    assert root_number(r, kappa, eps) == sign_oracle(r, kappa, eps)
-
-    def test_frozen_pattern(self):
-        # r mod 8 walks through i^kappa, -1, -i^kappa, +1.
-        assert root_number(1, 12, 1) == 1
-        assert root_number(1, 2, 1) == -1
-        assert root_number(3, 12, 1) == -1
-        assert root_number(5, 2, 1) == 1
-        assert root_number(7, 12, 1) == 1
-        assert root_number(3, 12, -1) == 1
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            root_number(0, 12, 1)
-        with pytest.raises(ValueError):
-            root_number(2, 7, 1)
-        with pytest.raises(ValueError):
-            root_number(2, 12, 0)
 
 
 def fejer_hat_oracle(nu: float, u: float, cutoff: float = 400.0) -> float:
