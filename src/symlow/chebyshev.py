@@ -7,6 +7,13 @@ quotients.  Each identity check returns an exact polynomial residual: the
 empty polynomial means the identity holds, anything else is a genuine
 counterexample.  No floating point enters any computation here.
 
+Identities that pair polynomials against the weight never form a product
+p*q: ``moment_vector(p, top)`` lists v[k] = <p, T^k> once, and <p, q> is the
+dot product of q's coefficients with it.  ``inner_product``, each U_j
+coefficient of ``linearize_power`` and each row of
+``orthonormality_residual`` is one such dot product, so a linearization of
+degree R costs O(R^2) integer products instead of R polynomial products.
+
 Normalization: U_n denotes the degree-n Chebyshev polynomial of the second
 kind in the stretched variable, U_n(2 cos t) = sin((n+1)t) / sin t.  The
 family is orthonormal on [-2, 2] for the semicircle weight
@@ -19,6 +26,8 @@ import dataclasses
 import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,10 +48,7 @@ class ExactPoly:
 
     @staticmethod
     def of(*coeffs: Fraction | int) -> "ExactPoly":
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return ExactPoly(tuple(cs))
+        return _stripped([c if isinstance(c, int) else Fraction(c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -53,13 +59,10 @@ class ExactPoly:
         return not self.coeffs
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly.of(
-            *(self[i] + other[i] for i in range(n))
-        )
+        return _stripped([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return self + (-other)
+        return _stripped([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "ExactPoly":
         return ExactPoly(tuple(-c for c in self.coeffs))
@@ -77,7 +80,7 @@ class ExactPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return ExactPoly.of(*out)
+        return _stripped(out)
 
     __rmul__ = __mul__
 
@@ -104,6 +107,13 @@ class ExactPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+
+def _stripped(cs: list) -> ExactPoly:
+    """The polynomial of an int/Fraction coefficient list, trailing zeros dropped."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return ExactPoly(tuple(cs))
 
 
 ZERO = ExactPoly(())
@@ -158,30 +168,60 @@ def semicircle_moment(k: int) -> int:
     return 0 if k % 2 else catalan(k // 2)
 
 
+def moment_vector(p: ExactPoly, top: int) -> list[int | Fraction]:
+    """v[k] = <p, T^k> = sum_i p_i * semicircle_moment(i + k) for 0 <= k <= top.
+
+    Terms with i + k odd carry a zero moment and are skipped.  <p, q> is then
+    sum_k q_k * v[k] for any q of degree at most top, with no product p*q.
+    """
+    moments = [semicircle_moment(n) for n in range(len(p.coeffs) + top)]
+    return [sum(map(mul, p.coeffs[k % 2::2], moments[k + k % 2::2])) for k in range(top + 1)]
+
+
 def inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
     """(1/pi) integral over [-2,2] of p*q*sqrt(1-x^2/4), exactly.
 
     Computed through the moment sequence (odd moments vanish, even moment 2m
-    is Catalan(m)); no quadrature anywhere.  The moments are integers, so the
-    result is an int for integer polynomials and a Fraction only when a
-    coefficient is one.
+    is Catalan(m)) as q's coefficients against p's moment vector; no
+    quadrature anywhere.  The moments are integers, so the result is an int
+    for integer polynomials (and 0 when either is zero) and a Fraction when
+    a coefficient is one.
     """
-    prod = p * q
-    return sum(c * semicircle_moment(k) for k, c in enumerate(prod.coeffs) if c != 0)
+    if p.is_zero() or q.is_zero():
+        return 0
+    value = sum(map(mul, q.coeffs, moment_vector(p, q.degree)))
+    return value if all(isinstance(c, int) for c in p.coeffs + q.coeffs) else Fraction(value)
 
 
 def linearize_power(varpi: int, r: int) -> ChebExpansion:
     """All coefficients of U_r^varpi in the U basis, indices 0..r*varpi, as ints.
 
-    Entries of the wrong parity (j not congruent to r*varpi mod 2) are exact
-    zeros and are kept in the map so callers can check the vanishing.
+    The power's moment vector is built once; the U_j coefficient is U_j's
+    coefficients against it.  Entries of the wrong parity (j not congruent
+    to r*varpi mod 2) are exact zeros and are kept in the map so callers
+    can check the vanishing.
     """
     if varpi < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
-    power = cheb_poly(r) ** varpi
+    top = r * varpi
+    moments = moment_vector(cheb_poly(r) ** varpi, top)
     return ChebExpansion.of(
-        {j: inner_product(power, cheb_poly(j)) for j in range(r * varpi + 1)}
+        {j: sum(map(mul, cheb_poly(j).coeffs, moments)) for j in range(top + 1)}
     )
+
+
+def orthonormality_residual(top: int) -> int:
+    """Largest |<U_i, U_j> - [i == j]| over 0 <= i <= j <= top; zero iff ok.
+
+    One moment vector per i, paired with every U_j, j >= i, by a dot
+    product: no polynomial product.
+    """
+    worst = 0
+    for i in range(top + 1):
+        moments = moment_vector(cheb_poly(i), top)
+        for j in range(i, top + 1):
+            worst = max(worst, abs(sum(map(mul, cheb_poly(j).coeffs, moments)) - int(i == j)))
+    return worst
 
 
 def monomial_expansion(ell: int) -> ExactPoly:
@@ -209,10 +249,11 @@ def power_sum_identity_residual(n: int, r: int) -> ExactPoly:
     lhs = ZERO
     for j in range(r % 2, r + 1, 2):
         lhs = lhs + cheb_poly(j * n) - cheb_poly(j * n - 2)
-    rhs = ZERO
-    for j in range(r + 1):
-        term = (cheb_poly(n - 2) ** j) * cheb_poly(n * (r - j))
-        rhs = rhs + ((-1) ** j) * term
+    # Horner in -U_{n-2}: acc_0 = U_0, acc_m = U_{nm} - U_{n-2} * acc_{m-1},
+    # so acc_r = rhs with one product per j.
+    rhs = cheb_poly(0)
+    for m in range(1, r + 1):
+        rhs = cheb_poly(n * m) - cheb_poly(n - 2) * rhs
     return lhs - rhs
 
 
@@ -235,14 +276,17 @@ def chain_decomposition_residual(k0: int) -> ExactPoly:
     """Residual of the chain decomposition of U_{2k0} - U_{2k0-2}; zero iff ok.
 
     The chain sum is sum over chains of sign * weight * (T^{2k_j} - C(2k_j, k_j)).
+    The signed weights are added as ints per tail, in the coefficient of
+    T^{2k_j}; each tail's bracket then enters once.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    acc = ZERO
+    coeffs = [0] * (2 * k0 + 1)
     for sign, weight, tail in _chains(k0):
-        bracket = (T ** (2 * tail)) - ExactPoly.of(math.comb(2 * tail, tail))
-        acc = acc + (sign * weight) * bracket
-    return acc - (cheb_poly(2 * k0) - cheb_poly(2 * k0 - 2))
+        coeffs[2 * tail] += sign * weight
+    for tail in range(1, k0 + 1):
+        coeffs[0] -= coeffs[2 * tail] * math.comb(2 * tail, tail)
+    return _stripped(coeffs) - (cheb_poly(2 * k0) - cheb_poly(2 * k0 - 2))
 
 
 def odd_reduction_residual(big_k: int) -> ExactPoly:

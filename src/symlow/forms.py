@@ -20,7 +20,8 @@ scalar formula takes from the C library (math.sin, math.log) comes through
 
 Also here: eigenvalue powers via the sine ratio, the unit power sums with
 their three evaluation routes, gamma-factor shifts, and the admissible test
-functions (Fejer kernel and sampled transforms).  Each
+function the CLI uses, the Fejer kernel (``tests/sampled_kernel.py`` builds
+the other kind, a transform sampled on a grid, on the same TestFunction).  Each
 prime-side formula (angle, eigenvalue ratio, window transform) has one
 definition, an array kernel; ``SyntheticForm.angle``, ``eigenvalue_power``
 and ``TestFunction.phi_hat`` check their input and call it on a one-element
@@ -451,7 +452,7 @@ class TestFunction:
 
     def phi_hat(self, u: float) -> float:
         """The transform at u, as phi_hat_array on a one-element array: about
-        1.5 us a call (Fejer) or 5 us (sampled), so loops should pass the array."""
+        1.5 us a call (Fejer), so loops should pass the array."""
         return float(self.phi_hat_array(np.array([u], dtype=np.float64))[0])
 
     @property
@@ -474,53 +475,5 @@ def fejer_test_function(nu: float | Fraction) -> TestFunction:
             return nu_f
         s = math.sin(math.pi * nu_f * x) / (math.pi * nu_f * x)
         return nu_f * s * s
-
-    return TestFunction(nu=nu, phi=phi, phi_hat_array=phi_hat_array)
-
-
-def sampled_test_function(nu: float | Fraction, samples) -> TestFunction:
-    """Test function from samples of phi_hat on the uniform grid over [0, nu].
-
-    samples[i] is phi_hat(i*nu/(len-1)); the even extension is linearly
-    interpolated, and phi is its exact segment-by-segment inverse transform
-    (finite integral, so no truncation error beyond the interpolation).
-    """
-    nu_f = float(nu)
-    if nu_f <= 0:
-        raise ValueError("support radius must be positive")
-    values = [float(v) for v in samples]
-    if len(values) < 2:
-        raise ValueError("need at least two samples of the transform")
-    step = nu_f / (len(values) - 1)
-
-    knots = np.array(values)
-
-    def phi_hat_array(u: np.ndarray) -> np.ndarray:
-        u = np.abs(u)
-        inside = u < nu_f
-        ratio = np.where(inside, u, 0.0) / step
-        i = np.minimum(ratio.astype(np.int64), len(values) - 2)
-        frac = ratio - i
-        return np.where(inside, knots[i] * (1.0 - frac) + knots[i + 1] * frac, 0.0)
-
-    def phi(x: float) -> float:
-        # 2 * integral over [0, nu] of phi_hat(u) cos(w u) du with w = 2 pi x,
-        # done exactly on each linear segment.
-        w = 2.0 * math.pi * x
-        total = 0.0
-        for i in range(len(values) - 1):
-            a, b = i * step, (i + 1) * step
-            va, vb = values[i], values[i + 1]
-            c1 = (vb - va) / step
-            c0 = va - c1 * a
-            if abs(w) * b < 1e-7:
-                # Flat-phase regime; dropped terms are O((w b)^2) ~ 1e-14.
-                total += c0 * (b - a) + c1 * (b * b - a * a) / 2.0
-            else:
-                sa, sb = math.sin(w * a), math.sin(w * b)
-                ca, cb = math.cos(w * a), math.cos(w * b)
-                total += c0 * (sb - sa) / w
-                total += c1 * ((cb - ca) / (w * w) + (b * sb - a * sa) / w)
-        return 2.0 * total
 
     return TestFunction(nu=nu, phi=phi, phi_hat_array=phi_hat_array)

@@ -2,23 +2,31 @@
 
 Numeric cross-checks integrate against the semicircle weight with scipy;
 everything else is exact integer or Fraction arithmetic, so expected
-residuals are literally zero, not small.
+residuals are literally zero, not small.  The product routes (the whole
+product p*q weighted by the moments, U_{n-2}^j by ``**``, one bracket per
+chain) live here only, as oracles for the moment-vector, Horner and per-tail
+routes of ``symlow.chebyshev``, and a counted ``ExactPoly.__mul__`` bounds
+the polynomial products of the CLI's identity suite.
 """
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import symlow.chebyshev
 from symlow.chebyshev import (
     ONE,
     T,
     ZERO,
     ChebExpansion,
     ExactPoly,
+    _chains,
     catalan,
     chain_decomposition_residual,
     cheb_poly,
@@ -26,12 +34,15 @@ from symlow.chebyshev import (
     difference_monomial_residual,
     inner_product,
     linearize_power,
+    moment_vector,
     monomial_expansion,
     odd_reduction_residual,
+    orthonormality_residual,
     power_sum_identity_residual,
     semicircle_moment,
     vanishing_chain_sum,
 )
+from symlow.cli import main
 
 
 def horner(p: ExactPoly, x: float) -> float:
@@ -288,3 +299,172 @@ class TestDifferenceCoefficients:
         for k in range(big_k + 1):
             acc = acc + ExactPoly.of(*([0] * k + [1])) * difference_monomial_coeff(big_k, k)
         assert acc == cheb_poly(big_k) - cheb_poly(big_k - 2)
+
+
+def product_inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
+    """<p, q> by the product route: sum over k of (p*q)_k * m_k, nonzero terms."""
+    return sum(c * semicircle_moment(k) for k, c in enumerate((p * q).coeffs) if c != 0)
+
+
+def product_linearization(varpi: int, r: int, family) -> dict:
+    power = family(r) ** varpi
+    return {j: product_inner_product(power, family(j)) for j in range(r * varpi + 1)}
+
+
+def pairwise_orthonormality(top: int, family) -> int:
+    return max(
+        abs(product_inner_product(family(i), family(j)) - int(i == j))
+        for i in range(top + 1)
+        for j in range(i, top + 1)
+    )
+
+
+def per_chain_residual(k0: int, family) -> ExactPoly:
+    acc = ZERO
+    for sign, weight, tail in _chains(k0):
+        bracket = (T ** (2 * tail)) - ExactPoly.of(math.comb(2 * tail, tail))
+        acc = acc + (sign * weight) * bracket
+    return acc - (family(2 * k0) - family(2 * k0 - 2))
+
+
+def power_sum_residual_by_powers(n: int, r: int, family) -> ExactPoly:
+    lhs = ZERO
+    for j in range(r % 2, r + 1, 2):
+        lhs = lhs + family(j * n) - family(j * n - 2)
+    rhs = ZERO
+    for j in range(r + 1):
+        rhs = rhs + ((-1) ** j) * ((family(n - 2) ** j) * family(n * (r - j)))
+    return lhs - rhs
+
+
+@pytest.fixture(params=["chebyshev", "perturbed"])
+def family(request, monkeypatch):
+    """The U family that both routes read.
+
+    "perturbed" adds (n + 2) T^(n mod 3) to each U_n (degree still at most
+    max(n, 2)) and patches it in for ``cheb_poly`` as a table lookup, so the
+    cache of the true family is never touched.  The identities then fail and
+    both routes must agree on generic nonzero residuals.
+    """
+    if request.param == "chebyshev":
+        return cheb_poly
+    table = {n: cheb_poly(n) + ExactPoly.of(*([0] * (n % 3) + [n + 2])) for n in range(-2, 65)}
+    monkeypatch.setattr(symlow.chebyshev, "cheb_poly", table.__getitem__)
+    return table.__getitem__
+
+
+int_polys = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=12).map(
+    lambda cs: ExactPoly.of(*cs)
+)
+fraction_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=10
+).map(lambda cs: ExactPoly.of(*cs))
+mixed_polys = st.lists(
+    st.one_of(st.integers(min_value=-9, max_value=9), st.fractions(max_denominator=12)), max_size=10
+).map(lambda cs: ExactPoly.of(*cs))
+
+
+class TestProductRouteOracles:
+    @given(int_polys, int_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_inner_product_of_int_polynomials(self, p, q):
+        got, want = inner_product(p, q), product_inner_product(p, q)
+        assert got == want and type(got) is type(want) is int
+
+    @given(st.one_of(int_polys, fraction_polys), fraction_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_inner_product_with_fraction_coefficients(self, p, q):
+        for a, b in ((p, q), (q, p)):
+            got, want = inner_product(a, b), product_inner_product(a, b)
+            assert got == want and type(got) is type(want)
+            assert type(got) is (int if a.is_zero() or b.is_zero() else Fraction)
+
+    @given(mixed_polys, mixed_polys)
+    @example(ExactPoly.of(1, Fraction(1, 2)), ONE)
+    @settings(max_examples=150, deadline=None)
+    def test_inner_product_type_follows_the_coefficients(self, p, q):
+        # Fraction as soon as either side has a Fraction coefficient, whatever
+        # types the product route's partial sums happened to take.
+        got = inner_product(p, q)
+        assert got == product_inner_product(p, q)
+        has_fraction = any(isinstance(c, Fraction) for c in p.coeffs + q.coeffs)
+        zero = p.is_zero() or q.is_zero()
+        assert type(got) is (Fraction if has_fraction and not zero else int)
+
+    @pytest.mark.parametrize(
+        "other", [ZERO, ONE, cheb_poly(5), ExactPoly.of(Fraction(1, 3), 0, Fraction(-2, 7))]
+    )
+    def test_inner_product_with_zero(self, other):
+        for a, b in ((ZERO, other), (other, ZERO)):
+            got = inner_product(a, b)
+            assert got == product_inner_product(a, b) == 0 and type(got) is int
+
+    def test_moment_vector_is_the_pairing_with_monomials(self):
+        p = ExactPoly.of(3, -1, 4, 1, -5, 9)
+        v = moment_vector(p, 9)
+        assert v == [product_inner_product(p, ExactPoly.of(*([0] * k + [1]))) for k in range(10)]
+        assert moment_vector(ZERO, 3) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("varpi", range(0, 7))
+    @pytest.mark.parametrize("r", range(0, 7))
+    def test_linearize_power(self, family, varpi, r):
+        got = linearize_power(varpi, r).as_dict()
+        want = product_linearization(varpi, r, family)
+        assert got == want
+        assert all(type(c) is int for c in got.values())
+
+    @pytest.mark.parametrize("k0", range(1, 11))
+    def test_grouped_chain_residual(self, family, k0):
+        assert chain_decomposition_residual(k0) == per_chain_residual(k0, family)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_incremental_power_sum(self, family, n, r):
+        assert power_sum_identity_residual(n, r) == power_sum_residual_by_powers(n, r, family)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 7, 16])
+    def test_orthonormality_residual(self, family, top):
+        got = orthonormality_residual(top)
+        assert got == pairwise_orthonormality(top, family) and type(got) is int
+
+
+class TestWorkGuard:
+    """Polynomial products counted, not timed: every ExactPoly.__mul__ call,
+    scalar or polynomial, through __rmul__ and __pow__ too."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        count = [0]
+        original = ExactPoly.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(ExactPoly, "__mul__", counted)
+        monkeypatch.setattr(ExactPoly, "__rmul__", counted)
+        return count
+
+    def test_identities_workload(self, products):
+        # The benchmark's two identities commands from a cold U cache, as in a
+        # fresh process: 17,494 products by the product routes, 3,721 now.
+        cheb_poly.cache_clear()
+        for argv in (
+            ["identities"],
+            ["identities", "--kmax", "10", "--coeff-kmax", "60", "--lmax", "80",
+             "--ortho-max", "40", "--power-max", "8"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        assert 0 < products[0] <= 7000
+
+    def test_linearization_and_orthonormality_products(self, products):
+        cheb_poly(64)
+        products[0] = 0
+        cheb_poly(8) ** 8
+        power_products, products[0] = products[0], 0
+        linearize_power(8, 8)
+        assert products[0] == power_products
+        products[0] = 0
+        orthonormality_residual(40)
+        assert products[0] == 0

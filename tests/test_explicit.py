@@ -33,12 +33,12 @@ from symlow.forms import (
     SyntheticForm,
     eigenvalue_power,
     fejer_test_function,
-    sampled_test_function,
     satake_power_sum,
 )
 
 import random
 
+from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from test_forms import (
     scalar_angle,

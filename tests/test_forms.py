@@ -1,6 +1,7 @@
 """Tests for the synthetic-form layer: seeded Satake angles, eigenvalue
 powers, unit power sums, gamma shifts, and the two admissible
-test-function constructors.
+test-function constructors: the Fejer kernel of ``symlow.forms`` and the
+sampled transform of ``sampled_kernel``, a tests-only helper.
 
 Oracles used here: scipy's Chebyshev-U evaluator for the sine ratios, a
 truncated forward Fourier integral with an exact sine-integral tail for
@@ -29,6 +30,7 @@ from scipy.special import eval_chebyu, sici
 
 import symlow.forms
 from symlow.constants import primes_up_to
+from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from symlow.forms import (
     DISTRIBUTIONS,
@@ -50,7 +52,6 @@ from symlow.forms import (
     fejer_test_function,
     gamma_shifts,
     is_prime,
-    sampled_test_function,
     satake_power_sum,
     satake_power_sum_routes,
 )
