@@ -9,10 +9,12 @@ counterexample.  No floating point enters any computation here.
 
 Identities that pair polynomials against the weight never form a product
 p*q: ``moment_vector(p, top)`` lists v[k] = <p, T^k> once, and <p, q> is the
-dot product of q's coefficients with it.  ``inner_product``, each U_j
-coefficient of ``linearize_power`` and each row of
-``orthonormality_residual`` is one such dot product, so a linearization of
-degree R costs O(R^2) integer products instead of R polynomial products.
+dot product of q's coefficients with it.  ``cheb_coefficients(p)``, the
+projection of p on the U basis, is one moment vector and one such dot
+product per U_j, so a linearization of degree R costs O(R^2) integer
+products instead of R polynomial products; ``inner_product`` and each row of
+``orthonormality_residual`` are the same dot products.  ``cheb_sum`` is the
+inverse, sum_j c_j U_j added coefficient by coefficient.
 
 Normalization: U_n denotes the degree-n Chebyshev polynomial of the second
 kind in the stretched variable, U_n(2 cos t) = sin((n+1)t) / sin t.  The
@@ -121,29 +123,6 @@ ONE = ExactPoly.of(1)
 T = ExactPoly.of(0, 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class ChebExpansion:
-    """Finite expansion sum_j coeffs[j] * U_j, keys are basis indices j >= 0."""
-
-    coeffs: tuple[tuple[int, int | Fraction], ...]
-
-    @staticmethod
-    def of(mapping: dict[int, int | Fraction]) -> "ChebExpansion":
-        return ChebExpansion(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[int, int | Fraction]:
-        return dict(self.coeffs)
-
-    def __getitem__(self, j: int) -> int | Fraction:
-        return self.as_dict().get(j, 0)
-
-    def to_poly(self) -> ExactPoly:
-        acc = ZERO
-        for j, c in self.coeffs:
-            acc = acc + (cheb_poly(j) * c)
-        return acc
-
-
 @functools.lru_cache(maxsize=None)
 def cheb_poly(n: int) -> ExactPoly:
     """U_n via the recurrence U_{n+1} = T*U_n - U_{n-1}; U_{-1} = U_{-2} = 0."""
@@ -193,34 +172,43 @@ def inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
     return value if all(isinstance(c, int) for c in p.coeffs + q.coeffs) else Fraction(value)
 
 
-def linearize_power(varpi: int, r: int) -> ChebExpansion:
-    """All coefficients of U_r^varpi in the U basis, indices 0..r*varpi, as ints.
+def cheb_coefficients(p: ExactPoly) -> tuple[int | Fraction, ...]:
+    """p's coefficients in the U basis: c_j = <p, U_j> for 0 <= j <= deg p.
 
-    The power's moment vector is built once; the U_j coefficient is U_j's
-    coefficients against it.  Entries of the wrong parity (j not congruent
-    to r*varpi mod 2) are exact zeros and are kept in the map so callers
-    can check the vanishing.
+    p's moment vector is built once and each c_j is U_j's coefficients
+    against it, with no polynomial product.  Ints for an integer p.  The
+    entries of the wrong parity of a power U_r^varpi (j not congruent to
+    r*varpi mod 2) are exact zeros and stay in the tuple, so callers can
+    check the vanishing.
     """
-    if varpi < 0 or r < 0:
-        raise ValueError("indices must be nonnegative")
-    top = r * varpi
-    moments = moment_vector(cheb_poly(r) ** varpi, top)
-    return ChebExpansion.of(
-        {j: sum(map(mul, cheb_poly(j).coeffs, moments)) for j in range(top + 1)}
-    )
+    moments = moment_vector(p, p.degree)
+    return tuple(sum(map(mul, cheb_poly(j).coeffs, moments)) for j in range(p.degree + 1))
+
+
+def cheb_sum(coeffs: tuple[int | Fraction, ...]) -> ExactPoly:
+    """sum_j coeffs[j] * U_j, the inverse of cheb_coefficients.
+
+    U_j has degree j, so the sum is added coefficient by coefficient into
+    one list, with no polynomial per term.
+    """
+    out: list[int | Fraction] = [0] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        if c:
+            for i, u in enumerate(cheb_poly(j).coeffs):
+                out[i] += c * u
+    return _stripped(out)
 
 
 def orthonormality_residual(top: int) -> int:
     """Largest |<U_i, U_j> - [i == j]| over 0 <= i <= j <= top; zero iff ok.
 
-    One moment vector per i, paired with every U_j, j >= i, by a dot
-    product: no polynomial product.
+    Row j is cheb_coefficients(U_j): one moment vector per j and a dot
+    product per i, with no polynomial product.
     """
     worst = 0
-    for i in range(top + 1):
-        moments = moment_vector(cheb_poly(i), top)
-        for j in range(i, top + 1):
-            worst = max(worst, abs(sum(map(mul, cheb_poly(j).coeffs, moments)) - int(i == j)))
+    for j in range(top + 1):
+        for i, c in enumerate(cheb_coefficients(cheb_poly(j))):
+            worst = max(worst, abs(c - int(i == j)))
     return worst
 
 

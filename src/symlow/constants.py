@@ -408,7 +408,7 @@ def c_gamma(r: int, kappa: int) -> float:
 def c_gamma_from_shifts(r: int, kappa: int) -> float:
     """Cross-check route: sum of psi(1/4 + mu/2) over the shift multiset."""
     return math.fsum(
-        digamma(0.25 + float(mu) / 2.0) for mu in gamma_shifts(r, kappa).shifts
+        digamma(0.25 + float(mu) / 2.0) for mu in gamma_shifts(r, kappa)
     )
 
 

@@ -397,21 +397,8 @@ def satake_power_sum(theta: float, n: int, r: int) -> float:
     return satake_power_sum_routes(theta, n, r)[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class GammaShifts:
-    """The r+1 archimedean shifts of the completed degree-(r+1) L-factor."""
-
-    r: int
-    kappa: int
-    shifts: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.shifts) != self.r + 1:
-            raise ValueError("a degree-(r+1) factor needs exactly r+1 shifts")
-
-
-def gamma_shifts(r: int, kappa: int) -> GammaShifts:
-    """Shift multiset of the completed L-factor, exactly as rationals.
+def gamma_shifts(r: int, kappa: int) -> tuple[Fraction, ...]:
+    """The r+1 archimedean shifts of the completed degree-(r+1) L-factor, exactly.
 
     Odd r: (2a+1)(kappa-1)/2 and 1+(2a+1)(kappa-1)/2 for 0 <= a <= (r-1)/2.
     Even r: the parity shift mu (1 iff r(kappa-1)/2 is odd, else 0), then
@@ -432,7 +419,7 @@ def gamma_shifts(r: int, kappa: int) -> GammaShifts:
         for a in range(1, r // 2 + 1):
             base = Fraction(a * (kappa - 1))
             shifts.extend((base, 1 + base))
-    return GammaShifts(r=r, kappa=kappa, shifts=tuple(shifts))
+    return tuple(shifts)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,6 +29,10 @@ _SERIES_WINDOW_CAP = 14.0
 # reduced with Python ints first).  Tests enumerate count tables up to a prime
 # near 2**20 only: near 2**31 the bound rests on this argument alone.
 MODULUS_LIMIT = 2**31
+# Entries of one count matrix: a call with more than COUNT_ENTRIES // c
+# indices runs in chunks of that many rows, sharing tables, so its memory
+# (about 50 bytes an entry) does not grow with the number of indices.
+COUNT_ENTRIES = 2**18
 
 # Classical coefficients of the weight-12 level-1 cusp form's q-expansion,
 # for the CLI comparison table.  The test suite recomputes them from the
@@ -106,7 +110,8 @@ def kloosterman_sums(
     exact int64.  Each cosine is the double a sum over the units would use,
     evaluated once per residue that occurs, and enters as 2^b cos over the
     set bits b of N(k), exactly.  So math.fsum, exactly rounded, returns the
-    per-unit sum's double, whichever ms share c.  |S| <= phi(c).  tables,
+    per-unit sum's double, whichever ms share c, and ms is taken in chunks of
+    COUNT_ENTRIES // c rows (at least one).  |S| <= phi(c).  tables,
     when given, keeps the count tables of the prime powers q with 8 q <= c
     (small, recurring q, in O(c) memory), keyed by q, n mod q and each m mod q.
     """
@@ -115,6 +120,10 @@ def kloosterman_sums(
     if c >= MODULUS_LIMIT:
         raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
     tables = {} if tables is None else tables
+    rows = max(1, COUNT_ENTRIES // c)
+    if len(ms) > rows:
+        chunks = (kloosterman_sums(ms[i:i + rows], n, c, tables) for i in range(0, len(ms), rows))
+        return [s for chunk in chunks for s in chunk]
     counts = np.ones((len(ms), c), dtype=np.int64)
     for p, e in _factorization(c).items():
         q = p**e

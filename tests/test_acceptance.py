@@ -25,7 +25,6 @@ import numpy as np
 from test_constants import even_square_oracle, pnt_segment_oracle
 from test_petersson import tau_coefficients
 
-from symlow.chebyshev import inner_product, cheb_poly
 from symlow.cli import run_identity_suite
 from symlow.constants import (
     c_gamma,
@@ -45,7 +44,6 @@ from symlow.explicit import (
 )
 from symlow.forms import SyntheticForm, fejer_test_function, satake_power_sum, satake_power_sum_routes
 from symlow.petersson import (
-    divisor_count,
     kloosterman,
     old_part_sum,
     old_part_terms,

@@ -4,8 +4,9 @@ Numeric cross-checks integrate against the semicircle weight with scipy;
 everything else is exact integer or Fraction arithmetic, so expected
 residuals are literally zero, not small.  The product routes (the whole
 product p*q weighted by the moments, U_{n-2}^j by ``**``, one bracket per
-chain) live here only, as oracles for the moment-vector, Horner and per-tail
-routes of ``symlow.chebyshev``, and a counted ``ExactPoly.__mul__`` bounds
+chain, one scaled U_j per term of a U-basis sum) live here only, as oracles
+for the moment-vector, Horner, per-tail and coefficient-wise routes of
+``symlow.chebyshev``, and a counted ``ExactPoly.__mul__`` bounds
 the polynomial products of the CLI's identity suite.
 """
 
@@ -24,16 +25,16 @@ from symlow.chebyshev import (
     ONE,
     T,
     ZERO,
-    ChebExpansion,
     ExactPoly,
     _chains,
     catalan,
     chain_decomposition_residual,
+    cheb_coefficients,
     cheb_poly,
+    cheb_sum,
     difference_monomial_coeff,
     difference_monomial_residual,
     inner_product,
-    linearize_power,
     moment_vector,
     monomial_expansion,
     odd_reduction_residual,
@@ -78,7 +79,7 @@ small_polys = st.lists(
 
 class TestExactPoly:
     def test_zero_and_one(self):
-        assert ZERO.is_zero and ZERO.degree == -1
+        assert ZERO.is_zero() and ZERO.degree == -1
         assert ONE[0] == 1 and ONE.degree == 0
         assert T.degree == 1
 
@@ -171,13 +172,14 @@ class TestChebFamily:
 
 class TestLinearization:
     def test_square_of_first(self):
-        x = linearize_power(2, 1)
-        assert x[0] == 1 and x[1] == 0 and x[2] == 1
-        assert x.to_poly() == cheb_poly(1) ** 2
+        x = cheb_coefficients(cheb_poly(1) ** 2)
+        assert x == (1, 0, 1)
+        assert cheb_sum(x) == cheb_poly(1) ** 2
 
     def test_parity_entries_are_exact_zeros(self):
-        x = linearize_power(3, 2)  # indices of the wrong parity vanish
-        for j, coeff in x.coeffs:
+        x = cheb_coefficients(cheb_poly(2) ** 3)  # indices of the wrong parity vanish
+        assert len(x) == 7
+        for j, coeff in enumerate(x):
             if (j - 6) % 2:
                 assert coeff == 0
 
@@ -185,20 +187,21 @@ class TestLinearization:
         # <U_1^w, U_0> = C(w, w/2)/(1 + w/2) for even w
         for w in (2, 4, 6, 8):
             expected = Fraction(math.comb(w, w // 2), 1 + w // 2)
-            assert linearize_power(w, 1)[0] == expected
+            assert cheb_coefficients(cheb_poly(1) ** w)[0] == expected
 
     @pytest.mark.parametrize("varpi", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_reassembly(self, varpi, r):
-        assert linearize_power(varpi, r).to_poly() == cheb_poly(r) ** varpi
+        power = cheb_poly(r) ** varpi
+        assert cheb_sum(cheb_coefficients(power)) == power
 
     def test_expansion_round_trip(self):
         p = cheb_poly(4) * 3 + cheb_poly(1) * Fraction(-7, 2) + ONE
-        exp = ChebExpansion.of(
-            {j: inner_product(p, cheb_poly(j)) for j in range(p.degree + 1)}
-        )
-        assert exp.to_poly() == p
-        assert exp[4] == 3 and exp[1] == Fraction(-7, 2) and exp[0] == 1
+        coeffs = cheb_coefficients(p)
+        assert coeffs == tuple(inner_product(p, cheb_poly(j)) for j in range(p.degree + 1))
+        assert coeffs == (1, Fraction(-7, 2), 0, 0, 3)
+        assert cheb_sum(coeffs) == p
+        assert cheb_coefficients(ZERO) == () and cheb_sum(()) == ZERO
 
 
 class TestIntegerRing:
@@ -225,8 +228,7 @@ class TestIntegerRing:
         for i in range(8):
             for j in range(8):
                 assert type(inner_product(cheb_poly(i), cheb_poly(j))) is int
-        assert all(type(c) is int for _, c in linearize_power(3, 2).coeffs)
-        assert type(linearize_power(3, 2)[99]) is int
+        assert all(type(c) is int for c in cheb_coefficients(cheb_poly(2) ** 3))
         for k0 in range(1, 6):
             assert type(vanishing_chain_sum(k0)) is int
         half = cheb_poly(3) * Fraction(1, 2)
@@ -250,15 +252,15 @@ class TestChainIdentities:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_power_sum_identity(self, n, r):
-        assert power_sum_identity_residual(n, r).is_zero
+        assert power_sum_identity_residual(n, r).is_zero()
 
     @pytest.mark.parametrize("k0", range(1, 9))
     def test_chain_decomposition(self, k0):
-        assert chain_decomposition_residual(k0).is_zero
+        assert chain_decomposition_residual(k0).is_zero()
 
     @pytest.mark.parametrize("big_k", range(1, 9))
     def test_odd_reduction(self, big_k):
-        assert odd_reduction_residual(big_k).is_zero
+        assert odd_reduction_residual(big_k).is_zero()
 
     def test_vanishing_chain_sum(self):
         assert vanishing_chain_sum(1) == 1
@@ -291,7 +293,7 @@ class TestDifferenceCoefficients:
 
     @pytest.mark.parametrize("big_k", list(range(1, 41)))
     def test_identity(self, big_k):
-        assert difference_monomial_residual(big_k).is_zero
+        assert difference_monomial_residual(big_k).is_zero()
 
     def test_row_reassembles_difference(self):
         big_k = 12
@@ -309,6 +311,14 @@ def product_inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
 def product_linearization(varpi: int, r: int, family) -> dict:
     power = family(r) ** varpi
     return {j: product_inner_product(power, family(j)) for j in range(r * varpi + 1)}
+
+
+def sum_by_products(coeffs, family) -> ExactPoly:
+    """sum_j coeffs[j] * U_j by one scalar product and one + per term."""
+    acc = ZERO
+    for j, c in enumerate(coeffs):
+        acc = acc + family(j) * c
+    return acc
 
 
 def pairwise_orthonormality(top: int, family) -> int:
@@ -408,10 +418,12 @@ class TestProductRouteOracles:
     @pytest.mark.parametrize("varpi", range(0, 7))
     @pytest.mark.parametrize("r", range(0, 7))
     def test_linearize_power(self, family, varpi, r):
-        got = linearize_power(varpi, r).as_dict()
+        power = family(r) ** varpi
+        got = cheb_coefficients(power)
         want = product_linearization(varpi, r, family)
-        assert got == want
-        assert all(type(c) is int for c in got.values())
+        assert dict(enumerate(got)) == want
+        assert all(type(c) is int for c in got)
+        assert cheb_sum(got) == sum_by_products(got, family)
 
     @pytest.mark.parametrize("k0", range(1, 11))
     def test_grouped_chain_residual(self, family, k0):
@@ -447,7 +459,8 @@ class TestWorkGuard:
 
     def test_identities_workload(self, products):
         # The benchmark's two identities commands from a cold U cache, as in a
-        # fresh process: 17,494 products by the product routes, 3,721 now.
+        # fresh process: 17,494 products by the product routes, 3,721 through
+        # a per-term expansion wrapper, 1,474 now.
         cheb_poly.cache_clear()
         for argv in (
             ["identities"],
@@ -456,15 +469,12 @@ class TestWorkGuard:
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
-        assert 0 < products[0] <= 7000
+        assert 0 < products[0] <= 2000
 
     def test_linearization_and_orthonormality_products(self, products):
         cheb_poly(64)
+        power = cheb_poly(8) ** 8
         products[0] = 0
-        cheb_poly(8) ** 8
-        power_products, products[0] = products[0], 0
-        linearize_power(8, 8)
-        assert products[0] == power_products
-        products[0] = 0
+        cheb_sum(cheb_coefficients(power))
         orthonormality_residual(40)
         assert products[0] == 0

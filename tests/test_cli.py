@@ -3,6 +3,7 @@ configuration, canonical JSON rendering, byte-identical reruns, the
 tabular escape hatch, and stdout digests recorded in bench/reference.json."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -347,6 +348,69 @@ class TestRecordedDigests:
         assert main(command.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == recorded
+
+
+def numpy_umath():
+    """numpy's compiled core, which lists its CPU targets and features."""
+    try:
+        return importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:  # numpy 1.x
+        return importlib.import_module("numpy.core._multiarray_umath")
+
+
+def avx512_dispatch_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU takes, by numpy's names.
+
+    The names differ across numpy versions (X86_V4 and AVX512_ICL in 2.x,
+    AVX512F and AVX512_SKX in 1.x), and numpy refuses to import with a
+    baseline target disabled, so they are read from numpy itself.
+    """
+    umath = numpy_umath()
+    return [
+        target for target in umath.__cpu_dispatch__
+        if (target.startswith("AVX512") or target == "X86_V4")
+        and umath.__cpu_features__.get(target) and target not in umath.__cpu_baseline__
+    ]
+
+
+class TestCpuDispatch:
+    """The recorded bytes with numpy's AVX-512 loops switched off.
+
+    constants takes np.log and numpy ** over the prime table.  On an AVX-512
+    CPU those differ in the last bit from the C library's log and pow for
+    some primes, and the digests hold only because the differences wash out
+    of the sums; these reruns take the other side of numpy's dispatch.
+    """
+
+    @pytest.fixture
+    def env_extra(self):
+        targets = avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+        return {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+
+    def test_targets_are_switched_off(self, env_extra):
+        proc = run_python("-c", (
+            "import importlib, json; print(json.dumps(importlib.import_module("
+            f"{numpy_umath().__name__!r}).__cpu_features__))"
+        ), env_extra=env_extra)
+        assert proc.returncode == 0, proc.stderr
+        features = json.loads(proc.stdout)
+        assert not any(features[t] for t in env_extra["NPY_DISABLE_CPU_FEATURES"].split())
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
+            "pterms --r 1 --kappa 12 --q 10007 --nu 3/2 --seed 1730",
+            "petersson --m 2 --kappa 12",
+        ],
+    )
+    def test_stdout_digest(self, command, env_extra):
+        proc = run_cli(*command.split(), env_extra=env_extra)
+        assert proc.returncode == 0, proc.stderr
+        recorded = json.loads(REFERENCE.read_text())[command]["sha256"]
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
 
 
 class TestPeterssonCommand:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_chebyu, sici
@@ -34,7 +34,6 @@ from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from symlow.forms import (
     DISTRIBUTIONS,
-    GammaShifts,
     SyntheticForm,
     _BLOCK,
     _HEAD_LEVELS,
@@ -542,16 +541,16 @@ class TestPowerSumRoutes:
 
 class TestGammaShifts:
     def test_frozen_small_cases(self):
-        assert gamma_shifts(1, 12).shifts == (Fraction(11, 2), Fraction(13, 2))
-        assert gamma_shifts(2, 12).shifts == (Fraction(1), Fraction(11), Fraction(12))
-        assert gamma_shifts(2, 4).shifts == (Fraction(1), Fraction(3), Fraction(4))
-        assert gamma_shifts(3, 6).shifts == (
+        assert gamma_shifts(1, 12) == (Fraction(11, 2), Fraction(13, 2))
+        assert gamma_shifts(2, 12) == (Fraction(1), Fraction(11), Fraction(12))
+        assert gamma_shifts(2, 4) == (Fraction(1), Fraction(3), Fraction(4))
+        assert gamma_shifts(3, 6) == (
             Fraction(5, 2),
             Fraction(7, 2),
             Fraction(15, 2),
             Fraction(17, 2),
         )
-        assert gamma_shifts(4, 12).shifts == (
+        assert gamma_shifts(4, 12) == (
             Fraction(0),
             Fraction(11),
             Fraction(12),
@@ -563,24 +562,24 @@ class TestGammaShifts:
         for r in range(1, 13):
             for kappa in (2, 4, 10, 12, 16):
                 gs = gamma_shifts(r, kappa)
-                assert len(gs.shifts) == r + 1
-                assert all(isinstance(s, Fraction) for s in gs.shifts)
-                assert all(s >= 0 for s in gs.shifts)
+                assert len(gs) == r + 1
+                assert all(isinstance(s, Fraction) for s in gs)
+                assert all(s >= 0 for s in gs)
 
     def test_odd_rank_shifts_are_half_integers(self):
         # kappa even makes kappa-1 odd, so every odd-rank shift has exact
         # denominator 2.
         for r in (1, 3, 5, 7, 9):
             for kappa in (2, 4, 12):
-                assert all(s.denominator == 2 for s in gamma_shifts(r, kappa).shifts)
+                assert all(s.denominator == 2 for s in gamma_shifts(r, kappa))
 
     def test_even_rank_leading_parity_shift(self):
         for r in (2, 4, 6, 8):
             for kappa in (2, 4, 12, 16):
-                lead = gamma_shifts(r, kappa).shifts[0]
+                lead = gamma_shifts(r, kappa)[0]
                 expected = 1 if (r * (kappa - 1) // 2) % 2 else 0
                 assert lead == expected
-                assert all(s.denominator == 1 for s in gamma_shifts(r, kappa).shifts)
+                assert all(s.denominator == 1 for s in gamma_shifts(r, kappa))
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -589,8 +588,6 @@ class TestGammaShifts:
             gamma_shifts(2, 11)
         with pytest.raises(ValueError):
             gamma_shifts(2, 0)
-        with pytest.raises(ValueError):
-            GammaShifts(r=2, kappa=12, shifts=(Fraction(1),))
 
 
 def fejer_hat_oracle(nu: float, u: float, cutoff: float = 400.0) -> float:

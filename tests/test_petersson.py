@@ -144,6 +144,31 @@ class TestKloosterman:
         assert kloosterman_sums([], 1, 12) == []
         assert kloosterman_sums([5, 9], 4, 1) == [1.0, 1.0]
 
+    def test_chunks_match_single_calls(self, monkeypatch):
+        # Chunks of 4, 3 and then 1 row of the 11 indices, sharing one dict of
+        # count tables per modulus.
+        monkeypatch.setattr(symlow.petersson, "COUNT_ENTRIES", 50)
+        ms = [0, 1, 2, 7, 3, 7, 997, 10**6, 12, 13, 25]
+        for c in (12, 16, 30, 97, 360):
+            tables: dict = {}
+            for n in (1, 0, 5, -3):
+                chunked = kloosterman_sums(ms, n, c, tables)
+                assert chunked == [kloosterman(m, n, c) for m in ms], (n, c)
+
+    def test_peak_memory_bounded_in_the_indices(self):
+        # 180 indices at a modulus near 4000 hold about 38 MiB in one count
+        # matrix; chunked, the peak is that of 65 rows, about 13 MiB.
+        kloosterman_sums([1], 1, 97)  # first-call state, outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kloosterman_sums(range(1, 181), 1, 4001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_modulus_guard_precedes_allocation(self, monkeypatch):
         # Without numpy in reach, any array built before the guard would
         # fail with something other than ValueError.

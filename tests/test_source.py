@@ -1,7 +1,8 @@
 """Source-level checks on the package: invariants are raised exceptions.
 
 An `assert` statement vanishes under `python -O`, so a check written as one
-would silently stop guarding the numbers.
+would silently stop guarding the numbers.  The unused-import check covers
+the test modules too.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import symlow
 
 SOURCES = sorted(Path(symlow.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_sources_found():
@@ -36,7 +38,7 @@ def test_package_root_imports_nothing():
 
 def test_no_unused_imports():
     found = []
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {
             (alias.asname or alias.name).split(".")[0]: node.lineno
