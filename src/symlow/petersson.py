@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from array import array
 from collections.abc import Sequence
@@ -24,6 +25,8 @@ ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
 _BESSEL_MAX_ARGUMENT = 1e6
 _SERIES_WINDOW_CAP = 14.0
+# exp(x) overflows a double from here on.
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 # Residues m x + n x^-1 with every factor below the modulus, and squares k^2,
 # stay below 2 (c-1)^2, which int64 holds exactly while c < 2**31 (4 n m is
 # reduced with Python ints first).  Tests enumerate count tables up to a prime
@@ -107,13 +110,16 @@ def kloosterman_sums(
     S(m, n; c) = sum over k mod c of N(k) cos(2 pi k / c), where N(k) counts
     the units x with m x + n x^-1 = k mod c (x <-> -x makes the sum real).
     N is the CRT product of _count_table over the prime powers q || c, in
-    exact int64.  Each cosine is the double a sum over the units would use,
-    evaluated once per residue that occurs, and enters as 2^b cos over the
-    set bits b of N(k), exactly.  So math.fsum, exactly rounded, returns the
-    per-unit sum's double, whichever ms share c, and ms is taken in chunks of
-    COUNT_ENTRIES // c rows (at least one).  |S| <= phi(c).  tables,
-    when given, keeps the count tables of the prime powers q with 8 q <= c
-    (small, recurring q, in O(c) memory), keyed by q, n mod q and each m mod q.
+    exact int64: the first table repeated c // q times, the others multiplied
+    in.  Each cosine is the double a sum over the units would use, evaluated
+    once per residue that occurs (for one index, straight from the nonzero
+    entries of its row; for several, once for all rows), and enters as
+    2^b cos over the set bits b of N(k), exactly.  So math.fsum, exactly
+    rounded, returns the per-unit sum's double by either route, whichever ms
+    share c, and ms is taken in chunks of COUNT_ENTRIES // c rows (at least
+    one).  |S| <= phi(c).  tables, when given, keeps the count tables of the
+    prime powers q with 8 q <= c (small, recurring q, in O(c) memory), keyed
+    by q, n mod q and each m mod q.
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
@@ -124,7 +130,9 @@ def kloosterman_sums(
     if len(ms) > rows:
         chunks = (kloosterman_sums(ms[i:i + rows], n, c, tables) for i in range(0, len(ms), rows))
         return [s for chunk in chunks for s in chunk]
-    counts = np.ones((len(ms), c), dtype=np.int64)
+    if c == 1:
+        return [1.0] * len(ms)  # the one unit 0, and cos 0
+    counts = None
     for p, e in _factorization(c).items():
         q = p**e
         key = (q, n % q, *(m % q for m in ms))
@@ -133,7 +141,22 @@ def kloosterman_sums(
             table = _count_table(ms, n, q, p)
             if 8 * q <= c:
                 tables[key] = table
-        counts.reshape(len(ms), c // q, q)[...] *= table[:, None, :]
+        if counts is None:  # the table as is only when c = q, where nothing multiplies into it
+            counts = table if q == c else np.tile(table, c // q)
+        else:
+            counts.reshape(len(ms), c // q, q)[...] *= table[:, None, :]
+    if len(ms) == 1:  # one row: its nonzero entries are the residues that occur
+        ks = np.flatnonzero(counts)
+        terms, weights = _libm(math.cos, (2.0 * math.pi / c) * ks), counts[0, ks]
+        part: list[float] = []
+        while True:
+            low = weights & -weights  # the lowest set bit of each multiplicity
+            part += (terms * low).tolist()
+            weights -= low
+            if not weights.any():
+                return [math.fsum(part)]
+            keep = np.flatnonzero(weights)
+            terms, weights = terms[keep], weights[keep]
     cosines = np.zeros(c)
     ks = np.flatnonzero(counts.sum(axis=0))  # the residues that occur for some m
     cosines[ks] = _libm(math.cos, (2.0 * math.pi / c) * ks)
@@ -269,15 +292,16 @@ class PeterssonTerm:
             raise ValueError("tail estimate must be nonnegative")
 
 
-def _divisor_sum_tail(c_max: int, s: float) -> float:
-    """Rigorous bound for sum over c > c_max of tau(c) c^{-s}, s > 1.
+def _divisor_sum_tail(c_max: int, s: float) -> tuple[float, float]:
+    """c_max^{1-s} and a bracket B whose product bounds the sum over c > c_max
+    of tau(c) c^{-s}, s > 1.
 
     Writing tau(c) as a double sum over factorizations c = d*e and bounding
     each e-tail by its first term plus an integral gives
-    c_max^{1-s} * (1 + zeta(3/2) + (1 + log c_max + zeta(3/2))/(s-1))
-    for every s >= 3/2.
+    B = 1 + zeta(3/2) + (1 + log c_max + zeta(3/2))/(s-1) for every s >= 3/2.
+    The factors come apart so that delta_tail_bound can take their logs.
     """
-    return c_max ** (1.0 - s) * (
+    return c_max ** (1.0 - s), (
         1.0 + ZETA_THREE_HALVES + (1.0 + math.log(c_max) + ZETA_THREE_HALVES) / (s - 1.0)
     )
 
@@ -287,11 +311,24 @@ def delta_tail_bound(m: int, kappa: int, c_max: int) -> float:
 
     |S(m,1;c)|/c <= tau(c) c^{-1/2} and |J_{kappa-1}(y)| <= (y/2)^{kappa-1} /
     (kappa-1)!, giving 2 pi (2 pi sqrt(m))^{kappa-1}/(kappa-1)! times the
-    divisor-sum tail at exponent s = kappa - 1/2.
+    divisor-sum tail at exponent s = kappa - 1/2.  Where a factor leaves
+    the double range (the prefactor overflows or c_max^{1-s} underflows) the
+    product is taken in log space; ValueError where the bound itself does.
     """
     s = kappa - 0.5
     log_pref = (kappa - 1) * math.log(2.0 * math.pi * math.sqrt(m)) - math.lgamma(kappa)
-    return 2.0 * math.pi * math.exp(log_pref) * _divisor_sum_tail(c_max, s)
+    power, bracket = _divisor_sum_tail(c_max, s)
+    if log_pref < _LOG_DOUBLE_MAX and power >= sys.float_info.min:
+        bound = 2.0 * math.pi * math.exp(log_pref) * (power * bracket)
+        if math.isfinite(bound):
+            return bound
+    log_bound = math.log(2.0 * math.pi * bracket) + log_pref + (1.0 - s) * math.log(c_max)
+    if log_bound >= _LOG_DOUBLE_MAX:
+        raise ValueError(
+            f"the tail bound at m={m}, kappa={kappa}, c_max={c_max} is"
+            f" exp({log_bound:.1f}), beyond the double range"
+        )
+    return math.exp(log_bound)
 
 
 def default_c_max(m: int) -> int:

@@ -20,7 +20,7 @@ import symlow.forms
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
 from symlow.constants import primes_up_to
-from symlow.petersson import default_c_max
+from symlow.petersson import default_c_max, delta_tail_bound
 
 from test_forms import scalar_fejer_hat
 
@@ -331,7 +331,9 @@ class TestRecordedDigests:
             "identities",
             "identities --kmax 10 --coeff-kmax 60 --lmax 80 --ortho-max 40 --power-max 8",
             "petersson --m 2 --kappa 12",
+            "petersson --m 971 --kappa 12 --cmax 4000",
             "petersson --m 997 --kappa 12 --cmax 4000",
+            "petersson --m 1019 --kappa 12 --cmax 4000",
             "tau-check --output csv",
             "tau-check --m-list 2,3,4,5,6,7,8,9,10",
             "predict --r 1 --kappa 12 --q 10007 --nu 3/2",
@@ -421,6 +423,25 @@ class TestPeterssonCommand:
         assert doc["term"]["m"] == 2
         assert doc["term"]["c_max"] == 300
         assert doc["term"]["tail_estimate"] >= 0.0
+
+    def test_tail_bound_past_the_double_range(self):
+        # (2 pi sqrt m)^199 / 199! overflows a double; the bound does not.
+        proc = run_cli("petersson", "--m", "1000000", "--kappa", "200", "--cmax", "1000")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        tail = json.loads(proc.stdout)["term"]["tail_estimate"]
+        assert tail == delta_tail_bound(10**6, 200, 1000)
+        assert 1.27e-211 < tail < 1.28e-211
+
+    def test_tail_bound_beyond_the_double_range_is_one_short_line(self):
+        # c_max = 1 is inside the window that warns; the error follows the warning.
+        proc = run_cli("petersson", "--m", "100000000", "--kappa", "200", "--cmax", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("symlow: error:")]
+        assert len(errors) == 1 and len(errors[0]) < 160, proc.stderr
+        assert "beyond the double range" in errors[0]
 
 
 class TestTauCheckCommand:

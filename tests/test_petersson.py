@@ -16,6 +16,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy
 import pytest
 import sympy
@@ -130,6 +131,18 @@ class TestKloosterman:
                     ):
                         split = (m, n, c)
         assert split is not None, "no multiplicity in the grid needs the bit split"
+
+    def test_one_index_route_matches_its_row_in_a_batch(self):
+        # One index takes its own route from its row's nonzero residues; over
+        # every modulus a 4000-modulus sweep reaches, it must give the double
+        # that the many-index route gives the same m.  Each sweep keeps its
+        # own dict of count tables, as petersson_deltas does.
+        singles: dict[int, dict] = {971: {}, 1019: {}}
+        shared: dict = {}
+        for c in range(1, 4001):
+            batch = kloosterman_sums([971, 1019, 2], 1, c, shared)
+            for m, row in zip((971, 1019), batch):
+                assert kloosterman_sums([m], 1, c, singles[m]) == [row], (m, c)
 
     def test_odd_prime_count_tables_match_enumeration(self):
         for p in [*sympy.primerange(3, 2001), sympy.prevprime(2**20)]:
@@ -395,6 +408,28 @@ class TestPeterssonDelta:
         # at weight 12 the bound decays much faster than 2x per doubling
         assert tails[1] <= tails[0] / 2
         assert petersson_delta(1, 1, 12, 100).tail_estimate == tails[0]
+
+    def test_tail_bound_past_the_double_range(self):
+        # At kappa = 200 the prefactor (2 pi sqrt m)^199 / 199! overflows a
+        # double for m = 10^6, and c_max^{1-s} underflows one at kappa = 150,
+        # yet the bound is finite: the same formula at 40 digits.
+        def oracle(m, kappa, c_max):
+            with mpmath.workdps(40):
+                s = mpmath.mpf(kappa) - mpmath.mpf(1) / 2
+                zeta = mpmath.zeta(mpmath.mpf(3) / 2)
+                prefactor = 2 * mpmath.pi * (2 * mpmath.pi * mpmath.sqrt(m)) ** (kappa - 1)
+                bracket = 1 + zeta + (1 + mpmath.log(c_max) + zeta) / (s - 1)
+                return float(prefactor / mpmath.factorial(kappa - 1) * c_max ** (1 - s) * bracket)
+
+        for m, kappa, c_max in ((10**6, 200, 1000), (10**6, 150, 1000), (1, 12, 100), (997, 12, 4000)):
+            assert delta_tail_bound(m, kappa, c_max) == pytest.approx(
+                oracle(m, kappa, c_max), rel=1e-12
+            ), (m, kappa, c_max)
+        assert 1.27e-211 < delta_tail_bound(10**6, 200, 1000) < 1.28e-211
+
+    def test_tail_bound_beyond_the_double_range_is_an_error(self):
+        with pytest.raises(ValueError, match="beyond the double range"):
+            delta_tail_bound(10**8, 200, 1)
 
     def test_warns_inside_nonrigorous_window(self):
         m = 9
