@@ -1,19 +1,19 @@
 """Exact arithmetic for Chebyshev polynomials of the second kind.
 
-Everything in this module runs over exact integers and returns ints where
-the mathematics is integral, with ``Fraction`` only where a caller supplies
-one, in ``eval_exact`` and in ``difference_monomial_coeff``'s factorial
-quotients.  Each identity check returns an exact polynomial residual: the
-empty polynomial means the identity holds, anything else is a genuine
-counterexample.  No floating point enters any computation here.
+Everything in this module is a Python int: polynomial coefficients, moments,
+U-basis coefficients, and the factorial quotients of
+``difference_monomial_coeff``, which divide exactly.  Each identity check
+returns an exact polynomial residual: the empty polynomial means the identity
+holds, anything else is a genuine counterexample.  No floating point and no
+rational number enters any computation here.
 
 Identities that pair polynomials against the weight never form a product
 p*q: ``moment_vector(p, top)`` lists v[k] = <p, T^k> once, and <p, q> is the
 dot product of q's coefficients with it.  ``cheb_coefficients(p)``, the
 projection of p on the U basis, is one moment vector and one such dot
 product per U_j, so a linearization of degree R costs O(R^2) integer
-products instead of R polynomial products; ``inner_product`` and each row of
-``orthonormality_residual`` are the same dot products.  ``cheb_sum`` is the
+products instead of R polynomial products; each row of
+``orthonormality_residual`` is one such projection.  ``cheb_sum`` is the
 inverse, sum_j c_j U_j added coefficient by coefficient.
 
 Normalization: U_n denotes the degree-n Chebyshev polynomial of the second
@@ -27,18 +27,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from fractions import Fraction
 from itertools import zip_longest
-from operator import mul
+from operator import index, mul
 
 
 @dataclasses.dataclass(frozen=True)
 class ExactPoly:
     """Dense univariate polynomial with exact integer coefficients.
 
-    Coefficients stay Python ints, so int polynomials stay int polynomials;
-    a Fraction appears only where a caller supplies one, and any other value
-    is converted exactly by Fraction().
+    Coefficients are Python ints: ``of`` passes each through
+    ``operator.index``, which turns numpy integers into ints and raises
+    TypeError for anything that is not an integer: a float, a rational or a
+    string.
 
     coeffs[i] is the coefficient of T^i where T is the monomial variable
     (T = 2 cos t on the support of the weight).  The zero polynomial is the
@@ -46,11 +46,11 @@ class ExactPoly:
     equality of representations.
     """
 
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
 
     @staticmethod
-    def of(*coeffs: Fraction | int) -> "ExactPoly":
-        return _stripped([c if isinstance(c, int) else Fraction(c) for c in coeffs])
+    def of(*coeffs: int) -> "ExactPoly":
+        return _stripped([index(c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -66,11 +66,8 @@ class ExactPoly:
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return _stripped([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
-    def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "ExactPoly | Fraction | int") -> "ExactPoly":
-        if isinstance(other, (Fraction, int)):
+    def __mul__(self, other: "ExactPoly | int") -> "ExactPoly":
+        if isinstance(other, int):
             if other == 0:
                 return ExactPoly(())
             return ExactPoly(tuple(c * other for c in self.coeffs))
@@ -99,20 +96,9 @@ class ExactPoly:
             n >>= 1
         return result
 
-    def __getitem__(self, i: int) -> int | Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def eval_exact(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def _stripped(cs: list) -> ExactPoly:
-    """The polynomial of an int/Fraction coefficient list, trailing zeros dropped."""
+    """The polynomial of an int coefficient list, trailing zeros dropped."""
     while cs and cs[-1] == 0:
         cs.pop()
     return ExactPoly(tuple(cs))
@@ -147,7 +133,7 @@ def semicircle_moment(k: int) -> int:
     return 0 if k % 2 else catalan(k // 2)
 
 
-def moment_vector(p: ExactPoly, top: int) -> list[int | Fraction]:
+def moment_vector(p: ExactPoly, top: int) -> list[int]:
     """v[k] = <p, T^k> = sum_i p_i * semicircle_moment(i + k) for 0 <= k <= top.
 
     Terms with i + k odd carry a zero moment and are skipped.  <p, q> is then
@@ -157,41 +143,25 @@ def moment_vector(p: ExactPoly, top: int) -> list[int | Fraction]:
     return [sum(map(mul, p.coeffs[k % 2::2], moments[k + k % 2::2])) for k in range(top + 1)]
 
 
-def inner_product(p: ExactPoly, q: ExactPoly) -> int | Fraction:
-    """(1/pi) integral over [-2,2] of p*q*sqrt(1-x^2/4), exactly.
-
-    Computed through the moment sequence (odd moments vanish, even moment 2m
-    is Catalan(m)) as q's coefficients against p's moment vector; no
-    quadrature anywhere.  The moments are integers, so the result is an int
-    for integer polynomials (and 0 when either is zero) and a Fraction when
-    a coefficient is one.
-    """
-    if p.is_zero() or q.is_zero():
-        return 0
-    value = sum(map(mul, q.coeffs, moment_vector(p, q.degree)))
-    return value if all(isinstance(c, int) for c in p.coeffs + q.coeffs) else Fraction(value)
-
-
-def cheb_coefficients(p: ExactPoly) -> tuple[int | Fraction, ...]:
+def cheb_coefficients(p: ExactPoly) -> tuple[int, ...]:
     """p's coefficients in the U basis: c_j = <p, U_j> for 0 <= j <= deg p.
 
     p's moment vector is built once and each c_j is U_j's coefficients
-    against it, with no polynomial product.  Ints for an integer p.  The
-    entries of the wrong parity of a power U_r^varpi (j not congruent to
-    r*varpi mod 2) are exact zeros and stay in the tuple, so callers can
-    check the vanishing.
+    against it, with no polynomial product.  The entries of the wrong parity
+    of a power U_r^varpi (j not congruent to r*varpi mod 2) are exact zeros
+    and stay in the tuple, so callers can check the vanishing.
     """
     moments = moment_vector(p, p.degree)
     return tuple(sum(map(mul, cheb_poly(j).coeffs, moments)) for j in range(p.degree + 1))
 
 
-def cheb_sum(coeffs: tuple[int | Fraction, ...]) -> ExactPoly:
+def cheb_sum(coeffs: tuple[int, ...]) -> ExactPoly:
     """sum_j coeffs[j] * U_j, the inverse of cheb_coefficients.
 
     U_j has degree j, so the sum is added coefficient by coefficient into
     one list, with no polynomial per term.
     """
-    out: list[int | Fraction] = [0] * len(coeffs)
+    out = [0] * len(coeffs)
     for j, c in enumerate(coeffs):
         if c:
             for i, u in enumerate(cheb_poly(j).coeffs):
@@ -304,8 +274,12 @@ def vanishing_chain_sum(k0: int) -> int:
     return sum(sign * weight * tail * catalan(tail) for sign, weight, tail in _chains(k0))
 
 
-def difference_monomial_coeff(big_k: int, k: int) -> Fraction:
-    """Coefficient of T^k in U_K - U_{K-2}, by the closed binomial formulas.
+def difference_monomial_coeff(big_k: int, k: int) -> int:
+    """Coefficient of T^k in U_K - U_{K-2}, by the closed factorial formulas.
+
+    Each quotient is an integer and is taken with exact ``//``; the identity
+    suite compares every coefficient with ``cheb_poly``, so a wrong quotient
+    shows as a nonzero residual.
 
     Conventions: the (0,0) coefficient is 0, and entries with k of the wrong
     parity (k = K+1 mod 2) vanish.  Rejects k outside 0..K.
@@ -314,28 +288,24 @@ def difference_monomial_coeff(big_k: int, k: int) -> Fraction:
         raise ValueError("indices must be nonnegative")
     if k > big_k:
         raise ValueError("monomial degree exceeds the basis index")
-    if (k - big_k) % 2:
-        return Fraction(0)
-    if big_k == 0:
-        return Fraction(0)
+    if (k - big_k) % 2 or big_k == 0:
+        return 0
     if big_k % 2 == 0:
         half_k = big_k // 2
         if k == 0:
-            return Fraction(2 * (-1) ** half_k)
+            return 2 * (-1) ** half_k
         ell = k // 2
         num = 2 * (-1) ** (half_k + ell) * half_k * math.factorial(half_k + ell - 1)
-        return Fraction(num, math.factorial(2 * ell) * math.factorial(half_k - ell))
+        return num // (math.factorial(2 * ell) * math.factorial(half_k - ell))
     half_k = (big_k - 1) // 2
     ell = (k - 1) // 2
     num = (-1) ** (half_k + ell) * (2 * half_k + 1) * math.factorial(half_k + ell)
-    return Fraction(num, math.factorial(2 * ell + 1) * math.factorial(half_k - ell))
+    return num // (math.factorial(2 * ell + 1) * math.factorial(half_k - ell))
 
 
 def difference_monomial_residual(big_k: int) -> ExactPoly:
     """Residual of sum_k coeff(K,k) T^k = U_K - U_{K-2}; zero iff it holds (K >= 1)."""
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    coeffs = [
-        difference_monomial_coeff(big_k, k) for k in range(big_k + 1)
-    ]
-    return ExactPoly.of(*coeffs) - (cheb_poly(big_k) - cheb_poly(big_k - 2))
+    coeffs = [difference_monomial_coeff(big_k, k) for k in range(big_k + 1)]
+    return _stripped(coeffs) - (cheb_poly(big_k) - cheb_poly(big_k - 2))

@@ -82,11 +82,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _double_range(value: int | Fraction) -> None:
+    """Reject a number beyond the double range: every command takes floats of its input."""
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError("beyond the double range") from exc
+
+
 def _fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    _double_range(value)
     return value
 
 
@@ -97,6 +106,7 @@ def _positive(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    _double_range(value)
     return value
 
 
@@ -166,26 +176,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _max_residual(polys: Sequence[ExactPoly]) -> int | Fraction:
+def _max_residual(polys: Sequence[ExactPoly]) -> int:
     """Largest coefficient magnitude over the residual polynomials."""
     return max((abs(c) for p in polys for c in p.coeffs), default=0)
 
 
 def run_identity_suite(
-    kmax: int = 8,
-    coeff_kmax: int = 40,
-    lmax: int = 60,
-    ortho_max: int = 30,
-    power_max: int = 6,
+    kmax: int, coeff_kmax: int, lmax: int, ortho_max: int, power_max: int
 ) -> tuple[list[dict[str, Any]], list[str]]:
     """Exact residuals of every polynomial identity; failures are nonzero ones.
 
-    ``record`` reports each residual as a Fraction, int or not, so it renders
-    as a quoted "p/q" string: "0" when the identity holds.
+    The bounds are the identities command's options, whose defaults
+    ``build_parser`` holds.  ``record`` wraps each int residual in a Fraction,
+    so it renders as a quoted exact string: "0" when the identity holds.
     """
     checks: list[dict[str, Any]] = []
 
-    def record(name: str, cases: int, residual: int | Fraction) -> None:
+    def record(name: str, cases: int, residual: int) -> None:
         checks.append({"name": name, "cases": cases, "max_residual": Fraction(residual)})
 
     record(

@@ -412,11 +412,6 @@ def c_gamma_from_shifts(r: int, kappa: int) -> float:
     )
 
 
-def c_infty(r: int, kappa: int) -> float:
-    """-(r+1) log pi + c_gamma(r, kappa), composed literally."""
-    return -(r + 1) * math.log(math.pi) + c_gamma(r, kappa)
-
-
 def nu_max(r: int, kappa: int, theta0: Fraction | int | float = Fraction(7, 64)) -> Fraction:
     """Exact admissible support radius (1 - 1/(2(kappa - 2 theta0))) * 2/r^2.
 

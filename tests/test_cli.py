@@ -494,11 +494,18 @@ class TestUsageErrors:
             ("petersson", "--m", "2", "--kappa", "12", "--cmax", "0"),
             ("identities", "--threads", "0"),
             ("no-such-command",),
+            # Numbers beyond the double range are rejected where they enter.
+            ("petersson", "--m", "1" + "0" * 400, "--kappa", "12", "--cmax", "10"),
+            ("petersson", "--m", "2", "--kappa", "1" + "0" * 400, "--cmax", "10"),
+            ("constants", "--r", "1", "--kappa", "1" + "0" * 400),
+            ("pterms", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "1e400"),
+            ("predict", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "1e400"),
         ],
     )
     def test_exit_one(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr, (args, proc.stderr)
 
 
 class TestBareImport:

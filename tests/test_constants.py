@@ -25,7 +25,6 @@ from symlow.constants import (
     SIEVE_CAP_ENV,
     c_gamma,
     c_gamma_from_shifts,
-    c_infty,
     c_pnt,
     _even_quotient,
     _prime_logs,
@@ -388,10 +387,6 @@ class TestArchimedeanConstants:
             )
         assert abs(c_gamma(1, 12) - want_1) < 1e-12
         assert abs(c_gamma(2, 12) - want_2) < 1e-12
-
-    def test_c_infty_composition(self):
-        for r, kappa in ((1, 12), (2, 12), (3, 4), (6, 16)):
-            assert c_infty(r, kappa) == -(r + 1) * math.log(math.pi) + c_gamma(r, kappa)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
