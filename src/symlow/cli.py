@@ -41,6 +41,7 @@ from .petersson import (
 )
 
 DEFAULT_SEED = 1729
+_TAU_KAPPA = 12  # RAMANUJAN_TAU holds the coefficients of Delta, weight 12, level 1
 
 
 def render_json(value: Any, indent: int = 0) -> str:
@@ -90,20 +91,32 @@ def _double_range(value: int | Fraction) -> None:
         raise argparse.ArgumentTypeError("beyond the double range") from exc
 
 
+def _unparsed(kind: str, text: str) -> argparse.ArgumentTypeError:
+    """The error for text that does not parse, not echoed past Python's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        return argparse.ArgumentTypeError(f"longer than the {limit}-digit limit for numbers")
+    return argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+
+
 def _fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise _unparsed("a rational number", text) from exc
     _double_range(value)
     return value
 
 
-def _positive(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise _unparsed("an integer", text) from exc
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     _double_range(value)
@@ -113,12 +126,6 @@ def _positive(text: str) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="symlow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser, tabular: bool = False) -> None:
-        p.add_argument("--threads", type=_positive, default=1,
-                       help="parallelism cap (reserved; evaluation is single-threaded)")
-        choices = ["json", "csv"] if tabular else ["json"]
-        p.add_argument("--output", choices=choices, default="json")
 
     p = sub.add_parser("identities", help="run the exact identity suite")
     p.add_argument("--kmax", type=_positive, default=8,
@@ -131,14 +138,12 @@ def build_parser() -> _Parser:
                    help="bound for the orthonormality table")
     p.add_argument("--power-max", type=_positive, default=6,
                    help="bound for the linearization reassembly")
-    common(p)
 
     p = sub.add_parser("constants", help="compute the expansion constants")
     p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--cutoff", type=_positive, default=None,
                    help="prime cutoff applied to both sieved constants")
-    common(p)
 
     p = sub.add_parser("predict", help="assemble the density prediction")
     p.add_argument("--r", type=_positive, required=True)
@@ -147,7 +152,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=_fraction, required=True)
     p.add_argument("--phi", choices=["fejer"], default="fejer")
     p.add_argument("--cutoff", type=_positive, default=None)
-    common(p)
 
     p = sub.add_parser("pterms", help="evaluate the prime sums on a synthetic form")
     p.add_argument("--r", type=_positive, required=True)
@@ -155,24 +159,21 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=_positive, required=True)
     p.add_argument("--nu", type=_fraction, required=True)
     p.add_argument("--phi", choices=["fejer"], default="fejer")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--dist", choices=list(DISTRIBUTIONS), default="sato-tate")
-    p.add_argument("--eps", type=int, choices=[1, -1], default=1)
-    common(p)
+    p.add_argument("--eps", type=_integer, choices=[1, -1], default=1)
 
     p = sub.add_parser("petersson", help="truncated diagonal term with tail bound")
     p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--k", type=_positive, default=1)
     p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--cmax", type=_positive, default=None)
-    common(p)
 
     p = sub.add_parser("tau-check", help="weight-12 coefficient comparison table")
-    p.add_argument("--kappa", type=_positive, default=12)
     p.add_argument("--m-list", default="2,3,4,5",
                    help="comma-separated indices, each between 2 and 10")
     p.add_argument("--cmax", type=_positive, default=None)
-    common(p, tabular=True)
+    p.add_argument("--output", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -250,13 +251,14 @@ def run_identity_suite(
 def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
     """The parsed arguments in option order, with resolved values overlaid.
 
-    Subcommands without --seed report DEFAULT_SEED just before the common
-    --threads/--output options.
+    Every block reports ``seed``, DEFAULT_SEED after the options where there
+    is no --seed, and ends with ``threads``, always 1 (evaluation is
+    single-threaded), and ``output``, json unless tau-check's --output says
+    csv.  No option sets threads, and only tau-check's sets output.
     """
     config = {**vars(args), **resolved}
-    if "seed" not in config:
-        common = {key: config.pop(key) for key in ("threads", "output")}
-        config.update(seed=DEFAULT_SEED, **common)
+    config.setdefault("seed", DEFAULT_SEED)
+    config.update(threads=1, output=config.pop("output", "json"))
     return config
 
 
@@ -285,11 +287,8 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
-    report = density_prediction(
-        args.r, args.kappa, args.q,
-        fejer_test_function(args.nu),
-        constants=_bundle_for(args.r, args.kappa, args.cutoff),
-    )
+    bundle = _bundle_for(args.r, args.kappa, args.cutoff)
+    report = density_prediction(args.q, fejer_test_function(args.nu), bundle)
     doc = {"config": _config(args), "report": dataclasses.asdict(report)}
     return 0, render_json(doc)
 
@@ -314,13 +313,13 @@ def _cmd_petersson(args: argparse.Namespace) -> tuple[int, str]:
     return 0, render_json(doc)
 
 
-def _tau_rows(m_values: list[int], kappa: int, c_max: int | None) -> list[dict[str, Any]]:
-    base, *terms = petersson_deltas([1, *m_values], 1, kappa, c_max)
+def _tau_rows(m_values: list[int], c_max: int | None) -> list[dict[str, Any]]:
+    base, *terms = petersson_deltas([1, *m_values], 1, _TAU_KAPPA, c_max)
     denom = max(abs(base.value) - base.tail_estimate, 1e-300)
     rows = []
     for m, term in zip(m_values, terms):
         ratio = term.value / base.value
-        target = RAMANUJAN_TAU[m] / m ** ((kappa - 1) / 2.0)
+        target = RAMANUJAN_TAU[m] / m ** ((_TAU_KAPPA - 1) / 2.0)
         tail = (term.tail_estimate + abs(ratio) * base.tail_estimate) / denom
         rows.append(
             {
@@ -335,19 +334,18 @@ def _tau_rows(m_values: list[int], kappa: int, c_max: int | None) -> list[dict[s
 
 
 def _cmd_tau_check(args: argparse.Namespace) -> tuple[int, str]:
-    if args.kappa != 12:
-        raise ValueError("the coefficient table is defined for weight 12, level 1 only")
     try:
-        m_values = [int(piece) for piece in args.m_list.split(",") if piece.strip()]
-    except ValueError as exc:
-        raise ValueError(f"--m-list must be comma-separated integers: {args.m_list!r}") from exc
+        m_values = [_integer(piece) for piece in args.m_list.split(",") if piece.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--m-list: {exc}") from exc
     if not m_values:
         raise ValueError("--m-list must name at least one index")
     for m in m_values:
         if m not in RAMANUJAN_TAU or m == 1:
             raise ValueError(f"index {m} is outside the frozen table range 2..10")
-    config = _config(args, m_list=",".join(str(m) for m in m_values))
-    rows = _tau_rows(m_values, args.kappa, args.cmax)
+    config = {"command": args.command, "kappa": _TAU_KAPPA,
+              **_config(args, m_list=",".join(str(m) for m in m_values))}
+    rows = _tau_rows(m_values, args.cmax)
     if args.output == "csv":
         lines = [f"# {key}={value}" for key, value in config.items()]
         lines.append("m,ratio,target,abs_diff,tail_bound")

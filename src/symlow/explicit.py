@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .constants import ConstantsBundle, check_sieve_bound, compute_constants, nu_max, primes_up_to
+from .constants import ConstantsBundle, check_sieve_bound, nu_max, primes_up_to
 from .forms import (
     SyntheticForm,
     TestFunction,
@@ -64,15 +64,10 @@ class ExpansionReport:
     constants: ConstantsBundle
 
 
-def density_prediction(
-    r: int,
-    kappa: int,
-    q: int,
-    phi: TestFunction,
-    constants: ConstantsBundle | None = None,
-) -> ExpansionReport:
+def density_prediction(q: int, phi: TestFunction, constants: ConstantsBundle) -> ExpansionReport:
     """Main term plus the 1/log(q^r) correction for the given window.
 
+    r and kappa are those the constants bundle was computed for.
     main = hat(0) + (-1)^{r+1} * window(0)/2 and the correction coefficient is
     c_infty - 2(-1)^r c_pnt - 2[r even] c.  The same coefficient written with
     the sign folded the other way, c_infty + 2(-1)^{r+1} c_pnt - 2[r even] c,
@@ -81,11 +76,7 @@ def density_prediction(
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
-    if constants is None:
-        constants = compute_constants(r, kappa)
-    elif (constants.r, constants.kappa) != (r, kappa):
-        raise ValueError("constants bundle was computed for different (r, kappa)")
-
+    r, kappa = constants.r, constants.kappa
     limit = nu_max(r, kappa)
     nu_exact = phi.nu_exact
     admissible = nu_exact < limit

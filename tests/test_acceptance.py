@@ -201,7 +201,7 @@ def test_criterion_08_expansion_coefficient_forms():
         bundle = compute_constants(r, 12, pnt_cutoff=10**4, c_cutoff=10**4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = density_prediction(r, 12, 11, fejer_test_function(Fraction(1, 4)), bundle)
+            report = density_prediction(11, fejer_test_function(Fraction(1, 4)), bundle)
         # the two sign conventions, recomputed here from the bundle
         sign = 1.0 if r % 2 else -1.0
         c_term = 0.0 if r % 2 else -2.0 * bundle.c_value
@@ -218,10 +218,8 @@ def test_criterion_08_expansion_coefficient_forms():
     bundle = compute_constants(1, 12, pnt_cutoff=10**4, c_cutoff=10**4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        at_limit = density_prediction(1, 12, 11, fejer_test_function(limit), bundle)
-        below = density_prediction(
-            1, 12, 11, fejer_test_function(limit - Fraction(1, 10**9)), bundle
-        )
+        at_limit = density_prediction(11, fejer_test_function(limit), bundle)
+        below = density_prediction(11, fejer_test_function(limit - Fraction(1, 10**9)), bundle)
     flip_ok = (not at_limit.admissible) and below.admissible
     detail = (
         f"dual coefficient forms bit-identical for r<=6 (last={worst_report.lower_coefficient!r}), "

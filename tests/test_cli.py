@@ -480,6 +480,9 @@ class TestTauCheckCommand:
             assert proc.returncode == 1, bad
 
 
+HUGE = "1" + "0" * 5000  # past the 4,300-digit limit of int(str)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -489,7 +492,7 @@ class TestUsageErrors:
             ("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "abc"),
             ("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/0"),
             ("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "0.5",
-             "--output", "csv"),  # csv is tabular-only
+             "--output", "csv"),  # only tau-check has --output
             ("petersson", "--m", "0", "--kappa", "12"),
             ("petersson", "--m", "2", "--kappa", "12", "--cmax", "0"),
             ("identities", "--threads", "0"),
@@ -500,12 +503,37 @@ class TestUsageErrors:
             ("constants", "--r", "1", "--kappa", "1" + "0" * 400),
             ("pterms", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "1e400"),
             ("predict", "--r", "1", "--kappa", "12", "--q", "10007", "--nu", "1e400"),
+            # Options that set nothing are not options: the config block
+            # reports threads 1, output json and tau-check's weight 12 itself.
+            ("identities", "--threads", "1"),
+            ("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/2", "--output", "json"),
+            ("tau-check", "--kappa", "12"),
         ],
     )
     def test_exit_one(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("petersson", "--m", HUGE, "--kappa", "12"),
+            ("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", HUGE),
+            ("pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/2", "--seed", HUGE),
+            ("tau-check", "--m-list", "2," + HUGE),
+        ],
+    )
+    def test_number_past_the_digit_limit_is_one_short_line(self, args):
+        # A number past Python's int digit limit is refused where it enters,
+        # naming the limit and not echoing the 5,001 characters back.
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if ": error:" in line]
+        assert len(errors) == 1 and len(errors[0]) < 160, proc.stderr
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in errors[0]
+        assert "0" * 100 not in proc.stderr
 
 
 class TestBareImport:

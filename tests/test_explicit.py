@@ -60,16 +60,16 @@ def make_form(q=11, seed=1729, kappa=12, eps_f=1, distribution="sato-tate"):
 
 class TestDensityPrediction:
     def test_main_term_first_power(self):
-        report = density_prediction(1, 12, 11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
+        report = density_prediction(11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
         assert report.main_term == 1.25  # hat(0) + window(0)/2 = 1 + 0.25
 
     def test_main_term_second_power(self):
-        report = density_prediction(2, 12, 11, fejer_test_function(0.25), SMALL_BUNDLES[(2, 12)])
+        report = density_prediction(11, fejer_test_function(0.25), SMALL_BUNDLES[(2, 12)])
         assert report.main_term == 1.0 - 0.125
 
     def test_breakdown_keys_and_terms(self):
         bundle = SMALL_BUNDLES[(1, 12)]
-        report = density_prediction(1, 12, 11, fejer_test_function(0.5), bundle)
+        report = density_prediction(11, fejer_test_function(0.5), bundle)
         assert set(report.breakdown) == {
             "phi_hat_zero",
             "phi_zero",
@@ -83,13 +83,13 @@ class TestDensityPrediction:
 
     def test_even_rank_terms(self):
         bundle = SMALL_BUNDLES[(2, 12)]
-        report = density_prediction(2, 12, 11, fejer_test_function(0.25), bundle)
+        report = density_prediction(11, fejer_test_function(0.25), bundle)
         assert report.breakdown["c_term"] == -2.0 * bundle.c_value
         assert report.breakdown["c_pnt_term"] == -2.0 * bundle.c_pnt_value
 
     def test_lower_term_assembly(self):
         bundle = SMALL_BUNDLES[(3, 12)]
-        report = density_prediction(3, 12, 13, fejer_test_function(0.125), bundle)
+        report = density_prediction(13, fejer_test_function(0.125), bundle)
         assert report.scale == 3 * math.log(13)
         assert report.lower_term == report.lower_coefficient * report.breakdown[
             "phi_hat_zero"
@@ -99,7 +99,7 @@ class TestDensityPrediction:
         )
 
     def test_remainder_marker(self):
-        report = density_prediction(1, 12, 11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
+        report = density_prediction(11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
         assert report.remainder == REMAINDER_MARKER == "O(1/log^3(q^r))"
 
     def test_admissibility_boundary(self):
@@ -107,18 +107,18 @@ class TestDensityPrediction:
         bundle = SMALL_BUNDLES[(1, 12)]
         # Exactly at the limit: not admissible (strict inequality), warns.
         with pytest.warns(UserWarning):
-            at = density_prediction(1, 12, 11, fejer_test_function(limit), bundle)
+            at = density_prediction(11, fejer_test_function(limit), bundle)
         assert not at.admissible
         # One part in 10^6 below: admissible, silent.
         just_under = limit * Fraction(999999, 1000000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            under = density_prediction(1, 12, 11, fejer_test_function(just_under), bundle)
+            under = density_prediction(11, fejer_test_function(just_under), bundle)
         assert under.admissible
         assert under.nu_limit == limit
 
     def test_as_dict_round_trip_fields(self):
-        report = density_prediction(1, 12, 11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
+        report = density_prediction(11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
         doc = dataclasses.asdict(report)
         assert doc["main_term"] == report.main_term
         assert doc["constants"]["c_pnt_value"] == report.constants.c_pnt_value
@@ -129,13 +129,11 @@ class TestDensityPrediction:
         # disagree; the check is a raised error, so it survives python -O.
         bundle = dataclasses.replace(SMALL_BUNDLES[(1, 12)], c_pnt_value=float("nan"))
         with pytest.raises(ArithmeticError):
-            density_prediction(1, 12, 11, fejer_test_function(0.5), bundle)
+            density_prediction(11, fejer_test_function(0.5), bundle)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            density_prediction(1, 12, 12, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
-        with pytest.raises(ValueError):
-            density_prediction(2, 12, 11, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
+            density_prediction(12, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])
 
 
 class TestFirstPowerSum:
