@@ -83,12 +83,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Every command takes floats of its input, so a number no double holds is refused.
+_OUTSIDE_DOUBLES = "outside the double range (4.9e-324 to 1.8e308 in magnitude)"
+
+
 def _double_range(value: int | Fraction) -> None:
-    """Reject a number beyond the double range: every command takes floats of its input."""
+    """Reject a number too large for a double."""
     try:
         float(value)
     except OverflowError as exc:
-        raise argparse.ArgumentTypeError("beyond the double range") from exc
+        raise argparse.ArgumentTypeError(_OUTSIDE_DOUBLES) from exc
 
 
 def _unparsed(kind: str, text: str) -> argparse.ArgumentTypeError:
@@ -100,11 +104,22 @@ def _unparsed(kind: str, text: str) -> argparse.ArgumentTypeError:
 
 
 def _fraction(text: str) -> Fraction:
+    """The exact rational number that text writes, "p/q" or a decimal.
+
+    Fraction() multiplies out a decimal exponent, in time that grows with its
+    value, while float() rounds a decimal in time linear in its length.  So a
+    decimal that rounds to 0 or infinity reaches Fraction() without its
+    exponent: if those digits are 0, so is the number, and otherwise no
+    double holds it.  A nonzero "p/q" that rounds to 0 is refused as well.
+    """
     try:
-        value = Fraction(text)
+        whole = "/" in text or 0.0 < abs(float(text)) < math.inf
+        value = Fraction(text if whole else text.lower().partition("e")[0])
     except (ValueError, ZeroDivisionError) as exc:
         raise _unparsed("a rational number", text) from exc
     _double_range(value)
+    if value and not (whole and float(value)):
+        raise argparse.ArgumentTypeError(_OUTSIDE_DOUBLES)
     return value
 
 
@@ -270,14 +285,8 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[int, str]:
     return (2 if failures else 0), render_json(doc)
 
 
-def _bundle_for(r: int, kappa: int, cutoff: int | None):
-    if cutoff is None:
-        return compute_constants(r, kappa)
-    return compute_constants(r, kappa, pnt_cutoff=cutoff, c_cutoff=cutoff)
-
-
 def _cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
-    bundle = _bundle_for(args.r, args.kappa, args.cutoff)
+    bundle = compute_constants(args.r, args.kappa, args.cutoff)
     doc = {
         "config": _config(args),
         "bundle": dataclasses.asdict(bundle),
@@ -287,16 +296,17 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
-    bundle = _bundle_for(args.r, args.kappa, args.cutoff)
+    bundle = compute_constants(args.r, args.kappa, args.cutoff)
     report = density_prediction(args.q, fejer_test_function(args.nu), bundle)
     doc = {"config": _config(args), "report": dataclasses.asdict(report)}
     return 0, render_json(doc)
 
 
 def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
-    form = SyntheticForm(
-        kappa=args.kappa, q=args.q, eps_f=args.eps, seed=args.seed, distribution=args.dist
-    )
+    # The weight and the sign reach no number of the document, only its config.
+    if args.kappa % 2:
+        raise ValueError("weight must be an even integer >= 2")
+    form = SyntheticForm(args.q, args.seed, args.dist)
     phi = fejer_test_function(args.nu)
     doc = {
         "config": _config(args),

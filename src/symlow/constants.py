@@ -412,22 +412,23 @@ def c_gamma_from_shifts(r: int, kappa: int) -> float:
     )
 
 
-def nu_max(r: int, kappa: int, theta0: Fraction | int | float = Fraction(7, 64)) -> Fraction:
-    """Exact admissible support radius (1 - 1/(2(kappa - 2 theta0))) * 2/r^2.
+# Kim and Sarnak's bound toward Ramanujan (J. Amer. Math. Soc. 16, 2003):
+# every Satake parameter of a cusp form on GL(2) has |alpha_p| <= p^THETA0.
+THETA0 = Fraction(7, 64)
 
-    theta0 defaults to the current best bound toward the Ramanujan direction;
-    theta0 = 0 gives the expected-case value.  Rejects parameters that make
-    the bracket nonpositive (kappa - 2 theta0 must exceed 1/2).
+
+def nu_max(r: int, kappa: int) -> Fraction:
+    """Exact admissible support radius (1 - 1/(2(kappa - 2 THETA0))) * 2/r^2.
+
+    THETA0 is the best bound known toward the Ramanujan conjecture, which
+    would give THETA0 = 0.  The bracket is positive for every weight kappa
+    >= 2: kappa - 2 THETA0 >= 57/32 exceeds 1/2.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if kappa < 2 or kappa % 2:
         raise ValueError("weight must be an even integer >= 2")
-    theta0 = Fraction(theta0)
-    gap = kappa - 2 * theta0
-    if gap <= Fraction(1, 2):
-        raise ValueError("kappa - 2*theta0 must exceed 1/2")
-    return (1 - Fraction(1, 2) / gap) * Fraction(2, r * r)
+    return (1 - Fraction(1, 2) / (kappa - 2 * THETA0)) * Fraction(2, r * r)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -451,12 +452,14 @@ class ConstantsBundle:
             raise ValueError("c_infty must be composed from c_gamma exactly")
 
 
-def compute_constants(
-    r: int,
-    kappa: int,
-    pnt_cutoff: int = DEFAULT_PNT_CUTOFF,
-    c_cutoff: int = DEFAULT_C_CUTOFF,
-) -> ConstantsBundle:
+def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> ConstantsBundle:
+    """The constants at (r, kappa), both sieved at cutoff, from one prime table.
+
+    cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
+    the even-power constant at DEFAULT_C_CUTOFF, both read from the one
+    table sieved to the larger.
+    """
+    pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
     table = _prime_logs(max(pnt_cutoff, c_cutoff))
     pnt_value, pnt_unc = c_pnt(pnt_cutoff, table)
     c_value, c_tail = c_sym_even(c_cutoff, table)

@@ -1,7 +1,7 @@
 """Synthetic local data for a holomorphic form and its symmetric powers.
 
-A SyntheticForm carries weight, prime level, a sign input, and a seeded,
-reproducible map prime -> Satake angle in [0, pi].  Angles are derived from
+A SyntheticForm carries a prime level and a seeded, reproducible map
+prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
 distribution, so the same (seed, distribution) pair yields bit-identical
 angles on every platform.  The Sato-Tate bisection takes its first 12 steps
@@ -263,30 +263,28 @@ def _angle_batch(seed: int, distribution: str, size: int, digest: bytes) -> list
     A batch is keyed by its primes' count and the BLAKE2b digest of their
     int64 bytes, so a cached batch keeps its read-only angles and not a copy
     of its primes.  A few whole batches are kept, so a walk repeated in the
-    same process (the same form with another sign eps_f, or its flip) draws
-    nothing.
+    same process (the same form again, or its flip) draws nothing.
     """
     return []
 
 
 @dataclasses.dataclass(frozen=True)
 class SyntheticForm:
-    """Seeded stand-in for a newform: weight kappa, prime level q, sign eps_f."""
+    """Seeded stand-in for a newform of prime level q: its Satake angles.
 
-    kappa: int
+    The prime sums read nothing of a form but its angles, so it carries no
+    weight and no root number; pterms checks and reports its --kappa and
+    --eps itself.  flip reflects every angle t -> pi - t.
+    """
+
     q: int
-    eps_f: int
     seed: int
     distribution: str = "sato-tate"
     flip: bool = False
 
     def __post_init__(self) -> None:
-        if self.kappa < 2 or self.kappa % 2:
-            raise ValueError("weight must be an even integer >= 2")
         if not is_prime(self.q):
             raise ValueError(f"level {self.q} is not prime")
-        if self.eps_f not in (-1, 1):
-            raise ValueError("eps_f must be +1 or -1")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
 

@@ -198,7 +198,7 @@ def test_criterion_07_weil_bound_sweep():
 def test_criterion_08_expansion_coefficient_forms():
     worst_report = None
     for r in range(1, 7):
-        bundle = compute_constants(r, 12, pnt_cutoff=10**4, c_cutoff=10**4)
+        bundle = compute_constants(r, 12, 10**4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = density_prediction(11, fejer_test_function(Fraction(1, 4)), bundle)
@@ -215,7 +215,7 @@ def test_criterion_08_expansion_coefficient_forms():
         worst_report = report
 
     limit = nu_max(1, 12)
-    bundle = compute_constants(1, 12, pnt_cutoff=10**4, c_cutoff=10**4)
+    bundle = compute_constants(1, 12, 10**4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         at_limit = density_prediction(11, fejer_test_function(limit), bundle)
@@ -230,7 +230,7 @@ def test_criterion_08_expansion_coefficient_forms():
 
 
 def test_criterion_09_prime_sum_properties():
-    form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=1729)
+    form = SyntheticForm(q=11, seed=1729)
     tiny = fejer_test_function(0.1)  # support below the first prime
     empty = prime_sums(form, tiny, 1)
     empty_ok = (

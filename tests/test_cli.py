@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,6 +353,27 @@ class TestRecordedDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
+class TestUnrecordedDigests:
+    """Same bytes on routes that bench/reference.json does not record: the
+    default constants cutoffs, one --cutoff for both constants, and the
+    uniform distribution's walk."""
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("constants --r 2 --kappa 12",
+             "246e00c70f1adfe23d112cfb707951da580501be370005740e9334081cf25292"),
+            ("constants --r 1 --kappa 12 --cutoff 10000",
+             "fa45860d36d30e01357633f5f7e2eb058513cd3a26c36df12af8a9190acd5cbd"),
+            ("pterms --r 1 --kappa 12 --q 11 --nu 1/2 --dist uniform",
+             "b1c92e0201e85a723d7d1abae1a12e3dd7d88569d9e405c43a8f346e016b68a7"),
+        ],
+    )
+    def test_stdout_digest(self, command, digest, capsys):
+        assert main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def numpy_umath():
     """numpy's compiled core, which lists its CPU targets and features."""
     try:
@@ -534,6 +556,43 @@ class TestUsageErrors:
         assert len(errors) == 1 and len(errors[0]) < 160, proc.stderr
         assert f"{sys.get_int_max_str_digits()}-digit limit" in errors[0]
         assert "0" * 100 not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            # pterms checks the weight and the sign that no number depends on.
+            (("pterms", "--r", "1", "--kappa", "11", "--q", "11", "--nu", "1/2"),
+             "weight must be an even integer >= 2"),
+            (("pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/2", "--eps", "0"),
+             "invalid choice"),
+            # Fraction() would multiply these exponents out: 13 s for the
+            # first on a 2-core machine, and over a minute for the second.
+            (("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1e-10000000"),
+             "outside the double range"),
+            (("predict", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1e100000000"),
+             "outside the double range"),
+            # Positive, but no double holds it: not "must be positive".
+            (("pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1e-1000000"),
+             "outside the double range"),
+            (("pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "1/1" + "0" * 400),
+             "outside the double range"),
+            # Zero, whatever its exponent, is in range and reaches the support check.
+            (("pterms", "--r", "1", "--kappa", "12", "--q", "11", "--nu", "0e-100000000"),
+             "support radius must be positive"),
+        ],
+    )
+    def test_refusal_is_one_short_line_and_quick(self, args, reason, capsys):
+        start = time.perf_counter()
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if ": error:" in line]
+        assert code == 1 and len(errors) == 1 and len(errors[0]) < 160, err
+        assert reason in errors[0]
+        assert elapsed < 2.0, elapsed
 
 
 class TestBareImport:

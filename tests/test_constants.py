@@ -132,7 +132,7 @@ class TestSieve:
     def test_constants_memory_is_three_prime_arrays(self):
         # The float64 primes and logs of the table and one quotient at a time.
         budget = 3 * 8 * PI_1E7
-        assert traced_peak(lambda: compute_constants(2, 12, 10**7, 10**7)) <= 1.05 * budget
+        assert traced_peak(lambda: compute_constants(2, 12, 10**7)) <= 1.05 * budget
 
     def test_matches_oracle_across_many_segments(self, monkeypatch):
         # 64 odd numbers a segment: up to 24 segments, each boundary and the
@@ -329,12 +329,11 @@ class TestSharedPrimeTable:
     @pytest.mark.parametrize(
         "compute",
         [
-            lambda: compute_constants(2, 12, 10**4, 10**4),
-            lambda: compute_constants(1, 12, 2000, 10**4),
+            lambda: compute_constants(2, 12, 10**4),
             lambda: compute_constants(2, 12),
             lambda: c_sym_even_completed(10**4),
         ],
-        ids=["equal-cutoffs", "unequal-cutoffs", "default-cutoffs", "completed"],
+        ids=["equal-cutoffs", "default-cutoffs", "completed"],
     )
     def test_one_sieve(self, compute, monkeypatch):
         calls = []
@@ -399,7 +398,6 @@ class TestSupportBound:
     def test_frozen_values(self):
         assert nu_max(1, 2) == Fraction(82, 57)
         assert nu_max(2, 12) == Fraction(361, 754)
-        assert nu_max(1, 2, 0) == Fraction(3, 2)
 
     def test_formula(self):
         for r in (1, 2, 3, 5):
@@ -419,13 +417,11 @@ class TestSupportBound:
             nu_max(0, 12)
         with pytest.raises(ValueError):
             nu_max(1, 3)
-        with pytest.raises(ValueError):
-            nu_max(1, 2, Fraction(3, 4))  # gap collapses to 1/2
 
 
 class TestConstantsBundle:
     def test_compute_constants_coherent(self):
-        bundle = compute_constants(1, 12, pnt_cutoff=10**4, c_cutoff=10**4)
+        bundle = compute_constants(1, 12, 10**4)
         assert bundle.r == 1 and bundle.kappa == 12
         assert bundle.pnt_cutoff == 10**4 and bundle.c_cutoff == 10**4
         assert bundle.c_pnt_value == c_pnt(10**4)[0]
@@ -434,7 +430,7 @@ class TestConstantsBundle:
         assert bundle.c_infty_value == -2 * math.log(math.pi) + bundle.c_gamma_value
 
     def test_tampered_composition_rejected(self):
-        bundle = compute_constants(1, 12, pnt_cutoff=10**3, c_cutoff=10**3)
+        bundle = compute_constants(1, 12, 10**3)
         with pytest.raises(ValueError):
             ConstantsBundle(
                 r=bundle.r,

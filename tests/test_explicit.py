@@ -48,14 +48,14 @@ from test_forms import (
 )
 
 SMALL_BUNDLES = {
-    (r, kappa): compute_constants(r, kappa, pnt_cutoff=10**4, c_cutoff=10**4)
+    (r, kappa): compute_constants(r, kappa, 10**4)
     for r in (1, 2, 3, 4, 5, 6)
     for kappa in (12,)
 }
 
 
-def make_form(q=11, seed=1729, kappa=12, eps_f=1, distribution="sato-tate"):
-    return SyntheticForm(kappa=kappa, q=q, eps_f=eps_f, seed=seed, distribution=distribution)
+def make_form(q=11, seed=1729, distribution="sato-tate"):
+    return SyntheticForm(q=q, seed=seed, distribution=distribution)
 
 
 class TestDensityPrediction:

@@ -303,7 +303,7 @@ class TestBatchedAngles:
         sato_tate = [scalar_inverse_cdf(u) for u in draws]
         uniform = [u * math.pi for u in draws]
         for distribution, want in (("sato-tate", sato_tate), ("uniform", uniform)):
-            form = SyntheticForm(kappa=12, q=10007, eps_f=1, seed=seed, distribution=distribution)
+            form = SyntheticForm(q=10007, seed=seed, distribution=distribution)
             assert form._sieved_angles(primes).tolist() == want
             flipped = form.flipped()._sieved_angles(primes).tolist()
             assert flipped == [math.pi - t for t in want]
@@ -326,7 +326,7 @@ class TestBatchedAngles:
         primes = primes_up_to(600)
         primes = primes[primes != 11]
         for distribution in DISTRIBUTIONS:
-            form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=4242, distribution=distribution)
+            form = SyntheticForm(q=11, seed=4242, distribution=distribution)
             for f in (form, form.flipped()):
                 batch = f._sieved_angles(primes).tolist()
                 assert [f.angle(p) for p in primes.tolist()] == batch
@@ -334,13 +334,13 @@ class TestBatchedAngles:
     def test_public_angle_beyond_int64(self):
         p = 2**64 + 13  # prime
         for distribution in DISTRIBUTIONS:
-            form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=4242, distribution=distribution)
+            form = SyntheticForm(q=11, seed=4242, distribution=distribution)
             assert form.angle(p) == scalar_angle(4242, distribution, p)
 
     def test_batches_are_cached_read_only(self):
         _angle_batch.cache_clear()
         primes = primes_up_to(500)
-        form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=5, distribution="sato-tate")
+        form = SyntheticForm(q=11, seed=5, distribution="sato-tate")
         first = form._sieved_angles(primes)
         with pytest.raises(ValueError):
             first[0] = 0.0
@@ -354,7 +354,7 @@ class TestBatchedAngles:
         primes = primes_up_to(16_000_000)
         assert primes.size > 10**6
         monkeypatch.setattr(symlow.forms, "_draw_angles", lambda s, d, p: numpy.zeros(p.size))
-        form = SyntheticForm(kappa=12, q=11, eps_f=1, seed=5, distribution="uniform")
+        form = SyntheticForm(q=11, seed=5, distribution="uniform")
         _angle_batch.cache_clear()
         tracemalloc.start()
         try:
@@ -718,7 +718,7 @@ class TestSampledKernel:
 
 class TestSyntheticForm:
     def make(self, **overrides):
-        params = dict(kappa=12, q=11, eps_f=1, seed=1729, distribution="sato-tate")
+        params = dict(q=11, seed=1729, distribution="sato-tate")
         params.update(overrides)
         return SyntheticForm(**params)
 
@@ -750,12 +750,6 @@ class TestSyntheticForm:
             self.make(q=12)
         with pytest.raises(ValueError):
             self.make(q=1)
-        with pytest.raises(ValueError):
-            self.make(kappa=11)
-        with pytest.raises(ValueError):
-            self.make(kappa=0)
-        with pytest.raises(ValueError):
-            self.make(eps_f=0)
         with pytest.raises(ValueError):
             self.make(distribution="gue")
         f = self.make()
