@@ -5,7 +5,7 @@ Submodules by concern:
 - ``chebyshev``: exact integer polynomial engine, second-kind family,
   linearization coefficients, chain and coefficient identities.
 - ``forms``: synthetic eigenvalue models with seeded local angles, power
-  sums, gamma-factor shifts, sign of the functional equation, windows.
+  sums, gamma-factor shifts, the weight check, windows.
 - ``constants``: sieved prime-sum constants with error estimates, the
   even-power constant completed by Euler-Maclaurin zeta and zeta', digamma,
   archimedean constants, the exact admissible support radius.

@@ -32,7 +32,7 @@ from .chebyshev import (
 )
 from .constants import compute_constants, nu_max
 from .explicit import density_prediction, prime_cutoffs, prime_sums
-from .forms import DISTRIBUTIONS, SyntheticForm, fejer_test_function
+from .forms import DISTRIBUTIONS, SyntheticForm, _check_weight, fejer_test_function, is_prime
 from .petersson import (
     RAMANUJAN_TAU,
     default_c_max,
@@ -296,16 +296,21 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
+    # Every check comes before the sieve: the window and the level here, r and
+    # the weight first in compute_constants.  density_prediction proves the
+    # level again, one more Miller-Rabin call.
+    phi = fejer_test_function(args.nu)
+    if not is_prime(args.q):
+        raise ValueError("q must be prime")
     bundle = compute_constants(args.r, args.kappa, args.cutoff)
-    report = density_prediction(args.q, fejer_test_function(args.nu), bundle)
+    report = density_prediction(args.q, phi, bundle)
     doc = {"config": _config(args), "report": dataclasses.asdict(report)}
     return 0, render_json(doc)
 
 
 def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
     # The weight and the sign reach no number of the document, only its config.
-    if args.kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
+    _check_weight(args.kappa)
     form = SyntheticForm(args.q, args.seed, args.dist)
     phi = fejer_test_function(args.nu)
     doc = {

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import _items, gamma_shifts
+from .forms import _check_weight, _items, gamma_shifts
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -389,8 +389,7 @@ def c_gamma(r: int, kappa: int) -> float:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kappa < 2 or kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
+    _check_weight(kappa)
     total = 0.0
     if r % 2:
         for a in range((r + 1) // 2):
@@ -426,14 +425,18 @@ def nu_max(r: int, kappa: int) -> Fraction:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kappa < 2 or kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
+    _check_weight(kappa)
     return (1 - Fraction(1, 2) / (kappa - 2 * THETA0)) * Fraction(2, r * r)
 
 
 @dataclasses.dataclass(frozen=True)
 class ConstantsBundle:
-    """Every constant of the expansion at one (r, kappa), cutoffs recorded."""
+    """Every constant of the expansion at one (r, kappa), cutoffs recorded.
+
+    c_infty_value = -(r + 1) log pi + c_gamma_value is composed here, not
+    passed in, so it always matches the bundle's r and c_gamma_value
+    (dataclasses.replace recomposes it).
+    """
 
     r: int
     kappa: int
@@ -442,14 +445,12 @@ class ConstantsBundle:
     c_value: float
     c_tail_bound: float
     c_gamma_value: float
-    c_infty_value: float
+    c_infty_value: float = dataclasses.field(init=False)
     pnt_cutoff: int
     c_cutoff: int
 
-    def __post_init__(self) -> None:
-        composed = -(self.r + 1) * math.log(math.pi) + self.c_gamma_value
-        if composed != self.c_infty_value:
-            raise ValueError("c_infty must be composed from c_gamma exactly")
+    def __post_init__(self) -> None:  # frozen, so the one assignment goes through object
+        object.__setattr__(self, "c_infty_value", -(self.r + 1) * math.log(math.pi) + self.c_gamma_value)
 
 
 def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> ConstantsBundle:
@@ -457,13 +458,14 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
 
     cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
     the even-power constant at DEFAULT_C_CUTOFF, both read from the one
-    table sieved to the larger.
+    table sieved to the larger.  c_gamma, which checks r and kappa, comes
+    first, so a bad r or weight is refused before the sieve.
     """
+    gamma_value = c_gamma(r, kappa)
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
     table = _prime_logs(max(pnt_cutoff, c_cutoff))
     pnt_value, pnt_unc = c_pnt(pnt_cutoff, table)
     c_value, c_tail = c_sym_even(c_cutoff, table)
-    gamma_value = c_gamma(r, kappa)
     return ConstantsBundle(
         r=r,
         kappa=kappa,
@@ -472,7 +474,6 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
         c_value=c_value,
         c_tail_bound=c_tail,
         c_gamma_value=gamma_value,
-        c_infty_value=-(r + 1) * math.log(math.pi) + gamma_value,
         pnt_cutoff=int(pnt_cutoff),
         c_cutoff=int(c_cutoff),
     )

@@ -69,10 +69,9 @@ def density_prediction(q: int, phi: TestFunction, constants: ConstantsBundle) ->
 
     r and kappa are those the constants bundle was computed for.
     main = hat(0) + (-1)^{r+1} * window(0)/2 and the correction coefficient is
-    c_infty - 2(-1)^r c_pnt - 2[r even] c.  The same coefficient written with
-    the sign folded the other way, c_infty + 2(-1)^{r+1} c_pnt - 2[r even] c,
-    is checked to produce the identical float (ArithmeticError if not).
-    Inadmissible support (nu >= the exact limit) warns but still evaluates.
+    c_infty - 2(-1)^r c_pnt - 2[r even] c, with c_infty as the bundle
+    composed it.  Inadmissible support (nu >= the exact limit) warns but
+    still evaluates.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
@@ -95,11 +94,6 @@ def density_prediction(q: int, phi: TestFunction, constants: ConstantsBundle) ->
     c_pnt_term = -2.0 * (-sign) * constants.c_pnt_value
     c_term = 0.0 if r % 2 else -2.0 * constants.c_value
     coefficient = constants.c_infty_value + c_pnt_term + c_term
-    alt = constants.c_infty_value + 2.0 * sign * constants.c_pnt_value + c_term
-    if coefficient != alt:
-        raise ArithmeticError(
-            f"the two sign conventions disagree: {coefficient!r} != {alt!r}"
-        )
 
     scale = r * math.log(q)
     lower = coefficient * hat_zero / scale

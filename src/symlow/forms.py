@@ -395,6 +395,12 @@ def satake_power_sum(theta: float, n: int, r: int) -> float:
     return satake_power_sum_routes(theta, n, r)[0]
 
 
+def _check_weight(kappa: int) -> None:
+    """ValueError unless kappa is a holomorphic weight: an even integer >= 2."""
+    if kappa < 2 or kappa % 2:
+        raise ValueError("weight must be an even integer >= 2")
+
+
 def gamma_shifts(r: int, kappa: int) -> tuple[Fraction, ...]:
     """The r+1 archimedean shifts of the completed degree-(r+1) L-factor, exactly.
 
@@ -404,8 +410,7 @@ def gamma_shifts(r: int, kappa: int) -> tuple[Fraction, ...]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kappa < 2 or kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
+    _check_weight(kappa)
     shifts: list[Fraction] = []
     if r % 2:
         for a in range((r + 1) // 2):

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .forms import _libm, is_prime
+from .forms import _check_weight, _libm, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -225,14 +225,15 @@ def _bessel_series(order: int, x: float) -> float:
 
 def _bessel_miller(order: int, x: float) -> float:
     # backward recurrence seeded far above max(order, x); normalized by
-    # j_0 + 2 j_2 + 2 j_4 + ... = 1
+    # j_0 + 2 j_2 + 2 j_4 + ... = 1.  k runs from start >= order + 20 down
+    # to 1, so it meets every order >= 1, and order 0 is the value after it.
     start = order + int(x + 20.0 + 12.0 * x ** (1.0 / 3.0))
     if start % 2:
         start += 1
     older = 0.0
     current = 1e-300
     norm = 0.0
-    wanted = None
+    wanted = 0.0  # until k reaches order; rescaling leaves it 0
     for k in range(start, 0, -1):
         if k % 2 == 0:
             norm += 2.0 * current
@@ -243,13 +244,10 @@ def _bessel_miller(order: int, x: float) -> float:
             older *= 1e-250
             current *= 1e-250
             norm *= 1e-250
-            if wanted is not None:
-                wanted *= 1e-250
+            wanted *= 1e-250
     norm += current
     if order == 0:
         wanted = current
-    if wanted is None:
-        raise RuntimeError(f"Miller recurrence from {start} never reached order {order}")
     return wanted / norm
 
 
@@ -351,19 +349,21 @@ def petersson_deltas(
     c-sum is exactly rounded by math.fsum.  i^kappa is evaluated as
     (-1)^{kappa/2}; no complex arithmetic appears.  Warns for each m with
     c_max <= 4 pi sqrt(m), where the reported tail bound is not yet in its
-    provably decreasing regime.  Cutoffs must be below 2**31.
+    provably decreasing regime.  Cutoffs must be below 2**31.  Every check,
+    the tail bounds included, runs before the sweep, so a bound past the
+    double range is refused before any Kloosterman sum.
     """
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if kappa < 2 or kappa % 2:
-        raise ValueError("weight must be an even integer >= 2")
+    _check_weight(kappa)
     c_maxes = [default_c_max(m) if c_max is None else c_max for m in ms]
     if any(top < k for top in c_maxes):
         raise ValueError("c_max must be >= k")
     if any(top >= MODULUS_LIMIT for top in c_maxes):
         raise ValueError("c_max must be < 2**31")
+    tails = [delta_tail_bound(m, kappa, top) for m, top in zip(ms, c_maxes)]
     roots = [4.0 * math.pi * math.sqrt(m) for m in ms]
     for top, root in zip(c_maxes, roots):
         if top <= root:
@@ -386,10 +386,10 @@ def petersson_deltas(
             k=k,
             kappa=kappa,
             value=(1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(cs),
-            tail_estimate=delta_tail_bound(m, kappa, top),
+            tail_estimate=tail,
             c_max=top,
         )
-        for m, top, cs in zip(ms, c_maxes, terms)
+        for m, top, cs, tail in zip(ms, c_maxes, terms, tails)
     ]
 
 

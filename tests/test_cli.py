@@ -10,14 +10,17 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import symlow.cli as cli
+import symlow.constants
 import symlow.explicit
 import symlow.forms
+import symlow.petersson
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
 from symlow.constants import primes_up_to
@@ -593,6 +596,39 @@ class TestUsageErrors:
         assert code == 1 and len(errors) == 1 and len(errors[0]) < 160, err
         assert reason in errors[0]
         assert elapsed < 2.0, elapsed
+
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            ("constants --r 1 --kappa 11 --cutoff 100000000", "weight must be an even integer >= 2"),
+            ("predict --r 1 --kappa 11 --q 11 --nu 1/2 --cutoff 100000000",
+             "weight must be an even integer >= 2"),
+            ("predict --r 1 --kappa 12 --q 12 --nu 1/2 --cutoff 100000000", "q must be prime"),
+            ("predict --r 1 --kappa 12 --q 11 --nu 0 --cutoff 100000000",
+             "support radius must be positive"),
+            ("petersson --m 6000000000 --kappa 200 --cmax 30",
+             "the tail bound at m=6000000000, kappa=200, c_max=30 is exp(1076.0), beyond the double range"),
+            ("petersson --m 6000000000 --kappa 1000 --cmax 600",
+             "the tail bound at m=6000000000, kappa=1000, c_max=600 is exp(792.9), beyond the double range"),
+            ("pterms --r 1 --kappa 11 --q 11 --nu 1/2", "weight must be an even integer >= 2"),
+        ],
+    )
+    def test_refusal_does_no_work(self, command, reason, capsys, monkeypatch):
+        # A refused command enters neither the sieve nor the Kloosterman
+        # sweep, and warns of nothing: its one error line is all it prints.
+        entered = []
+
+        def work(*args):
+            entered.append(args)
+            raise AssertionError("the refused command started its work")
+
+        monkeypatch.setattr(symlow.constants, "_segmented_sieve", work)
+        monkeypatch.setattr(symlow.petersson, "kloosterman_sums", work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command.split())
+        assert code == 1 and entered == []
+        assert capsys.readouterr().err.splitlines() == [f"symlow: error: {reason}"]
 
 
 class TestBareImport:

@@ -8,6 +8,7 @@ under test.  The even-power oracle sums the Moebius-inverted prime-zeta
 series with mpmath's zeta and zeta' at 40 digits, with no sieve.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -430,8 +431,10 @@ class TestConstantsBundle:
         assert bundle.c_infty_value == -2 * math.log(math.pi) + bundle.c_gamma_value
 
     def test_tampered_composition_rejected(self):
+        # c_infty is composed by the bundle: it cannot be passed in, and a
+        # replaced c_gamma recomposes it.
         bundle = compute_constants(1, 12, 10**3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ConstantsBundle(
                 r=bundle.r,
                 kappa=bundle.kappa,
@@ -444,3 +447,5 @@ class TestConstantsBundle:
                 pnt_cutoff=bundle.pnt_cutoff,
                 c_cutoff=bundle.c_cutoff,
             )
+        replaced = dataclasses.replace(bundle, c_gamma_value=1.0)
+        assert replaced.c_infty_value == -2 * math.log(math.pi) + 1.0

@@ -124,13 +124,6 @@ class TestDensityPrediction:
         assert doc["constants"]["c_pnt_value"] == report.constants.c_pnt_value
         assert doc["nu_limit"] == nu_max(1, 12)
 
-    def test_sign_convention_mismatch_raises(self):
-        # NaN never equals itself, so the two foldings of the coefficient
-        # disagree; the check is a raised error, so it survives python -O.
-        bundle = dataclasses.replace(SMALL_BUNDLES[(1, 12)], c_pnt_value=float("nan"))
-        with pytest.raises(ArithmeticError):
-            density_prediction(11, fejer_test_function(0.5), bundle)
-
     def test_rejections(self):
         with pytest.raises(ValueError):
             density_prediction(12, fejer_test_function(0.5), SMALL_BUNDLES[(1, 12)])

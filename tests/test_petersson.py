@@ -27,6 +27,8 @@ from symlow.petersson import (
     BESSEL_ARGUMENT_GUARD,
     RAMANUJAN_TAU,
     PeterssonTerm,
+    _bessel_miller,
+    _bessel_series,
     bessel_j,
     default_c_max,
     delta_tail_bound,
@@ -339,11 +341,19 @@ class TestBesselJ:
                 x *= 2.7
 
     def test_route_crossover_consistency(self):
-        # Both evaluation regimes at the same points, via the public seam:
-        # order+10 above or below x moves the branch.
+        # Order 1 leaves the series at x = min(1 + 10, 14) = 11: x = 10 takes
+        # the series and 12 and 13.9 Miller's recurrence, each against scipy.
         for x in (10.0, 12.0, 13.9):
-            low_order = bessel_j(1, x)  # recurrence branch (1+10 < x is false at 12? keep scipy as referee)
-            assert abs(low_order - float(jv(1, x))) < 1e-11
+            assert abs(bessel_j(1, x) - float(jv(1, x))) < 1e-11
+
+    def test_series_against_miller_where_both_apply(self):
+        # Below the series cap of 14 both routes converge, so each referees
+        # the other, within the 1e-10 that bessel_j claims, as an absolute gap.
+        for order in range(41):
+            for tenths in range(1, 141):
+                x = tenths / 10
+                gap = abs(_bessel_series(order, x) - _bessel_miller(order, x))
+                assert gap <= 1e-10, (order, x, gap)
 
     def test_magnitude_bound(self):
         for order in (0, 3, 12):
