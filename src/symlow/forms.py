@@ -4,11 +4,15 @@ A SyntheticForm carries a prime level and a seeded, reproducible map
 prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
 distribution, so the same (seed, distribution) pair yields bit-identical
-angles on every platform.  The Sato-Tate bisection takes its first 12 steps
-from one table lookup, runs the rest on numpy arrays and redoes with
-math.sin every comparison that np.sin could decide differently, so a batch
-equals the scalar recurrence bit for bit (see ``_sato_tate_inverse_cdf``).
-The prime walk reads whole batches through a small cache.
+angles on every platform.  The Sato-Tate inverse CDF equals the scalar
+64-step bisection bit for bit (see ``_sato_tate_inverse_cdf``).  One table
+lookup takes its first 12 steps.  Where F, computed with math.sin, provably
+does not decrease over the rest of the bracket (about nine draws in ten), a
+few Newton steps propose the root and math.sin at two adjacent floats
+certifies it as the bisection's own; the other draws run the remaining 52
+steps on numpy arrays, redoing with math.sin every comparison that np.sin
+could decide differently.  The prime walk reads whole batches through a
+small cache.
 
 Two decisions live here for every module: how long a pass is, and which
 library computes an elementary function.  A long pass over a prime-indexed
@@ -25,8 +29,8 @@ the other kind, a transform sampled on a grid, on the same TestFunction).  Each
 prime-side formula (angle, eigenvalue ratio, window transform) has one
 definition, an array kernel; ``SyntheticForm.angle``, ``eigenvalue_power``
 and ``TestFunction.phi_hat`` check their input and call it on a one-element
-array, at microseconds a call (a whole bisection for an angle), so loops
-pass arrays.
+array, at microseconds a call (a certified root or a whole bisection for an
+angle), so loops pass arrays.
 """
 
 from __future__ import annotations
@@ -148,15 +152,15 @@ def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
     which BLAKE2b, a streaming hash, makes identical to hashing the whole
     string.  Each block's digests are joined and read as big-endian uint64.
     """
-    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=8)
-
-    def digest(p: int) -> bytes:
-        h = prefix.copy()
-        h.update(b"%d" % p)
-        return h.digest()
+    copy = hashlib.blake2b(f"{seed}:".encode(), digest_size=8).copy
 
     def units(block: np.ndarray) -> np.ndarray:
-        return _units_from_digests(np.frombuffer(b"".join(map(digest, block.tolist())), ">u8"))
+        digests = []
+        for p in block.tolist():
+            h = copy()
+            h.update(b"%d" % p)
+            digests.append(h.digest())
+        return _units_from_digests(np.frombuffer(b"".join(digests), ">u8"))
 
     return _blockwise(units, primes)
 
@@ -164,6 +168,23 @@ def _uniform_units(seed: int, primes: np.ndarray) -> np.ndarray:
 # A comparison of the bisection that np.sin may decide differently from
 # math.sin is redone with math.sin; see _sato_tate_inverse_cdf.
 BISECTION_MARGIN = 2.0**-51
+
+# R = [_MONOTONE_LO, _MONOTONE_HI], where F taken with math.sin does not
+# decrease from one float to the next; the upper end lies below
+# pi - asin(2**-1.5) = 2.78022...  See _sato_tate_inverse_cdf.
+_MONOTONE_LO = math.pi / 4
+_MONOTONE_HI = 2.78
+
+# Newton steps that propose a root in R, and one-float moves that may then
+# certify it before the entry falls back to the bisection.
+_NEWTON_STEPS = 3
+_WALK_STEPS = 4
+
+
+def _cdf(t: np.ndarray) -> np.ndarray:
+    """F(t) = (2t - sin 2t) / (2 pi) at every entry of t, with math.sin, as the loop forms it."""
+    two_t = 2.0 * t
+    return (two_t - _libm(math.sin, two_t)) / (2.0 * math.pi)
 
 
 @functools.cache
@@ -174,8 +195,7 @@ def _head_table() -> tuple[np.ndarray, np.ndarray]:
     grid = np.array([0.0, math.pi])
     for _ in range(_HEAD_LEVELS):
         grid = np.insert(grid, np.arange(1, grid.size), 0.5 * (grid[:-1] + grid[1:]))
-    two_mid = 2.0 * grid[1:-1]
-    head = (two_mid - _libm(math.sin, two_mid)) / (2.0 * math.pi)
+    head = _cdf(grid[1:-1])
     if not np.all(head[:-1] < head[1:]):
         raise ArithmeticError("the Sato-Tate head table is not strictly increasing")
     grid.flags.writeable = head.flags.writeable = False  # shared by every caller
@@ -185,21 +205,25 @@ def _head_table() -> tuple[np.ndarray, np.ndarray]:
 def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     """Solve F(t) = (2t - sin 2t) / (2 pi) = u for every entry of u in (0, 1].
 
-    The same 64 bisection steps as the scalar loop, which halves [lo, hi] =
-    [0, pi] by setting lo = mid if F(mid) < u and hi = mid otherwise (F is
-    strictly increasing, so 64 halvings pin each root to ~5e-19).  Entries go
-    _BLOCK at a time, as each entry's steps depend on that entry alone.
+    Every result is the scalar loop's: 64 bisection steps that halve
+    [lo, hi] = [0, pi] by setting lo = mid if F(mid) < u and hi = mid
+    otherwise, with math.sin (F is strictly increasing, so 64 halvings pin
+    each root to ~5e-19).  Entries go _BLOCK at a time, as each depends on
+    itself alone: ``_root_block`` certifies about nine in ten of them
+    directly and hands the rest to ``_bisect_block``, which runs the loop.
 
-    The first _HEAD_LEVELS steps are a binary search over F at the midpoints
-    of ``_head_table``, taken with math.sin, which decides every comparison
-    of the loop (below).  F is strictly increasing there, so the search ends
-    in the bracket numbered by the count of table values below u, which is
-    np.searchsorted(head, u, "left").  That bracket is still pi / 4096 wide,
-    far above one ulp, so no entry can leave the loop inside the head.
+    The head.  The first _HEAD_LEVELS steps are a binary search over F at the
+    midpoints of ``_head_table``, taken with math.sin, which decides every
+    comparison of the loop (below).  F is strictly increasing there, so the
+    search ends in the bracket numbered by the count of table values below
+    u, which is np.searchsorted(head, u, "left").  That bracket is still
+    pi / 4096 wide, far above one ulp, so no entry can leave the loop inside
+    the head.
 
-    Each later step evaluates F(mid) on the block with np.sin, then redoes
-    with math.sin every entry where |F(mid) - u| <= BISECTION_MARGIN, so every
-    comparison, and so every result, is the one the loop with math.sin makes.
+    The bisection.  Each later step of ``_bisect_block`` evaluates F(mid) on
+    the block with np.sin, then redoes with math.sin every entry where
+    |F(mid) - u| <= BISECTION_MARGIN, so every comparison, and so every
+    result, is the one the loop with math.sin makes.
 
     Why the margin suffices.  Assume np.sin and math.sin are each within 1 ulp
     of sin, hence within 2^-53 of it, since |sin| <= 1.  The two sines then
@@ -215,12 +239,85 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     or to hi: F(lo) < u and F(hi) >= u hold with math.sin (lo was set by
     that comparison or is 0, where F = 0; hi was set by it or is pi, where
     F = 1), so every later step would keep lo and hi, and mid, as they are.
+
+    The certified root.  Where the head bracket [lo, hi] lies in
+    R = [_MONOTONE_LO, _MONOTONE_HI], ``_root_block`` skips the loop.
+    Newton's method with np.sin and np.cos proposes a float x in [lo, hi].
+    F with math.sin at x and at the next float x+ then accepts x if
+    F(x) < u <= F(x+); if not, x moves one float toward the crossing, up to
+    _WALK_STEPS times, and an entry still not accepted goes to
+    ``_bisect_block``.  The result is 0.5 * (x + x+).  Newton only proposes:
+    every comparison that decides a result is made with math.sin.
+
+    Why that is the loop's result.  Let s = math.sin, within 2^-53 of sin as
+    above, and F(t) = (2t - s(2t)) / (2 pi) as computed.  For consecutive
+    floats t < t' in R, t' - t >= ulp(t), and for some xi in (t, t') the
+    exact (2t' - sin 2t') - (2t - sin 2t) is 4 (t' - t) sin^2 xi, so
+    (2t' - s(2t')) - (2t - s(2t)) >= 4 ulp(t) sin^2 xi - 2^-52.  That is
+    >= 0: on [pi/4, 1) ulp(t) = 2^-53 and sin^2 xi >= 1/2; on [1, 2)
+    ulp(t) = 2^-52 and sin^2 xi > 1/4; on [2, 2.78] ulp(t) = 2^-51 and
+    sin^2 xi > 1/8, as xi < pi - asin(2^-1.5).  The rounded subtraction and
+    the rounded division by 2 pi are monotone, so F(t) <= F(t').  (The float
+    math.pi / 4 lies just below pi/4 and the float after it above; only
+    pairs with t > lo matter, as the head already gives F(lo) < u.)
+    So, as F(lo) < u <= F(hi), the floats of [lo, hi] with F < u are those
+    up to one float x, the one with F(x) < u <= F(x+): the x the walk
+    accepts, which stays in [lo, hi] because it moves down only from an x
+    with F(x) >= u and up only from an x+ with F(x+) < u.  The loop keeps lo
+    among those floats and hi above them, so it can only end on the adjacent
+    pair x, x+, with result 0.5 * (x + x+).  And it gets there within its 52
+    steps: a head bracket spans fewer than 2^43 float spacings of at least
+    2^-53, and each step keeps at most half of them, rounded up, within one
+    binade, or half plus one where the bracket straddles 1 or 2, so the
+    bracket closes to adjacent floats by the 46th step.
     """
-    return _blockwise(_bisect_block, u)
+    return _blockwise(_root_block, u)
+
+
+def _root_block(u: np.ndarray) -> np.ndarray:
+    """The inverse CDF of each entry of u: a certified root where its head
+    bracket lies in R, ``_bisect_block`` elsewhere (see _sato_tate_inverse_cdf)."""
+    out = np.empty_like(u)
+    grid, head = _head_table()
+    start = np.searchsorted(head, u, "left")
+    lo, hi = grid[start], grid[start + 1]
+    fallback = (lo < _MONOTONE_LO) | (hi > _MONOTONE_HI)
+    index = np.flatnonzero(~fallback)
+    lo, hi, v = lo[index], hi[index], u[index]
+    t = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        two_t = 2.0 * t
+        step = ((two_t - np.sin(two_t)) / (2.0 * math.pi) - v) * math.pi / (1.0 - np.cos(two_t))
+        t = np.clip(t - step, lo, hi)
+    # Newton lands mostly one float above the crossing: start one below.
+    x = np.maximum(np.nextafter(t, -np.inf), lo)
+    x_next = np.nextafter(x, np.inf)
+    f, f_next = _cdf(x), _cdf(x_next)
+    for move in range(_WALK_STEPS + 1):
+        found = (f < v) & (f_next >= v)
+        out[index[found]] = 0.5 * (x[found] + x_next[found])
+        keep = ~found
+        index, v, x, x_next, f, f_next = (a[keep] for a in (index, v, x, x_next, f, f_next))
+        if not index.size or move == _WALK_STEPS:
+            break
+        # One float up where F(x+) < u, else one down; the float that the old
+        # and the new pair share keeps its F.
+        up = f_next < v
+        shared = np.where(up, f_next, f)
+        x, x_next = (
+            np.where(up, x_next, np.nextafter(x, -np.inf)),
+            np.where(up, np.nextafter(x_next, np.inf), x),
+        )
+        fresh = _cdf(np.where(up, x_next, x))
+        f, f_next = np.where(up, shared, fresh), np.where(up, fresh, shared)
+    fallback[index] = True
+    if np.count_nonzero(fallback):
+        out[fallback] = _bisect_block(u[fallback])
+    return out
 
 
 def _bisect_block(u: np.ndarray) -> np.ndarray:
-    """The inverse CDF of each entry of u (see _sato_tate_inverse_cdf)."""
+    """The scalar loop's result for each entry of u (see _sato_tate_inverse_cdf)."""
     out = np.empty_like(u)
     grid, head = _head_table()
     start = np.searchsorted(head, u, "left")
@@ -239,8 +336,7 @@ def _bisect_block(u: np.ndarray) -> np.ndarray:
         cdf = (two_mid - np.sin(two_mid)) / (2.0 * math.pi)
         close = np.abs(cdf - u) <= BISECTION_MARGIN
         if np.count_nonzero(close):
-            near = two_mid[close]
-            cdf[close] = (near - _libm(math.sin, near)) / (2.0 * math.pi)
+            cdf[close] = _cdf(mid[close])
         below = cdf < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

@@ -14,6 +14,7 @@ the sine ratio one angle at a time; and ``scalar_fejer_hat`` and
 (``tests/test_explicit.py`` builds its per-prime sums from them too).
 """
 
+import contextlib
 import hashlib
 import math
 import random
@@ -30,6 +31,7 @@ from scipy.special import eval_chebyu, sici
 
 import symlow.forms
 from symlow.constants import primes_up_to
+from symlow.explicit import prime_cutoffs
 from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from symlow.forms import (
@@ -37,7 +39,10 @@ from symlow.forms import (
     SyntheticForm,
     _BLOCK,
     _HEAD_LEVELS,
+    _MONOTONE_HI,
+    _MONOTONE_LO,
     _angle_batch,
+    _bisect_block,
     _blockwise,
     _draw_angles,
     _eigenvalue_powers,
@@ -61,12 +66,17 @@ def chebu_at_angle(n: int, theta: float) -> float:
     return float(eval_chebyu(n, math.cos(theta)))
 
 
+def scalar_cdf(t: float) -> float:
+    """The Sato-Tate CDF (2t - sin 2t) / (2 pi) at t, with math.sin."""
+    return (2.0 * t - math.sin(2.0 * t)) / (2.0 * math.pi)
+
+
 def scalar_inverse_cdf(u: float) -> float:
     """Solve (2t - sin 2t) / (2 pi) = u by 64 halvings of [0, pi], one at a time."""
     lo, hi = 0.0, math.pi
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if (2.0 * mid - math.sin(2.0 * mid)) / (2.0 * math.pi) < u:
+        if scalar_cdf(mid) < u:
             lo = mid
         else:
             hi = mid
@@ -485,6 +495,137 @@ class TestBisectionMargin:
         monkeypatch.setattr(symlow.forms, "BISECTION_MARGIN", 0.0)
         got = _draw_angles(1729, "sato-tate", self.PRIMES).tolist()
         assert sum(a != b for a, b in zip(got, want)) > 100
+
+
+def bisected(u: numpy.ndarray) -> numpy.ndarray:
+    """The loop on every entry: the blocked bisection, the certified root's one fallback."""
+    return _blockwise(_bisect_block, u)
+
+
+def floats_around(t: float, count: int) -> list[float]:
+    """t and the `count` floats on each side of it."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def draws_around(t: float, count: int) -> list[float]:
+    """F at the floats around t, each with the draws just below and above it."""
+    values = [scalar_cdf(s) for s in floats_around(t, count)]
+    return [w for v in values for w in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0))]
+
+
+# The points where the certified root's reach or the float spacing changes:
+# the grid points around both ends of R (math.pi / 4 is grid point 1024, and
+# grid point 3624 is the last at or below _MONOTONE_HI), the binade edges 1
+# and 2, and _MONOTONE_HI itself.
+REGION_EDGES = (*_head_table()[0][[1023, 1024, 1025, 3624, 3625]].tolist(), 1.0, 2.0, _MONOTONE_HI)
+
+
+class TestCertifiedRoot:
+    """The certified root against the loop, with ==: the blocked bisection on
+    large sets and the scalar loop on the edges and a sample."""
+
+    def test_region_is_where_the_grid_says(self):
+        grid = _head_table()[0]
+        assert grid[1024] == _MONOTONE_LO == math.pi / 4
+        assert grid[3624] <= _MONOTONE_HI < grid[3625]
+        assert _MONOTONE_HI < math.pi - math.asin(2.0**-1.5)
+
+    def test_near_edge_draws(self):
+        # The 2.4M draws of pterms --r 1 --kappa 12 --q 10007 --nu 19/10, seed 1729.
+        primes = primes_up_to(prime_cutoffs(10007, 1, Fraction(19, 10))["first_power"])
+        primes = primes[primes != 10007]
+        assert primes.size > 2_400_000
+        u = _uniform_units(1729, primes)
+        assert numpy.array_equal(_sato_tate_inverse_cdf(u), bisected(u))
+
+    def test_random_draws(self):
+        u = 1.0 - numpy.random.default_rng(20261019).random(2**20)  # in (0, 1]
+        got = _sato_tate_inverse_cdf(u)
+        assert numpy.array_equal(got, bisected(u))
+        sample = u[:: 2**10].tolist()
+        assert got[:: 2**10].tolist() == [scalar_inverse_cdf(v) for v in sample]
+
+    def test_region_ends_and_binade_edges(self):
+        u = numpy.array([v for t in REGION_EDGES for v in draws_around(t, 100)])
+        got = _sato_tate_inverse_cdf(u)
+        assert numpy.array_equal(got, bisected(u))
+        assert got.tolist() == [scalar_inverse_cdf(v) for v in u.tolist()]
+
+    def test_fallback_share(self, monkeypatch):
+        # The 78,577 draws of pterms --r 1 --kappa 12 --q 10007 --nu 3/2: at
+        # most 15% may take the loop, so routing every draw back through it fails.
+        primes = primes_up_to(ANGLE_LIMIT)
+        primes = primes[primes != 10007]
+        assert primes.size == 78_577
+        looped = []
+
+        def counted(u):
+            looped.append(u.size)
+            return _bisect_block(u)
+
+        monkeypatch.setattr(symlow.forms, "_bisect_block", counted)
+        _draw_angles(1729, "sato-tate", primes)
+        assert 0 < sum(looped) <= 0.15 * primes.size
+
+
+@contextlib.contextmanager
+def skewed_math_sin():
+    """Replace math.sin with one that errs by one ulp, up where the lowest
+    mantissa bit of its argument is set and down where it is clear, so
+    consecutive floats err in turn both ways.  A sine stays in [-1, 1], as
+    past 1 its ulp doubles, out of the 2^-53 behind BISECTION_MARGIN and R.
+    Deterministic, so the head table, the certified root and the loop all
+    take the same sine; the head table is rebuilt under it and after it."""
+    real_sin = math.sin
+
+    def sin(x: float) -> float:
+        up = int(x / math.ulp(x)) & 1  # x / ulp(x) is x's integer mantissa
+        return max(-1.0, min(1.0, math.nextafter(real_sin(x), math.inf if up else -math.inf)))
+
+    math.sin = sin
+    _head_table.cache_clear()
+    try:
+        yield
+    finally:
+        math.sin = real_sin
+        _head_table.cache_clear()
+
+
+class TestRegionGuard:
+    """Fault injection: under a one-ulp-off math.sin the certified root still
+    equals the scalar loop, and only because it keeps to R."""
+
+    # Draws below F(0.79), where F with such a sine can fall from one float
+    # to the next, around the edges of R, and across (0, 1].
+    DRAWS = numpy.concatenate(
+        (
+            numpy.random.default_rng(1729).uniform(2.0**-65, scalar_cdf(0.79), 5_000),
+            [v for t in REGION_EDGES for v in draws_around(t, 100)],
+            1.0 - numpy.random.default_rng(1742).random(1_000),
+        )
+    )
+
+    @pytest.fixture(scope="class")
+    def skewed_loop(self):
+        with skewed_math_sin():
+            return [scalar_inverse_cdf(u) for u in self.DRAWS.tolist()]
+
+    def test_skewed_sine_keeps_every_angle(self, skewed_loop):
+        with skewed_math_sin():
+            assert _sato_tate_inverse_cdf(self.DRAWS).tolist() == skewed_loop
+
+    def test_without_the_guard_the_skew_shows(self, skewed_loop, monkeypatch):
+        # Control: with R widened to [0, pi] the same skew moves at least 1% of
+        # the angles.  Newton may then divide by 1 - cos 0 = 0; it only proposes.
+        monkeypatch.setattr(symlow.forms, "_MONOTONE_LO", 0.0)
+        monkeypatch.setattr(symlow.forms, "_MONOTONE_HI", math.pi)
+        with skewed_math_sin(), numpy.errstate(divide="ignore", invalid="ignore"):
+            got = _sato_tate_inverse_cdf(self.DRAWS).tolist()
+        assert sum(a != b for a, b in zip(got, skewed_loop)) >= len(skewed_loop) // 100
 
 
 class TestPowerSumRoutes:
