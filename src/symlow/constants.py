@@ -7,8 +7,10 @@ claimed), while the even-power constant carries a rigorous integral-comparison
 tail bound.  The even-power constant is also completed past the cutoff by a
 prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', which gives
 it to double precision with a rigorous radius.  Both constants and that
-completion's trip-wire read one sieved prime table.  The digamma routine is
-pinned to one fixed algorithm so reports are bit-stable across runs.
+completion's trip-wire read one sieved prime table: the primes as int32 and
+one float64 buffer, into which each sum writes its logs and quotients in
+turn, with the doubles of the whole-array float64 formulas.  The digamma
+routine is pinned to one fixed algorithm so reports are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 import os
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .forms import _check_weight, _items, gamma_shifts
+from .forms import _blocks, _check_weight, _items, gamma_shifts
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -121,29 +124,73 @@ def _segmented_sieve(n: int) -> np.ndarray:
     return primes
 
 
-def _prime_logs(cutoff: int, table=None) -> tuple[int, np.ndarray, np.ndarray]:
-    """The prime table (cutoff, float64 primes <= cutoff, their logs).
+# The largest cutoff whose prime table is int32.  Past it the table keeps the
+# sieve's int64, so no prime wraps.
+_INT32_MAX = 2**31 - 1
 
-    Sieved, or prefix views of the table of a call at a bound >= cutoff (the
-    optional table of c_pnt and c_sym_even), in a fresh sieve's values and order.
+
+def _prime_table(cutoff: int, table=None) -> tuple[int, np.ndarray, np.ndarray]:
+    """The prime table (cutoff, primes <= cutoff, a float64 buffer as long).
+
+    The primes are int32 when cutoff <= _INT32_MAX, else int64, in a fresh
+    sieve's values and order.  Each sum over the table writes its logs and
+    quotients into the one buffer, in turn, so the table holds 12 bytes a
+    prime (16 when int64).  With the optional table of c_pnt and
+    c_sym_even, from a call at a bound >= cutoff, both arrays are prefix
+    views of that table's, so every view shares one buffer.
     """
     cutoff = int(cutoff)
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     if table is None:
-        primes = primes_up_to(cutoff).astype(np.float64)
-        return cutoff, primes, np.log(primes)
-    bound, primes, logs = table
+        primes = primes_up_to(cutoff)
+        if cutoff <= _INT32_MAX:
+            primes = primes.astype(np.int32)
+        return cutoff, primes, np.empty(primes.size)
+    bound, primes, buffer = table
     if bound < cutoff:
         raise ValueError(f"prime table sieved to {bound} cannot serve cutoff {cutoff}")
-    k = int(np.searchsorted(primes, cutoff, "right"))
-    return cutoff, primes[:k], logs[:k]
+    k = _count_up_to(primes, cutoff)
+    return cutoff, primes[:k], buffer[:k]
 
 
-def _pnt_value_at(cutoff: int, primes: np.ndarray, logs: np.ndarray) -> float:
-    log_over_p = float(np.sum(logs / primes))
-    theta = float(np.sum(logs))
+def _count_up_to(primes: np.ndarray, x: int) -> int:
+    """How many of the sorted primes are <= x.
+
+    The needle takes the table's dtype: numpy 2 casts an int32 haystack to
+    int64, a full copy, to compare it with a Python int.
+    """
+    return int(np.searchsorted(primes, primes.dtype.type(x), "right"))
+
+
+def _logs(primes: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """log p of every prime, written into the float64 buffer."""
+    buffer[...] = primes  # exact: every prime is below 2**53
+    return np.log(buffer, out=buffer)
+
+
+def _log_quotients(
+    primes: np.ndarray, buffer: np.ndarray, denominator: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """log p / denominator(p) of every prime, written into the float64 buffer.
+
+    The primes reach denominator a block at a time, as float64, so its
+    temporaries stay a block long.  Each entry is the double that the
+    whole-array log p / denominator(p) of the float64 primes gives.
+    """
+    logs = _logs(primes, buffer)
+    for p, block in zip(_blocks(primes), _blocks(logs)):
+        block /= denominator(p.astype(np.float64))
+    return logs
+
+
+def _even_denominator(p: np.ndarray) -> np.ndarray:
+    return p**1.5 - p
+
+
+def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
     return 1.0 + log_over_p - theta / cutoff - math.log(cutoff)
+
 
 def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     """The prime-counting constant 1 + int_1^X (theta(t) - t)/t^2 dt.
@@ -152,19 +199,18 @@ def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     int_1^X (theta(t)-t)/t^2 dt = sum_{p<=X} log p / p - theta(X)/X - log X,
     so the only approximation is the cutoff itself.  Returns (value,
     uncertainty) where uncertainty = |value(X) - value(X/10)|, an empirical
-    stabilization estimate, not a rigorous bound.
+    stabilization estimate, not a rigorous bound.  Both values read prefix
+    sums of one buffer: the logs first, then the logs divided by p in place.
     """
-    view = _prime_logs(cutoff, table)
-    value = _pnt_value_at(*view)
-    decade = _pnt_value_at(*_prime_logs(max(2, view[0] // 10), view))
-    return value, abs(value - decade)
-
-
-def _even_quotient(primes: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """log p / (p^{3/2} - p) for every prime, formed in one fresh array."""
-    quotient = primes**1.5
-    quotient -= primes
-    return np.divide(logs, quotient, out=quotient)
+    cutoff, primes, buffer = _prime_table(cutoff, table)
+    decade = max(2, cutoff // 10)
+    k = _count_up_to(primes, decade)
+    logs = _logs(primes, buffer)
+    theta, decade_theta = float(np.sum(logs)), float(np.sum(logs[:k]))
+    logs /= primes
+    value = _pnt_value_at(cutoff, theta, float(np.sum(logs)))
+    decade_value = _pnt_value_at(decade, decade_theta, float(np.sum(logs[:k])))
+    return value, abs(value - decade_value)
 
 
 def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
@@ -177,8 +223,8 @@ def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     precision at any feasible cutoff; c_sym_even_completed adds the remainder
     past X and serves the constant itself, with this route as its cross-check.
     """
-    cutoff, primes, logs = _prime_logs(cutoff, table)
-    value = float(np.sum(_even_quotient(primes, logs)))
+    cutoff, primes, buffer = _prime_table(cutoff, table)
+    value = float(np.sum(_log_quotients(primes, buffer, _even_denominator)))
     tail_bound = (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
     return value, tail_bound
 
@@ -338,10 +384,12 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
     the independent truncation route c_sym_even, read from the same table.
+    S_X and each head sum_{p<=X} log p / (p^{t/2} - 1) are formed in the
+    table's one buffer, the logs written afresh for each.
     """
-    cutoff, primes, logs = table = _prime_logs(cutoff)
+    cutoff, primes, buffer = table = _prime_table(cutoff)
     sieve_value, sieve_tail = c_sym_even(cutoff, table)
-    partial = math.fsum(_items(_even_quotient(primes, logs)))
+    partial = math.fsum(_items(_log_quotients(primes, buffer, _even_denominator)))
     parts = [partial]
     magnitude = partial  # prime-sum summands, all positive
     propagated = 0.0
@@ -356,9 +404,7 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
             ratio = -slope / zeta_value
             # zeta >= 1 for real s > 1 bounds the quotient's error.
             ratio_radius = (slope_radius + (-slope + slope_radius) * zeta_radius) / zeta_value
-            den = primes ** (t / 2)
-            den -= 1.0
-            head = math.fsum(_items(np.divide(logs, den, out=den)))
+            head = math.fsum(_items(_log_quotients(primes, buffer, lambda p: p ** (t / 2) - 1.0)))
             parts += [a * ratio, -a * head]
             magnitude += abs(a) * head
             propagated += abs(a) * (ratio_radius + _UNIT_ROUNDOFF * ratio)
@@ -458,12 +504,14 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
 
     cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
     the even-power constant at DEFAULT_C_CUTOFF, both read from the one
-    table sieved to the larger.  c_gamma, which checks r and kappa, comes
-    first, so a bad r or weight is refused before the sieve.
+    table sieved to the larger: 12 bytes a prime, its int32 primes and one
+    float64 buffer that c_pnt and then c_sym_even overwrite.  c_gamma,
+    which checks r and kappa, comes first, so a bad r or weight is refused
+    before the sieve.
     """
     gamma_value = c_gamma(r, kappa)
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
-    table = _prime_logs(max(pnt_cutoff, c_cutoff))
+    table = _prime_table(max(pnt_cutoff, c_cutoff))
     pnt_value, pnt_unc = c_pnt(pnt_cutoff, table)
     c_value, c_tail = c_sym_even(c_cutoff, table)
     return ConstantsBundle(

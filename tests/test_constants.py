@@ -27,8 +27,9 @@ from symlow.constants import (
     c_gamma,
     c_gamma_from_shifts,
     c_pnt,
-    _even_quotient,
-    _prime_logs,
+    _even_denominator,
+    _log_quotients,
+    _prime_table,
     _series_coefficient,
     c_sym_even,
     c_sym_even_completed,
@@ -104,8 +105,9 @@ def traced_peak(compute) -> int:
         tracemalloc.stop()
 
 
-# pi(10**7); the memory guards below budget in units of its int64 or float64 array.
+# pi(10**7) and pi(10**8); the memory guards below budget in units of their arrays.
 PI_1E7 = 664_579
+PI_1E8 = 5_761_455
 
 
 class TestSieve:
@@ -130,10 +132,13 @@ class TestSieve:
         budget = (n + 1) // 2 + 8 * PI_1E7
         assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
 
-    def test_constants_memory_is_three_prime_arrays(self):
-        # The float64 primes and logs of the table and one quotient at a time.
-        budget = 3 * 8 * PI_1E7
-        assert traced_peak(lambda: compute_constants(2, 12, 10**7)) <= 1.05 * budget
+    def test_constants_memory_is_int32_primes_and_one_float64_buffer(self):
+        # The table's int32 primes and its one float64 buffer, 12 bytes a
+        # prime; the same while the sieve's int64 output is narrowed.  Taken
+        # at the cap: at 10**7 the sieve's own segment buffers and
+        # Rosser-Schoenfeld slack (9.6 MB) lie above 12 pi(10**7) (8.0 MB).
+        budget = (4 + 8) * PI_1E8
+        assert traced_peak(lambda: compute_constants(2, 12, 10**8)) <= 1.05 * budget
 
     def test_matches_oracle_across_many_segments(self, monkeypatch):
         # 64 odd numbers a segment: up to 24 segments, each boundary and the
@@ -305,27 +310,48 @@ class TestCompletedEvenPowerConstant:
 class TestSharedPrimeTable:
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6])
     def test_views_equal_fresh_sieve(self, cutoff):
-        for table in (_prime_logs(cutoff), _prime_logs(10**7)):
+        for table in (_prime_table(cutoff), _prime_table(10**7)):
             assert c_pnt(cutoff, table) == c_pnt(cutoff)
             assert c_sym_even(cutoff, table) == c_sym_even(cutoff)
 
-    def test_even_quotient_same_doubles_table_untouched(self):
-        _, primes, logs = table = _prime_logs(10**5)
-        kept = primes.copy(), logs.copy()
-        assert numpy.array_equal(_even_quotient(primes, logs), logs / (primes**1.5 - primes))
+    def test_log_quotients_same_doubles_primes_untouched(self):
+        # 10 blocks of primes, the last one short.
+        _, primes, buffer = table = _prime_table(10**6)
+        kept = primes.copy()
+        floats = primes.astype(numpy.float64)
+        got = _log_quotients(primes, buffer, _even_denominator)
+        assert got is buffer
+        assert numpy.array_equal(got, numpy.log(floats) / (floats**1.5 - floats))
         c_sym_even(10**4, table)
-        assert numpy.array_equal(primes, kept[0]) and numpy.array_equal(logs, kept[1])
+        assert numpy.array_equal(primes, kept)
+
+    def test_table_is_int32_up_to_the_int32_limit(self, monkeypatch):
+        assert symlow.constants._INT32_MAX == numpy.iinfo(numpy.int32).max
+        assert _prime_table(10**4)[1].dtype == numpy.int32
+        # A limit lowered to 100 sends every larger cutoff down the int64
+        # branch, which a cap raised past 2**31 takes, without sieving that far.
+        monkeypatch.setattr(symlow.constants, "_INT32_MAX", 100)
+        assert _prime_table(100)[1].dtype == numpy.int32
+        assert _prime_table(101)[1].dtype == numpy.int64
+
+    @pytest.mark.parametrize("cutoff", [101, 10**4, 10**6])
+    def test_int64_branch_same_floats(self, cutoff, monkeypatch):
+        int32 = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        monkeypatch.setattr(symlow.constants, "_INT32_MAX", 100)
+        assert _prime_table(cutoff)[1].dtype == numpy.int64
+        int64 = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        assert int64 == int32
 
     def test_table_below_cutoff_rejected(self):
         # Sieved to 10, the table ends at 7 and could not tell 11 from a gap.
-        table = _prime_logs(10)
+        table = _prime_table(10)
         for cutoff in (11, 100):
             with pytest.raises(ValueError, match="sieved to 10"):
                 c_pnt(cutoff, table)
             with pytest.raises(ValueError, match="sieved to 10"):
                 c_sym_even(cutoff, table)
         with pytest.raises(ValueError):
-            _prime_logs(1, table)
+            _prime_table(1, table)
 
     @pytest.mark.parametrize(
         "compute",
@@ -342,6 +368,63 @@ class TestSharedPrimeTable:
         monkeypatch.setattr(symlow.constants, "primes_up_to", lambda n: calls.append(n) or sieve(n))
         compute()
         assert len(calls) == 1, calls
+
+
+def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float, float]:
+    """(c_pnt value, its decade uncertainty, c_sym_even value), whole-array.
+
+    The formulas that the int32 table and its one buffer replaced: the whole
+    table as float64, its logs, and each quotient formed in one fresh array.
+    """
+    primes = primes_up_to(max(pnt_cutoff, c_cutoff)).astype(numpy.float64)
+    logs = numpy.log(primes)
+
+    def view(x):
+        k = numpy.searchsorted(primes, x, "right")
+        return primes[:k], logs[:k]
+
+    def pnt_value(x):
+        p, log_p = view(x)
+        return 1.0 + float(numpy.sum(log_p / p)) - float(numpy.sum(log_p)) / x - math.log(x)
+
+    value = pnt_value(pnt_cutoff)
+    p, log_p = view(c_cutoff)
+    even = float(numpy.sum(log_p / (p**1.5 - p)))
+    return value, abs(value - pnt_value(max(2, pnt_cutoff // 10))), even
+
+
+def whole_array_log_quotients(primes, buffer, denominator):
+    """log p / denominator(p) over the whole table as float64, in fresh arrays."""
+    floats = primes.astype(numpy.float64)
+    return numpy.log(floats) / denominator(floats)
+
+
+class TestConstantsBitForBit:
+    """The constants equal their whole-array float64 formulas with ==.
+
+    The recorded digests cannot see a last-bit move in log or pow, which
+    washes out of the printed sums (see TestCpuDispatch in test_cli.py).
+    """
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6, 10**7 + 19])
+    def test_equal_cutoffs(self, cutoff):
+        value, uncertainty, even = whole_array_constants(cutoff, cutoff)
+        assert c_pnt(cutoff) == (value, uncertainty)
+        assert c_sym_even(cutoff)[0] == even
+        bundle = compute_constants(2, 12, cutoff)
+        assert (bundle.c_pnt_value, bundle.c_pnt_uncertainty, bundle.c_value) == (value, uncertainty, even)
+
+    def test_default_cutoffs(self):
+        bundle = compute_constants(2, 12)
+        want = whole_array_constants(bundle.pnt_cutoff, bundle.c_cutoff)
+        assert (bundle.pnt_cutoff, bundle.c_cutoff) == (10**7, 10**6)
+        assert (bundle.c_pnt_value, bundle.c_pnt_uncertainty, bundle.c_value) == want
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6, 10**7 + 19])
+    def test_completed(self, cutoff, monkeypatch):
+        got = c_sym_even_completed(cutoff)
+        monkeypatch.setattr(symlow.constants, "_log_quotients", whole_array_log_quotients)
+        assert got == c_sym_even_completed(cutoff)
 
 
 class TestDigamma:
