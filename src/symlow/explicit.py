@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .constants import ConstantsBundle, check_sieve_bound, nu_max, primes_up_to
+from .constants import ConstantsBundle, _count_up_to, check_sieve_bound, nu_max, primes_up_to
 from .forms import (
     SyntheticForm,
     TestFunction,
@@ -213,7 +213,7 @@ def prime_sums(
         bound = prime_limit if n <= 2 else _root_floor(prime_limit, n)
         with contextlib.suppress(ValueError):  # a bound past every float is past the sieve too
             bound = min(bound, _natural_prime_limit(scale, nu, n))
-        return phi.phi_hat_array(n * logs[: np.searchsorted(primes, bound, "right")] / scale)
+        return phi.phi_hat_array(n * logs[: _count_up_to(primes, bound)] / scale)
 
     # weights[n - 1] for n <= 2 and every n with 2^n <= prime_limit.
     weights = [prefix_weights(n) for n in range(1, max(3, int(prime_limit).bit_length()))]

@@ -2,8 +2,12 @@
 
 Kloosterman sums are exact (residue counts in integer arithmetic, cosines
 summed in double precision) and are built once per modulus for every index
-that needs it.  Bessel J switches between the power series and Miller's
-backward recurrence.  The truncated diagonal term carries a rigorous bound
+that needs it.  One index sums its cosines split over the set bits of each
+count; several indices sum every row in one numpy product of the counts with
+the cosines cut exactly into pieces on a common grid.  Both sums are exact
+before their one final rounding, so the two routes give the same doubles.
+Bessel J switches between the power series and Miller's backward
+recurrence.  The truncated diagonal term carries a rigorous bound
 on its truncation tail, built from the Weil bound and the small-argument
 Bessel bound; that radius does not cover the rounding of the computed terms.
 """
@@ -112,14 +116,18 @@ def kloosterman_sums(
     N is the CRT product of _count_table over the prime powers q || c, in
     exact int64: the first table repeated c // q times, the others multiplied
     in.  Each cosine is the double a sum over the units would use, evaluated
-    once per residue that occurs (for one index, straight from the nonzero
-    entries of its row; for several, once for all rows), and enters as
-    2^b cos over the set bits b of N(k), exactly.  So math.fsum, exactly
-    rounded, returns the per-unit sum's double by either route, whichever ms
-    share c, and ms is taken in chunks of COUNT_ENTRIES // c rows (at least
-    one).  |S| <= phi(c).  tables, when given, keeps the count tables of the
-    prime powers q with 8 q <= c (small, recurring q, in O(c) memory), keyed
-    by q, n mod q and each m mod q.
+    once per residue that occurs.  One index takes the residues straight
+    from the nonzero entries of its row, and each N(k) cos enters as 2^b cos
+    over the set bits b of N(k), exactly; math.fsum of those terms is
+    exactly rounded.  Several indices take the residues that occur in any
+    row, and _grid_sums sums every row exactly in one product of the counts
+    with the cosines cut into grid pieces (each row's N(k) sum to
+    phi(c) < 2^bitlen(c)).  So either route returns the per-unit sum's
+    double, whichever ms share c, and ms is taken in chunks of
+    COUNT_ENTRIES // c rows (at least one).  |S| <= phi(c).  tables, when
+    given, keeps the count tables of the prime powers q with 8 q <= c
+    (small, recurring q, in O(c) memory), keyed by q, n mod q and each
+    m mod q.
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
@@ -157,24 +165,33 @@ def kloosterman_sums(
                 return [math.fsum(part)]
             keep = np.flatnonzero(weights)
             terms, weights = terms[keep], weights[keep]
-    cosines = np.zeros(c)
-    ks = np.flatnonzero(counts.sum(axis=0))  # the residues that occur for some m
-    cosines[ks] = _libm(math.cos, (2.0 * math.pi / c) * ks)
-    flat = np.flatnonzero(counts)  # row by row, so each m's terms are contiguous
-    terms, weights = cosines.take(flat, mode="wrap"), counts.take(flat)  # wrap: k = flat mod c
-    parts: list[list[float]] = [[] for _ in ms]
-    while True:
-        low = weights & -weights  # the lowest set bit of each multiplicity
-        scaled = (terms * low).tolist()
-        ends = flat.searchsorted(range(c, c * len(ms) + 1, c)).tolist()
-        for part, start, end in zip(parts, [0, *ends], ends):
-            part += scaled[start:end]
-        weights -= low
-        if not weights.any():
-            break
-        keep = np.flatnonzero(weights)
-        flat, terms, weights = flat[keep], terms[keep], weights[keep]
-    return [math.fsum(part) for part in parts]
+    ks = np.flatnonzero(counts.any(axis=0))  # the residues that occur for some m
+    return _grid_sums(counts[:, ks], _libm(math.cos, (2.0 * math.pi / c) * ks), c.bit_length())
+
+
+def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int) -> list[float]:
+    """The exactly rounded sum of weights[i] * cosines for every row i.
+
+    weights holds nonnegative integers, each row summing below 2^bits
+    (bits <= 50), and |cosines| <= 1.  Each cosine is split exactly into
+    pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits (Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31, 2008): a piece is what is left of
+    the cosine rounded to a multiple of its grid, until nothing is left (one
+    piece at least, so that an empty batch still gives an empty list).  A
+    piece is at most 2^b units of its grid, so every product and every
+    partial sum of a row's piece sum is an integer below 2^51 units, exact
+    in any summation order, and math.fsum of a row's few piece sums is
+    exactly rounded.  einsum sums in numpy's own loop, with no BLAS call
+    and no thread.
+    """
+    b = 51 - bits
+    grid, rest, pieces = 1.0, cosines, []
+    while not pieces or rest.any():
+        grid *= 2.0**-b
+        pieces.append(np.rint(rest / grid) * grid)
+        rest = rest - pieces[-1]
+    sums = np.einsum("ij,kj->ik", weights.astype(np.float64), np.array(pieces))
+    return [math.fsum(row) for row in sums.tolist()]
 
 
 def kloosterman(m: int, n: int, c: int) -> float:

@@ -170,6 +170,57 @@ class TestKloosterman:
                 chunked = kloosterman_sums(ms, n, c, tables)
                 assert chunked == [kloosterman(m, n, c) for m in ms], (n, c)
 
+    def test_grid_sums_exact_near_the_modulus_limit(self):
+        # c = 2**31 - 1 is prime, so every row of weights sums to phi(c) =
+        # 2**31 - 2, the most the many-index route can meet.  The cosines run
+        # from +-1 down to 2**-60 with full mantissas.  The heavy rows put all
+        # their weight on eight cosines in [0.5, 1), so their partial sums
+        # reach about 2**50.6 units of the grid 2**-20, close to the bound.
+        c = 2**31 - 1
+        phi = c - 1
+        rng = numpy.random.default_rng(26)
+        cosines = numpy.concatenate([
+            [1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-52)],
+            rng.uniform(0.5, 1.0, 8),
+            rng.choice([-1.0, 1.0], 60) * rng.uniform(0.5, 1.0, 60) * 2.0 ** -numpy.arange(60),
+        ])
+        spread = numpy.full(cosines.size, 1 / cosines.size)
+        heavy = numpy.zeros(cosines.size)
+        heavy[4:12] = 1 / 8
+        weights = numpy.array([rng.multinomial(phi, p) for p in [spread] * 20 + [heavy] * 20])
+        want = []
+        for row in weights.tolist():
+            terms = []
+            for w, cosine in zip(row, cosines.tolist()):
+                while w:  # one term per set bit of the weight
+                    low = w & -w
+                    terms.append(cosine * low)
+                    w -= low
+            want.append(math.fsum(terms))
+        tracemalloc.start()
+        try:
+            got = symlow.petersson._grid_sums(weights, cosines, c.bit_length())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**16  # nothing c-long: 8 bytes a residue would be 16 GiB
+
+    def test_many_index_sums_do_not_rest_on_the_residue_order(self, monkeypatch):
+        # The grid product sums exactly, so the residues may come in any order.
+        grid_sums = symlow.petersson._grid_sums
+        rng = numpy.random.default_rng(26)
+        ms = [0, 1, 2, 7, 997, 10**6]
+        cases = [(c, n) for c in (12, 97, 360, 1000, 3960, 4001) for n in (1, -3)]
+        want = [kloosterman_sums(ms, n, c) for c, n in cases]
+        for order in (lambda k: k[::-1], rng.permutation):
+            def permuted(weights, cosines, bits, order=order):
+                perm = order(numpy.arange(cosines.size))
+                return grid_sums(weights[:, perm], cosines[perm], bits)
+
+            monkeypatch.setattr(symlow.petersson, "_grid_sums", permuted)
+            assert [kloosterman_sums(ms, n, c) for c, n in cases] == want
+
     def test_peak_memory_bounded_in_the_indices(self):
         # 180 indices at a modulus near 4000 hold about 38 MiB in one count
         # matrix; chunked, the peak is that of 65 rows, about 13 MiB.

@@ -49,3 +49,19 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not found, f"imported names never used: {found}"
+
+
+def test_no_blas_products():
+    # Evaluation is single-threaded: numpy hands `@`, dot, matmul, tensordot,
+    # inner, vdot and linalg to BLAS, which may run on its own threads, and
+    # an einsum told to optimize may route through tensordot.
+    blas = {"dot", "matmul", "tensordot", "inner", "vdot", "linalg"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in blas
+        or isinstance(node, ast.keyword) and node.arg == "optimize"
+    ]
+    assert not found, f"BLAS products in src (use np.einsum without optimize): {found}"
