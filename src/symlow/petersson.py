@@ -1,15 +1,16 @@
 """Trace-formula numerics: Kloosterman sums, Bessel J, truncated diagonals.
 
 Kloosterman sums are exact (residue counts in integer arithmetic, cosines
-summed in double precision) and are built once per modulus for every index
-that needs it.  One index sums its cosines split over the set bits of each
-count; several indices sum every row in one numpy product of the counts with
-the cosines cut exactly into pieces on a common grid.  Both sums are exact
-before their one final rounding, so the two routes give the same doubles.
-Bessel J switches between the power series and Miller's backward
-recurrence.  The truncated diagonal term carries a rigorous bound
-on its truncation tail, built from the Weil bound and the small-argument
-Bessel bound; that radius does not cover the rounding of the computed terms.
+summed in double precision).  A sweep takes its moduli in blocks of
+consecutive moduli that serve the same indices: a block builds every
+index's counts side by side, takes all its cosines in one call, cuts them
+once into pieces on a common grid and sums each (index, modulus) exactly
+before one final rounding, so any block gives the same doubles as one
+modulus alone.  Bessel J switches between the power series, an array kernel
+that keeps each entry's own terms, and Miller's backward recurrence.  The
+truncated diagonal term carries a rigorous bound on its truncation tail,
+built from the Weil bound and the small-argument Bessel bound; that radius
+does not cover the rounding of the computed terms.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import sys
 import warnings
 from array import array
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
-from .forms import _check_weight, _libm, is_prime
+from .forms import _BLOCK, _check_weight, _libm, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -36,10 +38,13 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 # reduced with Python ints first).  Tests enumerate count tables up to a prime
 # near 2**20 only: near 2**31 the bound rests on this argument alone.
 MODULUS_LIMIT = 2**31
-# Entries of one count matrix: a call with more than COUNT_ENTRIES // c
-# indices runs in chunks of that many rows, sharing tables, so its memory
-# (about 50 bytes an entry) does not grow with the number of indices.
+# Entries of one count matrix: a block of moduli of total width w with more
+# than COUNT_ENTRIES // w indices runs in chunks of that many rows, sharing
+# tables, so its memory (about 50 bytes an entry) does not grow with the
+# number of indices.
 COUNT_ENTRIES = 2**18
+# Series entries of one Bessel pass: each keeps at most 200 terms.
+_SERIES_CHUNK = 128
 
 # Classical coefficients of the weight-12 level-1 cusp form's q-expansion,
 # for the CLI comparison table.  The test suite recomputes them from the
@@ -77,19 +82,27 @@ def _count_table(ms: Sequence[int], n: int, q: int, p: int) -> np.ndarray:
 
     q = p^e.  At an odd prime p not dividing n, m x^2 - k x + n = 0 has
     1 + chi_p(k^2 - 4 m n) roots x if p does not divide m, else one, x = n/k,
-    for k != 0.  Other prime powers enumerate their units, inverting the
-    lower half by square-and-multiply and mirroring: (q - x)^-1 = q - x^-1.
+    for k != 0: one gather for every row, then the rows with p | m.  Other
+    prime powers enumerate their units, inverting the lower half by
+    square-and-multiply and mirroring, (q - x)^-1 = q - x^-1, and count
+    every row's residues in one bincount, row i's shifted by i q.
     """
     k = np.arange(q, dtype=np.int64)
-    table = np.empty((len(ms), q), dtype=np.int64)
     if q == p > 2 and n % p:
         squares = k * k % p
-        roots = np.zeros(p, dtype=np.int64)  # roots[d] = #{y : y^2 = d} = 1 + chi_p(d)
+        # roots[d] = roots[p + d] = #{y : y^2 = d} = 1 + chi_p(d), twice over, so
+        # that row m finds k^2 - 4 n m mod p at k^2 + p - (4 n m mod p), with
+        # no division.
+        roots = np.zeros(2 * p, dtype=np.int64)
         roots[squares] = 2
         roots[0] = 1
-        for row, m in zip(table, ms):
-            # 4 n m is reduced as a Python int: it can reach 2**64.
-            row[:] = roots[(squares - 4 * n * m % p) % p] if m % p else np.minimum(k, 1)
+        roots[p:] = roots[:p]
+        # 4 n m is reduced as a Python int: it can reach 2**64.
+        shifts = np.array([p - 4 * n * m % p for m in ms], dtype=np.int64)
+        table = roots[squares + shifts[:, None]]
+        divisible = [i for i, m in enumerate(ms) if m % p == 0]
+        if divisible:
+            table[divisible] = np.minimum(k, 1)
         return table
     units = k.reshape(-1, p)[:, 1:].ravel()
     inverses = np.ones(len(units) - len(units) // 2, dtype=np.int64)
@@ -101,9 +114,88 @@ def _count_table(ms: Sequence[int], n: int, q: int, p: int) -> np.ndarray:
         base = base * base % q
         e >>= 1
     inverses = np.concatenate([inverses, q - inverses[::-1][: len(units) // 2]])
-    for row, m in zip(table, ms):
-        row[:] = np.bincount((m % q * units + n % q * inverses) % q, minlength=q)
-    return table
+    heads = np.array([m % q for m in ms], dtype=np.int64)[:, None]
+    residues = (heads * units + n % q * inverses) % q + q * np.arange(len(ms))[:, None]
+    return np.bincount(residues.ravel(), minlength=len(ms) * q).reshape(len(ms), q)
+
+
+def _kloosterman_block(
+    ms: Sequence[int], n: int, cs: Sequence[int], tables: dict
+) -> list[float]:
+    """Exact S(m, n; c) for every m in ms and c in cs, row by row: ms[0]'s
+    sums over cs, then ms[1]'s, and so on.
+
+    N for every (m, c) lies side by side in one float64 matrix, a row per m
+    and c columns per modulus, exact: its entries are integers below 2^31.
+    A modulus's first prime power q || c writes its table into the columns,
+    broadcast over the c // q repeats, and the others multiply theirs in.
+    The residues that occur in any row take their cosines in one _libm call,
+    each the double (2 pi / c) k that a sum over the units would use, and
+    _grid_sums sums each (m, c) segment exactly, with bits = bitlen(max cs):
+    a row's N at c sums to phi(c) < 2^bitlen(c).  So each value is the one
+    that c alone gives.  ms is taken in chunks of COUNT_ENTRIES // sum(cs)
+    rows (at least one).  tables keeps the count tables of the prime powers
+    q with 8 q <= c (small, recurring q, in O(c) memory), keyed by q, n mod q
+    and each m mod q.
+    """
+    if len(ms) == 0:
+        return []
+    width = sum(cs)
+    rows = max(1, COUNT_ENTRIES // width)
+    if len(ms) > rows:
+        chunks = (_kloosterman_block(ms[i:i + rows], n, cs, tables) for i in range(0, len(ms), rows))
+        return [s for chunk in chunks for s in chunk]
+    counts = np.empty((len(ms), width))
+    edges = list(accumulate(cs, initial=0))  # each modulus's first column, then the width
+    for c, offset in zip(cs, edges):
+        view = counts[:, offset:offset + c]
+        if c == 1:
+            view[...] = 1.0  # the one unit 0
+        for number, (p, e) in enumerate(_factorization(c).items()):
+            q = p**e
+            key = (q, n % q, *(m % q for m in ms))
+            table = tables.get(key)
+            if table is None:
+                table = _count_table(ms, n, q, p)
+                if 8 * q <= c:
+                    tables[key] = table
+            repeats = view.reshape(len(ms), c // q, q)  # a view: a row's c columns are contiguous
+            if number:
+                repeats *= table[:, None, :]
+            else:
+                repeats[...] = table[:, None, :]
+    occur = np.flatnonzero(counts.any(axis=0))  # the block's residues that occur for some m
+    bounds = np.searchsorted(occur, edges)  # each modulus has one at least
+    sizes = bounds[1:] - bounds[:-1]
+    ks = occur - np.repeat(edges[:-1], sizes)
+    cosines = _libm(math.cos, np.repeat((2.0 * math.pi) / np.array(cs), sizes) * ks)
+    return _grid_sums(counts[:, occur], cosines, max(cs).bit_length(), bounds)
+
+
+def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequence[int]) -> list[float]:
+    """The exactly rounded sum of weights[i, a:b] * cosines[a:b] for every row
+    i and every segment [a, b) between consecutive bounds, row by row.
+
+    weights holds nonnegative integers, each row's segment summing below
+    2^bits (bits <= 50), and |cosines| <= 1.  Each cosine is split exactly
+    into pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits (Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31, 2008): a piece is what is left of the
+    cosine rounded to a multiple of its grid, until nothing is left.  A piece
+    is at most 2^b units of its grid, so every product and every partial sum
+    of a segment's piece sum is an integer below 2^51 units, exact in any
+    summation order, and math.fsum of a segment's few piece sums is exactly
+    rounded.  One einsum a segment sums every row against every piece, in
+    numpy's own loop, with no BLAS call and no thread.
+    """
+    b = 51 - bits
+    grid, rest, pieces = 1.0, cosines, []
+    while not pieces or rest.any():
+        grid *= 2.0**-b
+        pieces.append(np.rint(rest / grid) * grid)
+        rest = rest - pieces[-1]
+    pieces = np.array(pieces)
+    sums = [np.einsum("ij,kj->ik", weights[:, lo:hi], pieces[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [math.fsum(s) for s in np.stack(sums, axis=1).reshape(-1, len(pieces)).tolist()]
 
 
 def kloosterman_sums(
@@ -114,84 +206,17 @@ def kloosterman_sums(
     S(m, n; c) = sum over k mod c of N(k) cos(2 pi k / c), where N(k) counts
     the units x with m x + n x^-1 = k mod c (x <-> -x makes the sum real).
     N is the CRT product of _count_table over the prime powers q || c, in
-    exact int64: the first table repeated c // q times, the others multiplied
-    in.  Each cosine is the double a sum over the units would use, evaluated
-    once per residue that occurs.  One index takes the residues straight
-    from the nonzero entries of its row, and each N(k) cos enters as 2^b cos
-    over the set bits b of N(k), exactly; math.fsum of those terms is
-    exactly rounded.  Several indices take the residues that occur in any
-    row, and _grid_sums sums every row exactly in one product of the counts
-    with the cosines cut into grid pieces (each row's N(k) sum to
-    phi(c) < 2^bitlen(c)).  So either route returns the per-unit sum's
-    double, whichever ms share c, and ms is taken in chunks of
-    COUNT_ENTRIES // c rows (at least one).  |S| <= phi(c).  tables, when
-    given, keeps the count tables of the prime powers q with 8 q <= c
-    (small, recurring q, in O(c) memory), keyed by q, n mod q and each
-    m mod q.
+    exact integers, and the one-modulus block of _kloosterman_block sums it
+    against the cosines exactly before one final rounding.  So each value is
+    the per-unit sum's double, whichever ms share c or whichever moduli
+    share a block.  |S| <= phi(c).  tables, when given, keeps the count
+    tables of the small, recurring prime powers across calls.
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
     if c >= MODULUS_LIMIT:
         raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
-    tables = {} if tables is None else tables
-    rows = max(1, COUNT_ENTRIES // c)
-    if len(ms) > rows:
-        chunks = (kloosterman_sums(ms[i:i + rows], n, c, tables) for i in range(0, len(ms), rows))
-        return [s for chunk in chunks for s in chunk]
-    if c == 1:
-        return [1.0] * len(ms)  # the one unit 0, and cos 0
-    counts = None
-    for p, e in _factorization(c).items():
-        q = p**e
-        key = (q, n % q, *(m % q for m in ms))
-        table = tables.get(key)
-        if table is None:
-            table = _count_table(ms, n, q, p)
-            if 8 * q <= c:
-                tables[key] = table
-        if counts is None:  # the table as is only when c = q, where nothing multiplies into it
-            counts = table if q == c else np.tile(table, c // q)
-        else:
-            counts.reshape(len(ms), c // q, q)[...] *= table[:, None, :]
-    if len(ms) == 1:  # one row: its nonzero entries are the residues that occur
-        ks = np.flatnonzero(counts)
-        terms, weights = _libm(math.cos, (2.0 * math.pi / c) * ks), counts[0, ks]
-        part: list[float] = []
-        while True:
-            low = weights & -weights  # the lowest set bit of each multiplicity
-            part += (terms * low).tolist()
-            weights -= low
-            if not weights.any():
-                return [math.fsum(part)]
-            keep = np.flatnonzero(weights)
-            terms, weights = terms[keep], weights[keep]
-    ks = np.flatnonzero(counts.any(axis=0))  # the residues that occur for some m
-    return _grid_sums(counts[:, ks], _libm(math.cos, (2.0 * math.pi / c) * ks), c.bit_length())
-
-
-def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int) -> list[float]:
-    """The exactly rounded sum of weights[i] * cosines for every row i.
-
-    weights holds nonnegative integers, each row summing below 2^bits
-    (bits <= 50), and |cosines| <= 1.  Each cosine is split exactly into
-    pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits (Rump, Ogita
-    and Oishi, SIAM J. Sci. Comput. 31, 2008): a piece is what is left of
-    the cosine rounded to a multiple of its grid, until nothing is left (one
-    piece at least, so that an empty batch still gives an empty list).  A
-    piece is at most 2^b units of its grid, so every product and every
-    partial sum of a row's piece sum is an integer below 2^51 units, exact
-    in any summation order, and math.fsum of a row's few piece sums is
-    exactly rounded.  einsum sums in numpy's own loop, with no BLAS call
-    and no thread.
-    """
-    b = 51 - bits
-    grid, rest, pieces = 1.0, cosines, []
-    while not pieces or rest.any():
-        grid *= 2.0**-b
-        pieces.append(np.rint(rest / grid) * grid)
-        rest = rest - pieces[-1]
-    sums = np.einsum("ij,kj->ik", weights.astype(np.float64), np.array(pieces))
-    return [math.fsum(row) for row in sums.tolist()]
+    return _kloosterman_block(ms, n, [c], {} if tables is None else tables)
 
 
 def kloosterman(m: int, n: int, c: int) -> float:
@@ -217,27 +242,50 @@ def weil_bound(m: int, n: int, c: int) -> float:
     return divisor_count(c) * math.sqrt(math.gcd(m, n, c)) * math.sqrt(c)
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # first term (x/2)^order / order!, then the ratio recurrence; exact
-    # factorials up to 170! keep the leading term at one rounding
-    half = 0.5 * x
+def _in_series_window(order: int, x):
+    """x <= min(order + 10, 14), for a float or elementwise for an array."""
+    return x <= min(order + 10.0, _SERIES_WINDOW_CAP)
+
+
+def _series_lead(order: int, half: float) -> float:
+    # (x/2)^order / order!; exact factorials up to 170! keep it at one rounding
     if order <= 170:
-        term = half**order / math.factorial(order)
-    else:
-        logt = order * math.log(half) - math.lgamma(order + 1) if half > 0.0 else -math.inf
-        term = math.exp(logt) if logt > -745.0 else 0.0
-    if term == 0.0:
-        return 0.0
-    terms = [term]
-    largest = abs(term)
-    hh = half * half
-    for t in range(1, 200):
-        term *= -hh / (t * (order + t))
-        terms.append(term)
-        largest = max(largest, abs(term))
-        if abs(term) < 1e-18 * largest:
-            break
-    return math.fsum(terms)
+        return half**order / math.factorial(order)
+    logt = order * math.log(half) - math.lgamma(order + 1) if half > 0.0 else -math.inf
+    return math.exp(logt) if logt > -745.0 else 0.0
+
+
+def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
+    """The power series of J_order at every entry of x >= 0, unclamped.
+
+    Each entry takes its first term (x/2)^order / order! in Python's own
+    arithmetic, then the ratio recurrence term *= -(x/2)^2 / (t (order + t))
+    elementwise, up to and including its own first term below 1e-18 of its
+    largest (200 terms at most), and one math.fsum of those terms; an entry
+    whose first term is 0 is 0.  So each is the double a scalar loop over
+    that entry alone gives.  Entries go _SERIES_CHUNK at a time, so the
+    terms held stay at most 200 for each entry of one chunk.
+    """
+    out = np.empty(x.size)
+    for start in range(0, x.size, _SERIES_CHUNK):
+        half = 0.5 * x[start:start + _SERIES_CHUNK]
+        term = np.array([_series_lead(order, h) for h in half.tolist()])
+        terms, largest, hh = [term], np.abs(term), half * half
+        kept = np.where(term == 0.0, 0, 200)  # each entry's number of terms
+        live = term != 0.0
+        for t in range(1, 200):
+            if not live.any():
+                break
+            term = term * (-hh / (t * (order + t)))
+            terms.append(term)
+            size = np.abs(term)
+            largest = np.maximum(largest, size)
+            done = live & (size < 1e-18 * largest)
+            kept[done] = t + 1
+            live &= ~done
+        columns = np.array(terms).T.tolist()
+        out[start:start + half.size] = [math.fsum(col[:n]) for col, n in zip(columns, kept.tolist())]
+    return out
 
 
 def _bessel_miller(order: int, x: float) -> float:
@@ -275,7 +323,10 @@ def bessel_j(order: int, x: float) -> float:
     series loses more than five digits to cancellation in doubles, so the
     crossover is capped there and Miller's backward recurrence takes over.
     Arguments above 1e6 are rejected (recurrence cost grows linearly and the
-    accuracy claim would be hollow).
+    accuracy claim would be hollow).  This is the checked one-entry caller
+    of the array kernel _bessel_series; petersson_deltas hands the kernel an
+    index's series arguments at once and calls bessel_j for the rest only,
+    so each J is the same double either way.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -284,8 +335,8 @@ def bessel_j(order: int, x: float) -> float:
         raise ValueError("argument must be >= 0")
     if x > _BESSEL_MAX_ARGUMENT:
         raise ValueError(f"argument {x} exceeds the supported range {_BESSEL_MAX_ARGUMENT}")
-    if x <= min(order + 10.0, _SERIES_WINDOW_CAP):
-        value = _bessel_series(order, x)
+    if _in_series_window(order, x):
+        value = float(_bessel_series(order, np.array([x]))[0])
     else:
         value = _bessel_miller(order, x)
     return max(-1.0, min(1.0, value))
@@ -358,17 +409,22 @@ def petersson_deltas(
 
     The term at m is [m = 1] + 2 pi (-1)^{kappa/2} times the sum over
     c <= c_max with k | c of S(m,1;c)/c J_{kappa-1}(4 pi sqrt m / c).
-    Each c's Kloosterman sums come from one kloosterman_sums call for every
-    m whose cutoff reaches c, with one dict of count tables for the sweep.
-    Each m keeps its own cutoff (default_c_max(m) when c_max is None), tail
-    bound (of the truncation only) and warning, and its term is the same
-    double it would be alone: every summand is the same expression and the
-    c-sum is exactly rounded by math.fsum.  i^kappa is evaluated as
-    (-1)^{kappa/2}; no complex arithmetic appears.  Warns for each m with
-    c_max <= 4 pi sqrt(m), where the reported tail bound is not yet in its
-    provably decreasing regime.  Cutoffs must be below 2**31.  Every check,
-    the tail bounds included, runs before the sweep, so a bound past the
-    double range is refused before any Kloosterman sum.
+    The moduli go in blocks of consecutive c whose cutoffs reach the same
+    m, each block one _kloosterman_block call of at most _BLOCK count
+    entries (indices times the block's total width; a modulus alone may
+    pass that), with one dict of count tables for the sweep.  Each m's
+    sums are kept, 8 bytes a modulus; after the sweep its J values come
+    from one series-kernel pass over its arguments inside the series
+    window, and from bessel_j for the rest.  Each m keeps its own cutoff
+    (default_c_max(m) when c_max is None), tail bound (of the truncation
+    only) and warning, and its term is the same double it would be alone:
+    every summand is the same expression and the c-sum is exactly rounded by
+    math.fsum.  i^kappa is evaluated as (-1)^{kappa/2}; no complex
+    arithmetic appears.  Warns for each m with c_max <= 4 pi sqrt(m), where
+    the reported tail bound is not yet in its provably decreasing regime.
+    Cutoffs must be below 2**31.  Every check, the tail bounds and the
+    Bessel argument bound included, runs before the sweep, so a bound past
+    the double range is refused before any Kloosterman sum.
     """
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
@@ -382,6 +438,9 @@ def petersson_deltas(
         raise ValueError("c_max must be < 2**31")
     tails = [delta_tail_bound(m, kappa, top) for m, top in zip(ms, c_maxes)]
     roots = [4.0 * math.pi * math.sqrt(m) for m in ms]
+    for root in roots:
+        if root / k > _BESSEL_MAX_ARGUMENT:  # bessel_j's refusal at the first modulus
+            raise ValueError(f"argument {root / k} exceeds the supported range {_BESSEL_MAX_ARGUMENT}")
     for top, root in zip(c_maxes, roots):
         if top <= root:
             warnings.warn(
@@ -389,25 +448,34 @@ def petersson_deltas(
                 " the tail estimate is not yet rigorous",
                 stacklevel=2,
             )
-    terms = [array("d") for _ in ms]  # 8 bytes a term, not a float object
+    sums = [array("d") for _ in ms]  # each index's Kloosterman sums, 8 bytes a modulus
     tables: dict = {}  # count tables of the small prime powers, for this sweep only
-    for c in range(k, max(c_maxes, default=0) + 1, k):
+    c, end = k, max(c_maxes, default=0)
+    while c <= end:
         live = [i for i, top in enumerate(c_maxes) if c <= top]
-        sums = kloosterman_sums([ms[i] for i in live], 1, c, tables)
-        for i, s in zip(live, sums):
-            terms[i].append(s / c * bessel_j(kappa - 1, roots[i] / c))
+        last = min(c_maxes[i] for i in live)  # the live indices stay live up to here
+        block, width = [], 0
+        while c <= last and (not block or len(live) * (width + c) <= _BLOCK):
+            block.append(c)
+            width += c
+            c += k
+        flat = _kloosterman_block([ms[i] for i in live], 1, block, tables)
+        for row, i in enumerate(live):
+            sums[i].extend(flat[row * len(block):(row + 1) * len(block)])
+    order = kappa - 1
     sign = -1.0 if (kappa // 2) % 2 else 1.0
-    return [
-        PeterssonTerm(
-            m=m,
-            k=k,
-            kappa=kappa,
-            value=(1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(cs),
-            tail_estimate=tail,
-            c_max=top,
-        )
-        for m, top, cs, tail in zip(ms, c_maxes, terms, tails)
-    ]
+    out = []
+    for m, top, s, tail, root in zip(ms, c_maxes, sums, tails, roots):
+        cs = np.arange(k, top + 1, k)
+        x = root / cs
+        j = np.empty(x.size)
+        series = _in_series_window(order, x)
+        j[series] = np.clip(_bessel_series(order, x[series]), -1.0, 1.0)
+        j[~series] = [bessel_j(order, y) for y in x[~series].tolist()]
+        terms = np.frombuffer(s) / cs * j  # S(m, 1; c) / c J(4 pi sqrt(m) / c), as each c alone
+        value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(terms.tolist())
+        out.append(PeterssonTerm(m=m, k=k, kappa=kappa, value=value, tail_estimate=tail, c_max=top))
+    return out
 
 
 def petersson_delta(m: int, k: int, kappa: int, c_max: int | None = None) -> PeterssonTerm:

@@ -623,7 +623,7 @@ class TestUsageErrors:
             raise AssertionError("the refused command started its work")
 
         monkeypatch.setattr(symlow.constants, "_segmented_sieve", work)
-        monkeypatch.setattr(symlow.petersson, "kloosterman_sums", work)
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", work)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(command.split())

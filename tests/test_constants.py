@@ -325,6 +325,27 @@ class TestSharedPrimeTable:
         c_sym_even(10**4, table)
         assert numpy.array_equal(primes, kept)
 
+    def test_head_denominators_same_doubles(self, monkeypatch):
+        # Every head log p / (p^{t/2} - 1) that c_sym_even_completed forms at
+        # 10^6, over 10 blocks of primes, equals the whole-array quotient of
+        # the float64 primes entry by entry, for each t with a_t != 0 that the
+        # series reaches.  A sum of the heads could hide a last-bit move.
+        floats = _prime_table(10**6)[1].astype(numpy.float64)
+        ts = iter([t for t in range(3, 200) if _series_coefficient(t)])
+        reached = []
+
+        def checked(primes, buffer, denominator):
+            got = _log_quotients(primes, buffer, denominator)
+            if denominator is not _even_denominator:
+                t = next(ts)
+                assert numpy.array_equal(got, numpy.log(floats) / (floats ** (t / 2) - 1.0)), t
+                reached.append(t)
+            return got
+
+        monkeypatch.setattr(symlow.constants, "_log_quotients", checked)
+        c_sym_even_completed(10**6)
+        assert reached == [3, 4, 5, 7]  # a_6 = 0, and the series stops at t = 7
+
     def test_table_is_int32_up_to_the_int32_limit(self, monkeypatch):
         assert symlow.constants._INT32_MAX == numpy.iinfo(numpy.int32).max
         assert _prime_table(10**4)[1].dtype == numpy.int32

@@ -29,6 +29,7 @@ from symlow.petersson import (
     PeterssonTerm,
     _bessel_miller,
     _bessel_series,
+    _kloosterman_block,
     bessel_j,
     default_c_max,
     delta_tail_bound,
@@ -91,6 +92,12 @@ def count_table_oracle(ms: list[int], n: int, p: int) -> numpy.ndarray:
     units = numpy.arange(1, p)
     residues = [(m % p * units + n % p * prime_inverses(p)) % p for m in ms]
     return numpy.array([numpy.bincount(r, minlength=p) for r in residues])
+
+
+@functools.lru_cache(maxsize=None)
+def one_modulus_sum(m: int, c: int) -> float:
+    """S(m, 1; c) from a block of one index and one modulus, kept across tests."""
+    return kloosterman_sums([m], 1, c)[0]
 
 
 def tau_coefficients(count: int) -> list[int]:
@@ -199,7 +206,7 @@ class TestKloosterman:
             want.append(math.fsum(terms))
         tracemalloc.start()
         try:
-            got = symlow.petersson._grid_sums(weights, cosines, c.bit_length())
+            got = symlow.petersson._grid_sums(weights, cosines, c.bit_length(), [0, cosines.size])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -207,19 +214,24 @@ class TestKloosterman:
         assert peak < 2**16  # nothing c-long: 8 bytes a residue would be 16 GiB
 
     def test_many_index_sums_do_not_rest_on_the_residue_order(self, monkeypatch):
-        # The grid product sums exactly, so the residues may come in any order.
+        # The grid product sums exactly, so the residues may come in any order,
+        # for one modulus and for a block of three.
         grid_sums = symlow.petersson._grid_sums
         rng = numpy.random.default_rng(26)
         ms = [0, 1, 2, 7, 997, 10**6]
         cases = [(c, n) for c in (12, 97, 360, 1000, 3960, 4001) for n in (1, -3)]
         want = [kloosterman_sums(ms, n, c) for c, n in cases]
+        blocks = [_kloosterman_block(ms, n, [12, 97, 360], {}) for n in (1, -3)]
         for order in (lambda k: k[::-1], rng.permutation):
-            def permuted(weights, cosines, bits, order=order):
-                perm = order(numpy.arange(cosines.size))
-                return grid_sums(weights[:, perm], cosines[perm], bits)
+            def permuted(weights, cosines, bits, bounds, order=order):
+                # within each modulus's segment, so no residue changes modulus
+                segments = zip(bounds, bounds[1:])
+                perm = numpy.concatenate([lo + order(numpy.arange(hi - lo)) for lo, hi in segments])
+                return grid_sums(weights[:, perm], cosines[perm], bits, bounds)
 
             monkeypatch.setattr(symlow.petersson, "_grid_sums", permuted)
             assert [kloosterman_sums(ms, n, c) for c, n in cases] == want
+            assert [_kloosterman_block(ms, n, [12, 97, 360], {}) for n in (1, -3)] == blocks
 
     def test_peak_memory_bounded_in_the_indices(self):
         # 180 indices at a modulus near 4000 hold about 38 MiB in one count
@@ -343,6 +355,34 @@ class TestKloosterman:
             divisor_count(0)
 
 
+def bessel_series_scalar(order: int, x: float) -> float:
+    """The power series of J_order at one x, one Python float at a time.
+
+    The scalar loop the array kernel replaced: first term (x/2)^order /
+    order!, then the ratio recurrence up to the first term below 1e-18 of
+    the largest, then math.fsum.  The kernel must give each entry this
+    double exactly.
+    """
+    half = 0.5 * x
+    if order <= 170:
+        term = half**order / math.factorial(order)
+    else:
+        logt = order * math.log(half) - math.lgamma(order + 1) if half > 0.0 else -math.inf
+        term = math.exp(logt) if logt > -745.0 else 0.0
+    if term == 0.0:
+        return 0.0
+    terms = [term]
+    largest = abs(term)
+    hh = half * half
+    for t in range(1, 200):
+        term *= -hh / (t * (order + t))
+        terms.append(term)
+        largest = max(largest, abs(term))
+        if abs(term) < 1e-18 * largest:
+            break
+    return math.fsum(terms)
+
+
 def bessel_series_oracle(order: int, x: Fraction, terms: int = 50) -> float:
     """Exact-rational truncation of the ascending series for J_order."""
     half = x / 2
@@ -400,11 +440,24 @@ class TestBesselJ:
     def test_series_against_miller_where_both_apply(self):
         # Below the series cap of 14 both routes converge, so each referees
         # the other, within the 1e-10 that bessel_j claims, as an absolute gap.
+        xs = numpy.arange(1, 141) / 10
         for order in range(41):
-            for tenths in range(1, 141):
-                x = tenths / 10
-                gap = abs(_bessel_series(order, x) - _bessel_miller(order, x))
+            for x, series in zip(xs.tolist(), _bessel_series(order, xs).tolist()):
+                gap = abs(series - _bessel_miller(order, x))
                 assert gap <= 1e-10, (order, x, gap)
+
+    def test_series_kernel_equals_the_scalar_loop(self):
+        # Every entry is the scalar loop's double, across two chunks of the
+        # kernel: at 0, at 1e-300 (whose leading term underflows from order 2
+        # on, and whose next term does at order 0 and 1), on a grid up to 14,
+        # and on both sides of both switch points, order + 10 and 14.
+        grid = [0.0, 5e-324, 1e-300, 1e-10, *(numpy.arange(1, 141) / 10).tolist()]
+        for order in [*range(41), 171]:
+            edges = [order + 10.0, 14.0]
+            xs = grid + [numpy.nextafter(e, d) for e in edges for d in (0.0, math.inf)] + edges
+            got = _bessel_series(order, numpy.array(xs)).tolist()
+            assert got == [bessel_series_scalar(order, x) for x in xs], order
+        assert symlow.petersson._SERIES_CHUNK < len(xs)
 
     def test_magnitude_bound(self):
         for order in (0, 3, 12):
@@ -573,8 +626,49 @@ class TestPeterssonDeltas:
             with pytest.raises(ValueError):
                 petersson_deltas(ms, 1, 12, 100)
 
+    def test_bessel_argument_refused_before_the_sweep(self, monkeypatch):
+        # 4 pi sqrt(10^11) is about 4.0e6, past bessel_j's 1e6 at c = 1: the
+        # refusal comes before any Kloosterman sum and before any warning.
+        def work(*args):
+            raise AssertionError("the refused sweep started its work")
+
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the supported range"):
+                petersson_deltas([2, 10**11], 1, 2, 10)
+
     def test_empty_batch(self):
         assert petersson_deltas([], 1, 12) == []
+
+    @pytest.mark.parametrize("entries", [2**11, 9200])
+    def test_small_blocks_match_one_modulus_sums(self, entries, monkeypatch):
+        # With at most 2**11 count entries a block, a one-index sweep over
+        # 4000 moduli runs in blocks of two or more moduli up to c = 1023 and
+        # alone after; the mixed cutoffs 1000, 1590, 1000 drop two live rows
+        # at c = 1000.  At 9200 entries the three-row block [999, 1000] could
+        # take c = 1001 too, and the live rows' change cuts it there.
+        sweeps = [([971], 4000), ([2, 4000, 3], None)]
+        want = [[petersson_delta(m, 1, 12, c_max) for m in ms] for ms, c_max in sweeps]
+        blocks = []
+
+        def recorded(ms, n, cs, tables):
+            sums = _kloosterman_block(ms, n, cs, tables)
+            blocks.append((list(ms), list(cs), sums))
+            return sums
+
+        monkeypatch.setattr(symlow.petersson, "_BLOCK", entries)
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
+        got = [petersson_deltas(ms, 1, 12, c_max) for ms, c_max in sweeps]
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", _kloosterman_block)
+        assert got == want
+        assert sum(len(cs) > 1 for _, cs, _ in blocks) > 100
+        cut = next(cs for ms, cs, _ in blocks if ms == [2, 4000, 3] and cs[-1] == 1000)
+        if entries == 9200:
+            assert cut == [999, 1000] and 3 * (sum(cut) + 1001) <= entries
+        for ms, cs, sums in blocks:
+            assert len(ms) * sum(cs) <= entries or len(cs) == 1, (ms, cs)
+            assert sums == [one_modulus_sum(m, c) for m in ms for c in cs], (ms, cs)
 
     def test_ten_indices_match_single_calls(self):
         # The sweep shares its count tables across indices and moduli.
