@@ -7,15 +7,19 @@ claimed), while the even-power constant carries a rigorous integral-comparison
 tail bound.  The even-power constant is also completed past the cutoff by a
 prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', which gives
 it to double precision with a rigorous radius.  Both constants and that
-completion's trip-wire read one sieved prime table: the primes as int32 and
-one float64 buffer, into which each sum writes its logs and quotients in
-turn, with the doubles of the whole-array float64 formulas.  The digamma
-routine is pinned to one fixed algorithm so reports are bit-stable across runs.
+completion's trip-wire read one sieved prime table, the primes as int32,
+4 bytes a prime.  Each sum forms its logs and quotients a leaf of _BLOCK
+primes at a time, with the doubles of the whole-array float64 formulas, and
+adds the leaves along numpy's own pairwise tree (``_pairwise_sums``), so it
+returns the bytes of np.sum over the whole array without forming it.  The
+digamma routine is pinned to one fixed algorithm so reports are bit-stable
+across runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from decimal import Decimal
@@ -24,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import _blocks, _check_weight, _items, gamma_shifts
+from .forms import _BLOCK, _blocks, _check_weight, gamma_shifts
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -66,8 +70,8 @@ _WHEEL = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL)
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as a sorted int64 array, guarded by the sieve memory cap.
+def primes_up_to(n: int, dtype=np.int64) -> np.ndarray:
+    """All primes <= n as a sorted array of dtype, guarded by the sieve memory cap.
 
     A segmented sieve over the odd numbers (Bays and Hudson, BIT 17, 1977):
     flag i of a segment starting at slot lo stands for 2(lo + i) + 1.  Each
@@ -75,20 +79,21 @@ def primes_up_to(n: int) -> np.ndarray:
     the odd multiples of the _WHEEL primes crossed off, then crosses off the
     odd multiples of every other prime up to sqrt(n), from p^2 on; in the
     first segment the _WHEEL primes are restored, and slot 0, the number 1,
-    becomes the prime 2.  Each segment's primes go straight into one int64
-    output, sized by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and
+    becomes the prime 2.  Each segment's primes go straight into one output
+    of the given dtype (int32 for the constants' table, when every prime
+    fits), sized by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and
     Schoenfeld, Illinois J. Math. 6, 1962) and shrunk in place at the end.
     So the sieve holds the output and a few segment-sized buffers, never a
     flag per number up to n.
     """
     check_sieve_bound(n)
-    return _segmented_sieve(n)
+    return _segmented_sieve(n, dtype)
 
 
-def _segmented_sieve(n: int) -> np.ndarray:
-    """primes_up_to(n) with no cap check, so its base primes come from itself."""
+def _segmented_sieve(n: int, dtype=np.int64) -> np.ndarray:
+    """primes_up_to(n, dtype) with no cap check, so its base primes come from itself."""
     if n < 2:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     slots = (n + 1) // 2
     size = min(_SEGMENT, slots)
     pattern = np.ones(size + _WHEEL_PERIOD, dtype=bool)
@@ -98,7 +103,7 @@ def _segmented_sieve(n: int) -> np.ndarray:
     firsts = base * base // 2  # the slot of p^2, where crossing off starts
     base_list = base.tolist()
     flags = np.empty(size, dtype=bool)
-    primes = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+    primes = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=dtype)
     count = 0
     for lo in range(0, slots, size):
         segment = flags[: min(size, slots - lo)]
@@ -124,34 +129,29 @@ def _segmented_sieve(n: int) -> np.ndarray:
     return primes
 
 
-# The largest cutoff whose prime table is int32.  Past it the table keeps the
-# sieve's int64, so no prime wraps.
+# The largest cutoff whose prime table is int32.  Past it the sieve writes
+# int64, so no prime wraps.
 _INT32_MAX = 2**31 - 1
 
 
-def _prime_table(cutoff: int, table=None) -> tuple[int, np.ndarray, np.ndarray]:
-    """The prime table (cutoff, primes <= cutoff, a float64 buffer as long).
+def _prime_table(cutoff: int, table=None) -> tuple[int, np.ndarray]:
+    """The prime table (cutoff, primes <= cutoff).
 
-    The primes are int32 when cutoff <= _INT32_MAX, else int64, in a fresh
-    sieve's values and order.  Each sum over the table writes its logs and
-    quotients into the one buffer, in turn, so the table holds 12 bytes a
-    prime (16 when int64).  With the optional table of c_pnt and
-    c_sym_even, from a call at a bound >= cutoff, both arrays are prefix
-    views of that table's, so every view shares one buffer.
+    The primes are int32 when cutoff <= _INT32_MAX, else int64, as the sieve
+    writes them, in a fresh sieve's values and order: 4 bytes a prime (8
+    when int64), the table's only array a prime long.  With the optional
+    table of c_pnt and c_sym_even, from a call at a bound >= cutoff, the
+    primes are a prefix view of that table's.
     """
     cutoff = int(cutoff)
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     if table is None:
-        primes = primes_up_to(cutoff)
-        if cutoff <= _INT32_MAX:
-            primes = primes.astype(np.int32)
-        return cutoff, primes, np.empty(primes.size)
-    bound, primes, buffer = table
+        return cutoff, primes_up_to(cutoff, np.int32 if cutoff <= _INT32_MAX else np.int64)
+    bound, primes = table
     if bound < cutoff:
         raise ValueError(f"prime table sieved to {bound} cannot serve cutoff {cutoff}")
-    k = _count_up_to(primes, cutoff)
-    return cutoff, primes[:k], buffer[:k]
+    return cutoff, primes[: _count_up_to(primes, cutoff)]
 
 
 def _count_up_to(primes: np.ndarray, x: int) -> int:
@@ -163,29 +163,64 @@ def _count_up_to(primes: np.ndarray, x: int) -> int:
     return int(np.searchsorted(primes, primes.dtype.type(x), "right"))
 
 
-def _logs(primes: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """log p of every prime, written into the float64 buffer."""
-    buffer[...] = primes  # exact: every prime is below 2**53
-    return np.log(buffer, out=buffer)
+def _pairwise_sums(
+    primes: np.ndarray, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+) -> list[float]:
+    """float(np.sum(a)) for each array a of leaf(the primes as float64), streamed.
+
+    For a contiguous float64 array, np.sum is numpy's pairwise sum: a run of
+    n > 128 entries adds the sum of its first m entries to the sum of the
+    rest, where m is n // 2 rounded down to a multiple of 8 (the classic
+    pairwise scheme; N. J. Higham, SIAM J. Sci. Comput. 14, 1993).  This
+    recursion takes the same split down to runs of at most _BLOCK entries,
+    calls leaf on each run's float64 primes alone and np.sum on each array
+    it returns, and adds the halves as numpy does, in doubles.  So each sum
+    has np.sum's bytes over the whole array, while only one leaf's arrays
+    exist at a time.  leaf must form every entry from its own prime alone;
+    the float64 primes are exact, every prime being below 2**53.
+    """
+    if primes.size <= _BLOCK:
+        return [float(np.sum(a)) for a in leaf(primes.astype(np.float64))]
+    half = primes.size // 2
+    half -= half % 8
+    left, right = _pairwise_sums(primes[:half], leaf), _pairwise_sums(primes[half:], leaf)
+    return [a + b for a, b in zip(left, right)]
 
 
 def _log_quotients(
     primes: np.ndarray, buffer: np.ndarray, denominator: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """log p / denominator(p) of every prime, written into the float64 buffer.
-
-    The primes reach denominator a block at a time, as float64, so its
-    temporaries stay a block long.  Each entry is the double that the
-    whole-array log p / denominator(p) of the float64 primes gives.
-    """
-    logs = _logs(primes, buffer)
-    for p, block in zip(_blocks(primes), _blocks(logs)):
-        block /= denominator(p.astype(np.float64))
-    return logs
+    """log p / denominator(p) of a run of float64 primes, written into the buffer as long."""
+    np.log(primes, out=buffer)
+    buffer /= denominator(primes)
+    return buffer
 
 
 def _even_denominator(p: np.ndarray) -> np.ndarray:
     return p**1.5 - p
+
+
+def _even_leaf(p: np.ndarray) -> tuple[np.ndarray]:
+    return (_log_quotients(p, np.empty(p.size), _even_denominator),)
+
+
+def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log(p)
+    return logs, logs / p
+
+
+def _fsum_log_quotients(primes: np.ndarray, denominator: Callable[[np.ndarray], np.ndarray]) -> float:
+    """math.fsum of log p / denominator(p) over the primes, formed a block at a time.
+
+    math.fsum is exactly rounded in any order, so a block of the quotients
+    and of their Python floats is all that exists at a time.
+    """
+    buffer = np.empty(min(primes.size, _BLOCK))
+    blocks = (
+        _log_quotients(p.astype(np.float64), buffer[: p.size], denominator).tolist()
+        for p in _blocks(primes)
+    )
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
@@ -199,17 +234,15 @@ def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     int_1^X (theta(t)-t)/t^2 dt = sum_{p<=X} log p / p - theta(X)/X - log X,
     so the only approximation is the cutoff itself.  Returns (value,
     uncertainty) where uncertainty = |value(X) - value(X/10)|, an empirical
-    stabilization estimate, not a rigorous bound.  Both values read prefix
-    sums of one buffer: the logs first, then the logs divided by p in place.
+    stabilization estimate, not a rigorous bound.  theta and
+    sum log p / p come from one pass of leaves over the primes up to X, and
+    again from one over those up to X/10, whose pairwise tree is its own.
     """
-    cutoff, primes, buffer = _prime_table(cutoff, table)
+    cutoff, primes = _prime_table(cutoff, table)
     decade = max(2, cutoff // 10)
-    k = _count_up_to(primes, decade)
-    logs = _logs(primes, buffer)
-    theta, decade_theta = float(np.sum(logs)), float(np.sum(logs[:k]))
-    logs /= primes
-    value = _pnt_value_at(cutoff, theta, float(np.sum(logs)))
-    decade_value = _pnt_value_at(decade, decade_theta, float(np.sum(logs[:k])))
+    value = _pnt_value_at(cutoff, *_pairwise_sums(primes, _pnt_leaf))
+    decade_primes = primes[: _count_up_to(primes, decade)]
+    decade_value = _pnt_value_at(decade, *_pairwise_sums(decade_primes, _pnt_leaf))
     return value, abs(value - decade_value)
 
 
@@ -223,8 +256,8 @@ def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     precision at any feasible cutoff; c_sym_even_completed adds the remainder
     past X and serves the constant itself, with this route as its cross-check.
     """
-    cutoff, primes, buffer = _prime_table(cutoff, table)
-    value = float(np.sum(_log_quotients(primes, buffer, _even_denominator)))
+    cutoff, primes = _prime_table(cutoff, table)
+    (value,) = _pairwise_sums(primes, _even_leaf)
     tail_bound = (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
     return value, tail_bound
 
@@ -384,12 +417,13 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
     the independent truncation route c_sym_even, read from the same table.
-    S_X and each head sum_{p<=X} log p / (p^{t/2} - 1) are formed in the
-    table's one buffer, the logs written afresh for each.
+    S_X and each head sum_{p<=X} log p / (p^{t/2} - 1) are streamed into
+    their math.fsum a block of primes at a time, the logs formed afresh for
+    each.
     """
-    cutoff, primes, buffer = table = _prime_table(cutoff)
+    cutoff, primes = table = _prime_table(cutoff)
     sieve_value, sieve_tail = c_sym_even(cutoff, table)
-    partial = math.fsum(_items(_log_quotients(primes, buffer, _even_denominator)))
+    partial = _fsum_log_quotients(primes, _even_denominator)
     parts = [partial]
     magnitude = partial  # prime-sum summands, all positive
     propagated = 0.0
@@ -404,7 +438,7 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
             ratio = -slope / zeta_value
             # zeta >= 1 for real s > 1 bounds the quotient's error.
             ratio_radius = (slope_radius + (-slope + slope_radius) * zeta_radius) / zeta_value
-            head = math.fsum(_items(_log_quotients(primes, buffer, lambda p: p ** (t / 2) - 1.0)))
+            head = _fsum_log_quotients(primes, lambda p: p ** (t / 2) - 1.0)
             parts += [a * ratio, -a * head]
             magnitude += abs(a) * head
             propagated += abs(a) * (ratio_radius + _UNIT_ROUNDOFF * ratio)
@@ -504,8 +538,8 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
 
     cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
     the even-power constant at DEFAULT_C_CUTOFF, both read from the one
-    table sieved to the larger: 12 bytes a prime, its int32 primes and one
-    float64 buffer that c_pnt and then c_sym_even overwrite.  c_gamma,
+    table sieved to the larger: 4 bytes a prime, its int32 primes, beside
+    which each sum holds only one leaf of float64 arrays.  c_gamma,
     which checks r and kappa, comes first, so a bad r or weight is refused
     before the sieve.
     """

@@ -21,6 +21,7 @@ import pytest
 import sympy
 
 import symlow.constants
+from symlow.forms import _BLOCK
 from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
@@ -28,7 +29,9 @@ from symlow.constants import (
     c_gamma_from_shifts,
     c_pnt,
     _even_denominator,
+    _even_leaf,
     _log_quotients,
+    _pairwise_sums,
     _prime_table,
     _series_coefficient,
     c_sym_even,
@@ -132,13 +135,16 @@ class TestSieve:
         budget = (n + 1) // 2 + 8 * PI_1E7
         assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
 
-    def test_constants_memory_is_int32_primes_and_one_float64_buffer(self):
-        # The table's int32 primes and its one float64 buffer, 12 bytes a
-        # prime; the same while the sieve's int64 output is narrowed.  Taken
-        # at the cap: at 10**7 the sieve's own segment buffers and
-        # Rosser-Schoenfeld slack (9.6 MB) lie above 12 pi(10**7) (8.0 MB).
-        budget = (4 + 8) * PI_1E8
-        assert traced_peak(lambda: compute_constants(2, 12, 10**8)) <= 1.05 * budget
+    def test_constants_memory_is_int32_primes_and_leaf_buffers(self):
+        # The table's int32 primes, which the sieve writes into an output
+        # sized by the Rosser-Schoenfeld bound, 4 bytes a slot.  Beside them
+        # at most 4 MiB: the sieve's segment buffers while it runs (under
+        # 3.5 MiB, see the cap sieve's test below), then one leaf's float64
+        # arrays at a time, a few _BLOCK entries each.  No array holds a
+        # float64 per prime (44 MiB at the cap).
+        n = 10**8
+        budget = 4 * (math.floor(1.25506 * n / math.log(n)) + 1) + 4 * 2**20
+        assert traced_peak(lambda: compute_constants(2, 12, n)) <= 1.05 * budget
 
     def test_matches_oracle_across_many_segments(self, monkeypatch):
         # 64 odd numbers a segment: up to 24 segments, each boundary and the
@@ -314,15 +320,26 @@ class TestSharedPrimeTable:
             assert c_pnt(cutoff, table) == c_pnt(cutoff)
             assert c_sym_even(cutoff, table) == c_sym_even(cutoff)
 
-    def test_log_quotients_same_doubles_primes_untouched(self):
-        # 10 blocks of primes, the last one short.
-        _, primes, buffer = table = _prime_table(10**6)
+    def test_log_quotients_same_doubles_primes_untouched(self, monkeypatch):
+        # 10 blocks of primes, the last one short.  The quotients that
+        # c_sym_even sums, leaf by leaf, are in order the whole-array
+        # quotients of the float64 primes, and the table keeps its primes.
+        _, primes = table = _prime_table(10**6)
         kept = primes.copy()
         floats = primes.astype(numpy.float64)
-        got = _log_quotients(primes, buffer, _even_denominator)
-        assert got is buffer
-        assert numpy.array_equal(got, numpy.log(floats) / (floats**1.5 - floats))
-        c_sym_even(10**4, table)
+        buffer = numpy.empty(floats.size)
+        assert _log_quotients(floats, buffer, _even_denominator) is buffer
+        leaves = []
+
+        def recorded(p):
+            (got,) = _even_leaf(p)
+            leaves.append(got.copy())
+            return (got,)
+
+        monkeypatch.setattr(symlow.constants, "_even_leaf", recorded)
+        c_sym_even(10**6, table)
+        assert max(leaf.size for leaf in leaves) <= _BLOCK
+        assert numpy.array_equal(numpy.concatenate(leaves), numpy.log(floats) / (floats**1.5 - floats))
         assert numpy.array_equal(primes, kept)
 
     def test_head_denominators_same_doubles(self, monkeypatch):
@@ -331,19 +348,20 @@ class TestSharedPrimeTable:
         # the float64 primes entry by entry, for each t with a_t != 0 that the
         # series reaches.  A sum of the heads could hide a last-bit move.
         floats = _prime_table(10**6)[1].astype(numpy.float64)
-        ts = iter([t for t in range(3, 200) if _series_coefficient(t)])
-        reached = []
+        heads = {}  # each head's blocks, by its denominator, in the order the series reaches it
 
         def checked(primes, buffer, denominator):
             got = _log_quotients(primes, buffer, denominator)
             if denominator is not _even_denominator:
-                t = next(ts)
-                assert numpy.array_equal(got, numpy.log(floats) / (floats ** (t / 2) - 1.0)), t
-                reached.append(t)
+                heads.setdefault(denominator, []).append(got.copy())
             return got
 
         monkeypatch.setattr(symlow.constants, "_log_quotients", checked)
         c_sym_even_completed(10**6)
+        reached = [t for t in range(3, 200) if _series_coefficient(t)][: len(heads)]
+        for t, blocks in zip(reached, heads.values()):
+            assert len(blocks) == 10, t
+            assert numpy.array_equal(numpy.concatenate(blocks), numpy.log(floats) / (floats ** (t / 2) - 1.0)), t
         assert reached == [3, 4, 5, 7]  # a_6 = 0, and the series stops at t = 7
 
     def test_table_is_int32_up_to_the_int32_limit(self, monkeypatch):
@@ -386,15 +404,44 @@ class TestSharedPrimeTable:
     def test_one_sieve(self, compute, monkeypatch):
         calls = []
         sieve = symlow.constants.primes_up_to
-        monkeypatch.setattr(symlow.constants, "primes_up_to", lambda n: calls.append(n) or sieve(n))
+        monkeypatch.setattr(symlow.constants, "primes_up_to", lambda n, *dtype: calls.append(n) or sieve(n, *dtype))
         compute()
         assert len(calls) == 1, calls
+
+
+class TestPairwiseSums:
+    """_pairwise_sums equals np.sum with == wherever numpy's pairwise rule holds.
+
+    Each leaf maps the table's entries, here the indices 0..n-1, to random
+    doubles of mixed sign and magnitude, whose sums round at every addition.
+    A numpy that changes its summation order fails here, not in a digest.
+    """
+
+    @pytest.mark.parametrize("dtype", [numpy.int32, numpy.int64])
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 8, 100_003, PI_1E7, PI_1E8]
+    )
+    def test_equals_numpy_sum(self, n, dtype):
+        rng = numpy.random.default_rng(n)
+        data = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        squares = data * data
+        sizes = []
+
+        def leaf(p):
+            assert p.dtype == numpy.float64
+            sizes.append(p.size)
+            i = p.astype(numpy.intp)
+            return data[i], squares[i]
+
+        got = _pairwise_sums(numpy.arange(n, dtype=dtype), leaf)
+        assert got == [float(numpy.sum(data)), float(numpy.sum(squares))]
+        assert sum(sizes) == n and max(sizes) <= _BLOCK
 
 
 def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float, float]:
     """(c_pnt value, its decade uncertainty, c_sym_even value), whole-array.
 
-    The formulas that the int32 table and its one buffer replaced: the whole
+    The formulas that the int32 table and its streamed leaves replaced: the whole
     table as float64, its logs, and each quotient formed in one fresh array.
     """
     primes = primes_up_to(max(pnt_cutoff, c_cutoff)).astype(numpy.float64)
