@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import _BLOCK, _blocks, _check_weight, gamma_shifts
+from .forms import _BLOCK, _blocks, _check_weight
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -464,8 +464,8 @@ def c_gamma(r: int, kappa: int) -> float:
     Closed form: for odd r, sum over 0 <= a <= (r-1)/2 of
     psi(1/4 + (2a+1)(kappa-1)/4) + psi(3/4 + (2a+1)(kappa-1)/4); for even r,
     psi(1/4 + mu/2) plus the pairs psi(1/4 + a(kappa-1)/2) +
-    psi(3/4 + a(kappa-1)/2) for 1 <= a <= r/2.  Must match the shift route
-    sum_j psi(1/4 + mu_j/2) over gamma_shifts(r, kappa).
+    psi(3/4 + a(kappa-1)/2) for 1 <= a <= r/2.  The tests hold it against
+    the shift route sum_j psi(1/4 + mu_j/2) over gamma_shifts(r, kappa).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -482,13 +482,6 @@ def c_gamma(r: int, kappa: int) -> float:
             base = a * (kappa - 1) / 2.0
             total += digamma(0.25 + base) + digamma(0.75 + base)
     return total
-
-
-def c_gamma_from_shifts(r: int, kappa: int) -> float:
-    """Cross-check route: sum of psi(1/4 + mu/2) over the shift multiset."""
-    return math.fsum(
-        digamma(0.25 + float(mu) / 2.0) for mu in gamma_shifts(r, kappa)
-    )
 
 
 # Kim and Sarnak's bound toward Ramanujan (J. Amer. Math. Soc. 16, 2003):

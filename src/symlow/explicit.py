@@ -12,9 +12,12 @@ math.sin and pow through ``forms._libm``; products, quotients and np.sqrt,
 which are correctly rounded), so every sum is bit-identical to a per-prime
 loop.  The eigenvalues and weights come from the array kernels of ``forms``
 (``_eigenvalue_powers`` and ``TestFunction.phi_hat_array``), the one
-definition of each formula.  Every sum is finite because the window
-transform has compact support: enlarging the sieve past the natural cutoff
-only appends terms with exactly zero weight.
+definition of each formula.  Criterion 02 of the acceptance gate holds
+``_eigenvalue_powers`` and the bracket ``_power_brackets`` built on it
+against three scalar routes of the unit power sum, kept in the tests.  Every
+sum is finite because the window transform has compact support: enlarging
+the sieve past the natural cutoff only appends terms with exactly zero
+weight.
 """
 
 from __future__ import annotations
@@ -37,9 +40,7 @@ from .forms import (
     _blocks,
     _eigenvalue_powers,
     _libm,
-    eigenvalue_power,
     is_prime,
-    satake_power_sum,
 )
 
 REMAINDER_MARKER = "O(1/log^3(q^r))"
@@ -246,18 +247,3 @@ def prime_sums(
         )),
     }
 
-
-def square_power_identity_gap(theta: float, r: int) -> float:
-    """|S(2, r) - (alternating even-power eigenvalue sum + (-1)^r)|.
-
-    The doubled-argument power sum telescopes against eigenvalues of even
-    squares: S equals sum_{m=0}^{r-1} (-1)^m lambda(p^{2(r-m)}) + (-1)^r.
-    The gap is pure floating-point noise, well below 1e-10.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    direct = satake_power_sum(theta, 2, r)
-    alternating = math.fsum(
-        (-1.0) ** m * eigenvalue_power(theta, 2 * (r - m)) for m in range(r)
-    )
-    return abs(direct - (alternating + (-1.0) ** r))

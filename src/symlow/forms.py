@@ -3,16 +3,17 @@
 A SyntheticForm carries a prime level and a seeded, reproducible map
 prime -> Satake angle in [0, pi].  Angles are derived from
 BLAKE2b(seed:prime) pushed through the inverse CDF of the chosen
-distribution, so the same (seed, distribution) pair yields bit-identical
-angles on every platform.  The Sato-Tate inverse CDF equals the scalar
-64-step bisection bit for bit (see ``_sato_tate_inverse_cdf``).  One table
-lookup takes its first 12 steps.  Where F, computed with math.sin, provably
-does not decrease over the rest of the bracket (about nine draws in ten), a
-few Newton steps propose the root and math.sin at two adjacent floats
-certifies it as the bisection's own; the other draws run the remaining 52
-steps on numpy arrays, redoing with math.sin every comparison that np.sin
-could decide differently.  The prime walk reads whole batches through a
-small cache.
+distribution.  The uniform draws are the same on every platform; the
+angles are decided with the C library's math.sin, so a (seed,
+distribution) pair gives bit-identical angles wherever that library is the
+same.  The Sato-Tate inverse CDF equals the scalar 64-step bisection bit
+for bit (see ``_sato_tate_inverse_cdf``).  One table lookup takes its first
+12 steps.  Where F, computed with math.sin, provably does not decrease
+over the rest of the bracket (about nine draws in ten), a few Newton steps
+propose the root and math.sin at two adjacent floats certifies it as the
+bisection's own; the other draws run the remaining 52 steps on numpy
+arrays, redoing with math.sin every comparison that np.sin could decide
+differently.  The prime walk reads whole batches through a small cache.
 
 Two decisions live here for every module: how long a pass is, and which
 library computes an elementary function.  A long pass over a prime-indexed
@@ -22,15 +23,17 @@ working set stays bounded whatever the number of primes.  A value that a
 scalar formula takes from the C library (math.sin, math.log) comes through
 ``_libm``, never from the numpy ufunc.
 
-Also here: eigenvalue powers via the sine ratio, the unit power sums with
-their three evaluation routes, gamma-factor shifts, and the admissible test
-function the CLI uses, the Fejer kernel (``tests/sampled_kernel.py`` builds
-the other kind, a transform sampled on a grid, on the same TestFunction).  Each
-prime-side formula (angle, eigenvalue ratio, window transform) has one
-definition, an array kernel; ``SyntheticForm.angle``, ``eigenvalue_power``
-and ``TestFunction.phi_hat`` check their input and call it on a one-element
-array, at microseconds a call (a certified root or a whole bisection for an
-angle), so loops pass arrays.
+Also here: eigenvalue powers via the sine ratio, gamma-factor shifts, and
+the admissible test function the CLI uses, the Fejer kernel
+(``tests/sampled_kernel.py`` builds the other kind, a transform sampled on a
+grid, on the same TestFunction).  Each prime-side formula (angle,
+eigenvalue ratio, window transform) has one definition, an array kernel;
+``SyntheticForm.angle`` and ``TestFunction.phi_hat`` check their input and
+call it on a one-element array, at microseconds a call (a certified root or
+a whole bisection for an angle), so loops pass arrays.  The eigenvalue
+kernel ``_eigenvalue_powers`` has no scalar form: criterion 02 of the
+acceptance gate holds it against three scalar routes of the unit power sum,
+kept in the tests.
 """
 
 from __future__ import annotations
@@ -418,23 +421,6 @@ class SyntheticForm:
         return dataclasses.replace(self, flip=not self.flip)
 
 
-def _check_angle(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"angle {theta} outside [0, pi]")
-
-
-def eigenvalue_power(theta: float, n: int) -> float:
-    """Eigenvalue at the n-th prime power: sin((n+1)t)/sin(t) = U_n(2 cos t).
-
-    Checks t and n, then evaluates ``_eigenvalue_powers`` on a one-element
-    array: about 5 us a call, so loops over angles should pass the array.
-    """
-    _check_angle(theta)
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    return float(_eigenvalue_powers(np.array([theta], dtype=np.float64), n)[0])
-
-
 def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
     """sin((n+1)t)/sin(t) for every t in theta, which must lie in [0, pi] (unchecked).
 
@@ -449,46 +435,6 @@ def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
     value = _libm(math.sin, (n + 1) * theta) / np.where(edge, 1.0, sines)
     limits = np.where(theta < math.pi / 2, bound, (-1) ** n * bound)
     return np.where(edge, limits, np.clip(value, -bound, bound))
-
-
-def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float, float]:
-    """The unit power sum sum_{j=0}^r e^{i t n (2j - r)} by three routes.
-
-    Returns (direct cosine sum, reduced sine ratio, Chebyshev recurrence);
-    all three are mathematically equal and must agree numerically.
-    """
-    _check_angle(theta)
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
-    direct = math.fsum(math.cos(n * theta * (2 * j - r)) for j in range(r + 1))
-
-    # Ratio route, reduced mod pi so the quotient is never ill-conditioned:
-    # sin((r+1)w)/sin(w) = (-1)^(m r) sin((r+1)d)/sin(d) for w = m pi + d.
-    w = n * theta
-    m = round(w / math.pi)
-    d = w - m * math.pi
-    parity = -1.0 if (m * r) % 2 else 1.0
-    if abs(d) < 1e-12:
-        ratio = parity * (r + 1)
-    else:
-        ratio = parity * math.sin((r + 1) * d) / math.sin(d)
-
-    y = 2.0 * math.cos(w)
-    prev, cheb = 1.0, y
-    for _ in range(r - 1):
-        prev, cheb = cheb, y * cheb - prev
-
-    spread = max(direct, ratio, cheb) - min(direct, ratio, cheb)
-    if spread > 1e-8 * (r + 1):
-        raise ArithmeticError(
-            f"power-sum routes disagree by {spread:.3e} at theta={theta}, n={n}, r={r}"
-        )
-    return direct, ratio, cheb
-
-
-def satake_power_sum(theta: float, n: int, r: int) -> float:
-    """The unit power sum; the direct-route value after the three-way check."""
-    return satake_power_sum_routes(theta, n, r)[0]
 
 
 def _check_weight(kappa: int) -> None:

@@ -219,29 +219,6 @@ def kloosterman_sums(
     return _kloosterman_block(ms, n, [c], {} if tables is None else tables)
 
 
-def kloosterman(m: int, n: int, c: int) -> float:
-    """Exact S(m, n; c) = sum over units x mod c of e((m x + n x^-1)/c).
-
-    One-index case of kloosterman_sums, and the same double it gives: the
-    residues (m x + n x^-1) mod c are counted in integer arithmetic before
-    any cosine, so the only roundings are the cosines themselves and the
-    final exactly rounded sum; c < 2**31.  |result| <= phi(c).
-    """
-    return kloosterman_sums([m], n, c)[0]
-
-
-def divisor_count(c: int) -> int:
-    """tau(c): number of positive divisors."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return math.prod(e + 1 for e in _factorization(c).values())
-
-
-def weil_bound(m: int, n: int, c: int) -> float:
-    """tau(c) * gcd(m, n, c)^{1/2} * c^{1/2}, the pointwise Kloosterman bound."""
-    return divisor_count(c) * math.sqrt(math.gcd(m, n, c)) * math.sqrt(c)
-
-
 def _in_series_window(order: int, x):
     """x <= min(order + 10, 14), for a float or elementwise for an array."""
     return x <= min(order + 10.0, _SERIES_WINDOW_CAP)

@@ -1,9 +1,17 @@
 """Acceptance gate: one test per exit criterion, each printing a single
-machine-greppable line `[acceptance NN] name: PASS|FAIL (detail)`.
+machine-greppable line `[acceptance NN] name: PASS|FAIL (detail)`, which
+starts at column 0 whatever pytest printed before it.
 
 Run with `pytest -s tests/test_acceptance.py` to see every gate line; under
 plain pytest the lines surface in the captured-output block of any failing
-criterion.
+criterion.  Under `-s`, ten lines of the output start with `[acceptance`.
+
+The gate checks the kernels the commands run.  Criterion 02 holds the
+eigenvalue kernel ``_eigenvalue_powers`` and the bracket kernel
+``_power_brackets`` against three scalar routes of the unit power sum,
+criterion 05 holds ``c_gamma`` against the digamma sum over the gamma
+shifts, and criterion 07 bounds ``kloosterman_sums`` by the Weil bound;
+those routes and that bound live in ``tests/oracles.py``.
 
 Criterion 4 bounds the even-square prime constant itself, not a bare
 truncation of its series: the remainder past the 10^6 sieve (about 2e-3) is
@@ -22,13 +30,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from oracles import c_gamma_from_shifts, satake_power_sum_routes, weil_bound
 from test_constants import even_square_oracle, pnt_segment_oracle
+from test_explicit import square_identity_gaps
 from test_petersson import tau_coefficients
 
 from symlow.cli import run_identity_suite
 from symlow.constants import (
     c_gamma,
-    c_gamma_from_shifts,
     c_pnt,
     c_sym_even,
     c_sym_even_completed,
@@ -36,25 +45,16 @@ from symlow.constants import (
     digamma,
     nu_max,
 )
-from symlow.explicit import (
-    _power_brackets,
-    density_prediction,
-    prime_sums,
-    square_power_identity_gap,
-)
-from symlow.forms import SyntheticForm, fejer_test_function, satake_power_sum, satake_power_sum_routes
-from symlow.petersson import (
-    kloosterman,
-    old_part_sum,
-    old_part_terms,
-    petersson_delta,
-    weil_bound,
-)
+from symlow.explicit import _power_brackets, density_prediction, prime_sums
+from symlow.forms import SyntheticForm, _eigenvalue_powers, fejer_test_function
+from symlow.petersson import kloosterman_sums, old_part_sum, old_part_terms, petersson_delta
 
 
 def gate(index: int, name: str, ok: bool, detail: str) -> None:
+    # The leading newline ends whatever pytest wrote on the line (the file
+    # name, a progress dot), so the gate line starts at column 0.
     status = "PASS" if ok else "FAIL"
-    print(f"[acceptance {index:02d}] {name}: {status} ({detail})", flush=True)
+    print(f"\n[acceptance {index:02d}] {name}: {status} ({detail})", flush=True)
 
 
 def test_criterion_01_exact_identity_suite():
@@ -70,23 +70,41 @@ def test_criterion_01_exact_identity_suite():
     assert elapsed < 10.0, detail
 
 
+def kernel_route_spreads(theta: list[float], n: int, r: int) -> list[float]:
+    """Per angle, max - min over the three routes of S(n, r) and the program's
+    kernels on the array of angles: _power_brackets(theta, n, r) + [r even],
+    and at n = 1 also _eigenvalue_powers(theta, r), which is S(1, r)."""
+    angles = np.array(theta)
+    columns = [_power_brackets(angles, n, r) + float(r % 2 == 0)]
+    if n == 1:
+        columns.append(_eigenvalue_powers(angles, r))
+    spreads = []
+    for t, *kernel in zip(theta, *(column.tolist() for column in columns)):
+        values = [*satake_power_sum_routes(t, n, r), *kernel]
+        spreads.append(max(values) - min(values))
+    return spreads
+
+
 def test_criterion_02_power_sum_routes_and_square_identity():
     rng = random.Random(1729)
-    worst_spread = 0.0
-    for _ in range(10**4):
-        theta = rng.uniform(0.0, math.pi)
-        n = rng.randint(1, 10)
-        r = rng.randint(1, 10)
-        a, b, c = satake_power_sum_routes(theta, n, r)
-        worst_spread = max(worst_spread, max(a, b, c) - min(a, b, c))
-    worst_gap = 0.0
-    for _ in range(10**3):
-        theta = rng.uniform(0.0, math.pi)
-        r = rng.randint(1, 8)
-        worst_gap = max(worst_gap, square_power_identity_gap(theta, r))
+    draws = [(rng.uniform(0.0, math.pi), rng.randint(1, 10), rng.randint(1, 10)) for _ in range(10**4)]
+    squares = [(rng.uniform(0.0, math.pi), rng.randint(1, 8)) for _ in range(10**3)]
+    # One kernel call per (n, r) over the angles drawn with it.
+    worst_spread = max(
+        max(kernel_route_spreads([t for t, a, b in draws if (a, b) == (n, r)], n, r), default=0.0)
+        for n in range(1, 11)
+        for r in range(1, 11)
+    )
+    worst_gap = max(
+        max(square_identity_gaps([t for t, b in squares if b == r], r), default=0.0)
+        for r in range(1, 9)
+    )
     ok = worst_spread < 1e-10 and worst_gap < 1e-10
-    detail = f"route spread {worst_spread:.2e} over 1e4 draws, square-identity gap {worst_gap:.2e} over 1e3"
-    gate(2, "power-sum-routes", ok, detail)
+    detail = (
+        f"kernels and routes spread {worst_spread:.2e} over 1e4 draws, "
+        f"square-identity gap {worst_gap:.2e} over 1e3"
+    )
+    gate(2, "power-sum-kernels", ok, detail)
     assert worst_spread < 1e-10, detail
     assert worst_gap < 1e-10, detail
 
@@ -188,7 +206,7 @@ def test_criterion_07_weil_bound_sweep():
             c = rng.randint(lo, hi)
             m = rng.randint(1, 10**6)
             n = rng.randint(1, 10**6)
-            value = abs(kloosterman(m, n, c))
+            value = abs(kloosterman_sums([m], n, c)[0])
             bound = weil_bound(m, n, c)
             assert value <= bound + 1e-9 * max(1.0, bound), (m, n, c, value, bound)
             checked += 1
@@ -255,7 +273,7 @@ def test_criterion_09_prime_sum_properties():
         n = rng.randint(3, 9)
         r = rng.randint(1, 8)
         direct = _power_brackets(np.array([theta]), n, r)[0]
-        via_power_sum = satake_power_sum(theta, n, r) - (1.0 if r % 2 == 0 else 0.0)
+        via_power_sum = satake_power_sum_routes(theta, n, r)[0] - (1.0 if r % 2 == 0 else 0.0)
         bracket_gap = max(bracket_gap, abs(direct - via_power_sum))
 
     ok = empty_ok and parity_gap < 1e-12 and enlargement_ok and bracket_gap < 1e-10

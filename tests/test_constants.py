@@ -26,7 +26,6 @@ from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
     c_gamma,
-    c_gamma_from_shifts,
     c_pnt,
     _even_denominator,
     _even_leaf,
@@ -43,6 +42,7 @@ from symlow.constants import (
     zeta,
     zeta_prime,
 )
+from oracles import c_gamma_from_shifts
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -5,7 +5,8 @@ prime list (sympy), the one-walk ``prime_sums`` is checked bit for bit
 against each sum transcribed as its own per-prime loop at its own natural
 bound, with angles, eigenvalues and window transforms from the scalar
 oracles in ``test_forms`` and a bracket built on them here, the
-telescoping identities are cross-checked between modules, and the exact-zero
+telescoping identities of the eigenvalue kernel are checked against the
+three routes of the unit power sum in ``oracles``, and the exact-zero
 sieve-enlargement invariance is asserted as an equality, not a tolerance.
 """
 
@@ -27,17 +28,12 @@ from symlow.explicit import (
     density_prediction,
     prime_cutoffs,
     prime_sums,
-    square_power_identity_gap,
 )
-from symlow.forms import (
-    SyntheticForm,
-    eigenvalue_power,
-    fejer_test_function,
-    satake_power_sum,
-)
+from symlow.forms import SyntheticForm, _eigenvalue_powers, fejer_test_function
 
 import random
 
+from oracles import satake_power_sum_routes
 from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from test_forms import (
@@ -135,12 +131,11 @@ class TestFirstPowerSum:
         form = make_form(q=11)
         phi = fejer_test_function(0.5)
         scale = math.log(11)
+        primes = (2, 3)
+        lam = _eigenvalue_powers(np.array([form.angle(p) for p in primes]), 1).tolist()
         expected = -(2.0 / scale) * math.fsum(
-            eigenvalue_power(form.angle(p), 1)
-            * math.log(p)
-            / math.sqrt(p)
-            * phi.phi_hat(math.log(p) / scale)
-            for p in (2, 3)
+            lam_p * math.log(p) / math.sqrt(p) * phi.phi_hat(math.log(p) / scale)
+            for p, lam_p in zip(primes, lam)
         )
         assert prime_sums(form, phi, 1)["first_power"] == expected
 
@@ -162,13 +157,11 @@ class TestFirstPowerSum:
         phi = fejer_test_function(1.0)
         scale = math.log(3)
         limit = int(math.exp(scale)) + 1
+        primes = [p for p in sympy.primerange(2, limit + 1) if p != 3]
+        lam = _eigenvalue_powers(np.array([form.angle(p) for p in primes]), 1).tolist()
         expected = -(2.0 / scale) * math.fsum(
-            eigenvalue_power(form.angle(p), 1)
-            * math.log(p)
-            / math.sqrt(p)
-            * phi.phi_hat(math.log(p) / scale)
-            for p in sympy.primerange(2, limit + 1)
-            if p != 3
+            lam_p * math.log(p) / math.sqrt(p) * phi.phi_hat(math.log(p) / scale)
+            for p, lam_p in zip(primes, lam)
         )
         assert abs(prime_sums(form, phi, 1)["first_power"] - expected) < 1e-15
 
@@ -196,13 +189,11 @@ class TestSquarePowerSum:
         phi = fejer_test_function(1.0)
         scale = math.log(11)
         limit = int(math.exp(scale / 2.0)) + 1
+        primes = [p for p in sympy.primerange(2, limit + 1) if p != 11]
+        lam = _eigenvalue_powers(np.array([form.angle(p) for p in primes]), 2).tolist()
         expected = -(2.0 / scale) * math.fsum(
-            eigenvalue_power(form.angle(p), 2)
-            * math.log(p)
-            / p
-            * phi.phi_hat(2.0 * math.log(p) / scale)
-            for p in sympy.primerange(2, limit + 1)
-            if p != 11
+            lam_p * math.log(p) / p * phi.phi_hat(2.0 * math.log(p) / scale)
+            for p, lam_p in zip(primes, lam)
         )
         assert abs(prime_sums(form, phi, 1)["square_power"][0] - expected) < 1e-15
 
@@ -217,7 +208,7 @@ class TestSquarePowerSum:
             ladder = math.fsum((-1.0) ** m * squares[m] for m in range(r))
             limit = int(math.exp(phi.nu * scale / 2.0)) + 1
             via_power_sum = -(2.0 / scale) * math.fsum(
-                (satake_power_sum(form.angle(p), 2, r) - (-1.0) ** r)
+                (satake_power_sum_routes(form.angle(p), 2, r)[0] - (-1.0) ** r)
                 * math.log(p)
                 / p
                 * phi.phi_hat(2.0 * math.log(p) / scale)
@@ -255,8 +246,8 @@ class TestHigherPowerSum:
         form = make_form(q=5)
         phi = fejer_test_function(1.5)
         scale = math.log(5)
-        theta = form.angle(2)
-        bracket = eigenvalue_power(theta, 3) - eigenvalue_power(theta, 1)
+        theta = np.array([form.angle(2)])
+        bracket = _eigenvalue_powers(theta, 3)[0] - _eigenvalue_powers(theta, 1)[0]
         expected = -(2.0 / scale) * (
             bracket * math.log(2) / 2**1.5 * phi.phi_hat(3.0 * math.log(2) / scale)
         )
@@ -271,7 +262,7 @@ class TestHigherPowerSum:
             n = rng.randint(2, 9)
             r = rng.randint(1, 8)
             direct = _power_brackets(np.array([theta]), n, r)[0]
-            telescoped = satake_power_sum(theta, n, r) - (1.0 if r % 2 == 0 else 0.0)
+            telescoped = satake_power_sum_routes(theta, n, r)[0] - (1.0 if r % 2 == 0 else 0.0)
             assert abs(direct - telescoped) < 1e-10
 
     def test_parity_under_angle_flip(self):
@@ -515,25 +506,38 @@ class TestOneWalk:
         assert any(v["higher_power"] != 0.0 for v in values)
 
 
+def alternating_square_sums(theta: np.ndarray, r: int) -> np.ndarray:
+    """sum_{m=0}^{r-1} (-1)^m lambda(p^{2(r-m)}) + (-1)^r at every angle of
+    theta, one fsum per angle, from the kernel _eigenvalue_powers.
+
+    The doubled-argument power sum S(2, r) telescopes against the eigenvalues
+    of even powers, so this equals S(2, r) up to rounding.
+    """
+    columns = [((-1.0) ** m * _eigenvalue_powers(theta, 2 * (r - m))).tolist() for m in range(r)]
+    return np.fromiter((math.fsum(c) + (-1.0) ** r for c in zip(*columns)), np.float64, theta.size)
+
+
+def square_identity_gaps(theta: list[float], r: int) -> list[float]:
+    """Per angle, the largest |S(2, r) - alternating_square_sums| over the
+    three routes of S(2, r)."""
+    kernel = alternating_square_sums(np.array(theta), r).tolist()
+    return [max(abs(s - k) for s in satake_power_sum_routes(t, 2, r)) for t, k in zip(theta, kernel)]
+
+
 class TestSquareIdentity:
     def test_zero_angle(self):
         for r in range(1, 9):
-            assert square_power_identity_gap(0.0, r) < 1e-12
+            assert square_identity_gaps([0.0], r)[0] < 1e-12
 
     def test_right_angle_rank_one(self):
         # S(2,1) at theta = pi/2 is -2; lambda(p^2) = -1 and (-1)^1 = -1.
-        assert square_power_identity_gap(math.pi / 2, 1) < 1e-12
+        assert square_identity_gaps([math.pi / 2], 1)[0] < 1e-12
 
     def test_random_sweep(self):
         rng = random.Random(11)
-        for _ in range(1000):
-            theta = rng.uniform(0.0, math.pi)
-            r = rng.randint(1, 8)
-            assert square_power_identity_gap(theta, r) < 1e-10
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            square_power_identity_gap(1.0, 0)
+        draws = [(rng.uniform(0.0, math.pi), rng.randint(1, 8)) for _ in range(1000)]
+        for r in range(1, 9):
+            assert max(square_identity_gaps([t for t, s in draws if s == r], r)) < 1e-10, r
 
 
 class TestPrimeCutoffs:

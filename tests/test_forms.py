@@ -1,7 +1,8 @@
 """Tests for the synthetic-form layer: seeded Satake angles, eigenvalue
-powers, unit power sums, gamma shifts, and the two admissible
-test-function constructors: the Fejer kernel of ``symlow.forms`` and the
-sampled transform of ``sampled_kernel``, a tests-only helper.
+powers, gamma shifts, and the two admissible test-function constructors:
+the Fejer kernel of ``symlow.forms`` and the sampled transform of
+``sampled_kernel``, a tests-only helper.  The three routes of the unit power
+sum in ``oracles``, another tests-only helper, are checked here too.
 
 Oracles used here: scipy's Chebyshev-U evaluator for the sine ratios, a
 truncated forward Fourier integral with an exact sine-integral tail for
@@ -52,13 +53,11 @@ from symlow.forms import (
     _sato_tate_inverse_cdf,
     _uniform_units,
     _units_from_digests,
-    eigenvalue_power,
     fejer_test_function,
     gamma_shifts,
     is_prime,
-    satake_power_sum,
-    satake_power_sum_routes,
 )
+from oracles import satake_power_sum_routes
 
 
 def chebu_at_angle(n: int, theta: float) -> float:
@@ -166,47 +165,38 @@ class TestPrimality:
 
 
 class TestEigenvaluePower:
+    """_eigenvalue_powers, the eigenvalue kernel the prime sums run, against scipy."""
+
     def test_matches_scipy_chebyshev(self):
+        theta = numpy.linspace(0.05, math.pi - 0.05, 41)
         for n in range(26):
-            for theta in numpy.linspace(0.05, math.pi - 0.05, 41):
-                got = eigenvalue_power(float(theta), n)
-                want = chebu_at_angle(n, float(theta))
-                assert abs(got - want) < 1e-10 * (n + 1)
+            for t, got in zip(theta.tolist(), _eigenvalue_powers(theta, n).tolist()):
+                assert abs(got - chebu_at_angle(n, t)) < 1e-10 * (n + 1)
 
     def test_endpoint_limits_exact(self):
+        # Angles inside the snap window (1e-9 from either end) take the limit value too.
+        theta = numpy.array([0.0, 1e-9, math.pi, math.pi - 1e-9])
         for n in range(40):
-            assert eigenvalue_power(0.0, n) == n + 1
-            assert eigenvalue_power(math.pi, n) == (-1) ** n * (n + 1)
-            # Angles inside the snap window take the limit value too.
-            assert eigenvalue_power(1e-9, n) == n + 1
-            assert eigenvalue_power(math.pi - 1e-9, n) == (-1) ** n * (n + 1)
+            limit = (-1) ** n * (n + 1)
+            assert _eigenvalue_powers(theta, n).tolist() == [n + 1, n + 1, limit, limit]
 
     def test_zeroth_power_is_one(self):
-        for theta in (0.0, 0.3, 1.1, math.pi):
-            assert eigenvalue_power(theta, 0) == 1.0
+        assert _eigenvalue_powers(numpy.array([0.0, 0.3, 1.1, math.pi]), 0).tolist() == [1.0] * 4
 
     @given(
         st.floats(min_value=1e-6, max_value=math.pi - 1e-6),
         st.integers(min_value=0, max_value=40),
     )
     def test_sharp_bound(self, theta, n):
-        assert abs(eigenvalue_power(theta, n)) <= n + 1
+        assert abs(_eigenvalue_powers(numpy.array([theta]), n)[0]) <= n + 1
 
     @given(
         st.floats(min_value=1e-4, max_value=math.pi - 1e-4),
         st.integers(min_value=0, max_value=30),
     )
     def test_agrees_with_scipy_generically(self, theta, n):
-        got = eigenvalue_power(theta, n)
+        got = _eigenvalue_powers(numpy.array([theta]), n)[0]
         assert abs(got - chebu_at_angle(n, theta)) < 1e-9 * (n + 1)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            eigenvalue_power(-0.1, 2)
-        with pytest.raises(ValueError):
-            eigenvalue_power(math.pi + 0.1, 2)
-        with pytest.raises(ValueError):
-            eigenvalue_power(1.0, -1)
 
 
 def eigenvalue_grid() -> list[float]:
@@ -248,7 +238,7 @@ class TestChunkedItems:
 
 
 class TestVectorEigenvaluePower:
-    """_eigenvalue_powers and eigenvalue_power against the scalar oracle with ==."""
+    """_eigenvalue_powers against the scalar oracle with ==."""
 
     def test_equals_scalar_on_edge_grid(self):
         grid = eigenvalue_grid()
@@ -259,7 +249,6 @@ class TestVectorEigenvaluePower:
         for n in range(13):
             want = [scalar_eigenvalue_power(t, n) for t in grid]
             assert _eigenvalue_powers(theta, n).tolist() == want
-            assert [eigenvalue_power(t, n) for t in grid] == want
             clamped += sum(
                 abs(math.sin((n + 1) * t) / s) > n + 1 for t, s in zip(grid, sines) if s >= 1e-8
             )
@@ -647,7 +636,7 @@ class TestPowerSumRoutes:
             theta = rng.uniform(0.0, math.pi)
             n = rng.randint(1, 9)
             r = rng.randint(1, 8)
-            direct = satake_power_sum(theta, n, r)
+            direct = satake_power_sum_routes(theta, n, r)[0]
             oracle = float(eval_chebyu(r, math.cos(n * theta)))
             assert abs(direct - oracle) < 1e-12 * (r + 1)
 
@@ -655,15 +644,15 @@ class TestPowerSumRoutes:
         # theta = pi/2, n = 2 puts the reduced angle exactly at pi; the
         # ratio route must snap to the signed limit and the direct cosine
         # sum is exact there.
-        assert satake_power_sum(math.pi / 2, 2, 3) == -4.0
-        assert satake_power_sum(math.pi / 2, 2, 4) == 5.0
+        assert satake_power_sum_routes(math.pi / 2, 2, 3)[0] == -4.0
+        assert satake_power_sum_routes(math.pi / 2, 2, 4)[0] == 5.0
         d, ra, ch = satake_power_sum_routes(math.pi / 2, 2, 5)
         assert d == -6.0 and ra == -6.0
         assert abs(ch - -6.0) < 1e-12
 
     def test_zero_angle(self):
         for r in range(1, 9):
-            assert satake_power_sum(0.0, 3, r) == r + 1
+            assert satake_power_sum_routes(0.0, 3, r)[0] == r + 1
 
     def test_disagreement_guard_raises(self, monkeypatch):
         # Sabotage the direct route; the three-way check must trip.
@@ -882,9 +871,11 @@ class TestSyntheticForm:
             assert g.angle(p) == math.pi - f.angle(p)
         assert g.flipped() == f
         # Odd eigenvalue powers change sign, even ones do not.
-        for p in (2, 3, 5):
-            assert abs(eigenvalue_power(g.angle(p), 1) + eigenvalue_power(f.angle(p), 1)) < 1e-14
-            assert abs(eigenvalue_power(g.angle(p), 2) - eigenvalue_power(f.angle(p), 2)) < 1e-13
+        f_theta, g_theta = (numpy.array([h.angle(p) for p in (2, 3, 5)]) for h in (f, g))
+        odd = _eigenvalue_powers(g_theta, 1) + _eigenvalue_powers(f_theta, 1)
+        even = _eigenvalue_powers(g_theta, 2) - _eigenvalue_powers(f_theta, 2)
+        assert numpy.all(numpy.abs(odd) < 1e-14)
+        assert numpy.all(numpy.abs(even) < 1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -906,12 +897,12 @@ class TestSyntheticForm:
         # equals angle(p) entry by entry (TestBatchedAngles).
         primes = numpy.array([int(p) for p in sympy.primerange(2, 20000) if p != 11])
         f = self.make()
-        values = [eigenvalue_power(t, 1) for t in f._sieved_angles(primes).tolist()]
+        values = _eigenvalue_powers(f._sieved_angles(primes), 1).tolist()
         assert abs(sum(values) / len(values)) < 0.05
         assert abs(sum(v * v for v in values) / len(values) - 1.0) < 0.05
 
         flat = self.make(distribution="uniform")
-        flat_values = [eigenvalue_power(t, 1) for t in flat._sieved_angles(primes).tolist()]
+        flat_values = _eigenvalue_powers(flat._sieved_angles(primes), 1).tolist()
         assert abs(sum(flat_values) / len(flat_values)) < 0.05
         assert abs(sum(v * v for v in flat_values) / len(flat_values) - 2.0) < 0.05
 
