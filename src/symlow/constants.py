@@ -6,11 +6,13 @@ uncertainty (its convergence is fluctuation-limited, so no rigorous bound is
 claimed), while the even-power constant carries a rigorous integral-comparison
 tail bound.  The even-power constant is also completed past the cutoff by a
 prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', which gives
-it to double precision with a rigorous radius.  Both constants and that
-completion's trip-wire read one sieved prime table, the primes as int32,
-4 bytes a prime.  Each sum forms its logs and quotients a leaf of _BLOCK
-primes at a time, with the doubles of the whole-array float64 formulas, and
-adds the leaves along numpy's own pairwise tree (``_pairwise_sums``), so it
+it to double precision with a rigorous radius.  Each computation sums its
+constants as one segmented sieve runs, and keeps no prime table: the exact
+prime count pi(X), from the primes up to sqrt(X) alone, fixes each sum's
+length before the first prime is found.  Each sum forms its logs and
+quotients a leaf of at most _BLOCK primes at a time, with the doubles of the
+whole-array float64 formulas, and adds the leaves along numpy's own pairwise
+tree (``_pairwise_tree``), whose leaf sizes follow from that length; so it
 returns the bytes of np.sum over the whole array without forming it.  The
 digamma routine is pinned to one fixed algorithm so reports are bit-stable
 across runs.
@@ -19,16 +21,15 @@ across runs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .forms import _BLOCK, _blocks, _check_weight
+from .forms import _BLOCK, _check_weight
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -70,41 +71,65 @@ _WHEEL = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL)
 
 
-def primes_up_to(n: int, dtype=np.int64) -> np.ndarray:
-    """All primes <= n as a sorted array of dtype, guarded by the sieve memory cap.
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as a sorted int64 array, guarded by the sieve memory cap.
+
+    The segments of _segmented_sieve go straight into one output sized by
+    the exact count pi(n), so the sieve holds the output and a few
+    segment-sized buffers, never a flag per number up to n.
+    """
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    count, segments = _prime_stream(n)
+    primes = np.empty(count(n), dtype=np.int64)
+    filled = 0
+    for found in segments:
+        primes[filled : filled + found.size] = found
+        filled += found.size
+        del found  # before the sieve allocates the next segment's primes
+    return primes
+
+
+def _prime_stream(bound: int) -> tuple[Callable[[int], int], Iterator[np.ndarray]]:
+    """(count, segments) for bound >= 2, guarded by the sieve memory cap.
+
+    count(v) is pi(v) for every v = bound // k, known before the first
+    prime is found; segments yields the primes <= bound a segment at a time.
+    Both start from one list of the primes up to sqrt(bound).
+    """
+    check_sieve_bound(bound)
+    base = _root_primes(bound)
+    return _prime_counter(bound, base), _segmented_sieve(bound, base)
+
+
+def _root_primes(n: int) -> np.ndarray:
+    """The primes <= sqrt(n) as an int64 array, sieved without the cap check."""
+    root = math.isqrt(n)
+    if root < 2:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(list(_segmented_sieve(root, _root_primes(root))))
+
+
+def _segmented_sieve(n: int, base: np.ndarray) -> Iterator[np.ndarray]:
+    """The primes <= n >= 2 as one sorted int64 array per segment; base is _root_primes(n).
 
     A segmented sieve over the odd numbers (Bays and Hudson, BIT 17, 1977):
     flag i of a segment starting at slot lo stands for 2(lo + i) + 1.  Each
     segment of at most _SEGMENT flags starts as a copy of one pattern with
     the odd multiples of the _WHEEL primes crossed off, then crosses off the
-    odd multiples of every other prime up to sqrt(n), from p^2 on; in the
-    first segment the _WHEEL primes are restored, and slot 0, the number 1,
-    becomes the prime 2.  Each segment's primes go straight into one output
-    of the given dtype (int32 for the constants' table, when every prime
-    fits), sized by pi(x) < 1.25506 x / ln x for x > 1 (Rosser and
-    Schoenfeld, Illinois J. Math. 6, 1962) and shrunk in place at the end.
-    So the sieve holds the output and a few segment-sized buffers, never a
-    flag per number up to n.
+    odd multiples of every other base prime, from p^2 on; in the first
+    segment the _WHEEL primes are restored, and slot 0, the number 1,
+    becomes the prime 2.
     """
-    check_sieve_bound(n)
-    return _segmented_sieve(n, dtype)
-
-
-def _segmented_sieve(n: int, dtype=np.int64) -> np.ndarray:
-    """primes_up_to(n, dtype) with no cap check, so its base primes come from itself."""
-    if n < 2:
-        return np.empty(0, dtype=dtype)
     slots = (n + 1) // 2
     size = min(_SEGMENT, slots)
     pattern = np.ones(size + _WHEEL_PERIOD, dtype=bool)
     for p in _WHEEL:
         pattern[p // 2 :: p] = False
-    base = _segmented_sieve(math.isqrt(n))[len(_WHEEL) + 1 :]
+    base = base[len(_WHEEL) + 1 :]
     firsts = base * base // 2  # the slot of p^2, where crossing off starts
     base_list = base.tolist()
     flags = np.empty(size, dtype=bool)
-    primes = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=dtype)
-    count = 0
     for lo in range(0, slots, size):
         segment = flags[: min(size, slots - lo)]
         offset = lo % _WHEEL_PERIOD
@@ -121,70 +146,183 @@ def _segmented_sieve(n: int, dtype=np.int64) -> np.ndarray:
         found = np.flatnonzero(segment)
         found *= 2
         found += 2 * lo + 1
-        primes[count : count + found.size] = found
-        count += found.size
+        if lo == 0:
+            found[0] = 2
+        yield found
         del found  # before the next segment's indices are allocated
-    primes[0] = 2
-    primes.resize(count, refcheck=False)
-    return primes
 
 
-# The largest cutoff whose prime table is int32.  Past it the sieve writes
-# int64, so no prime wraps.
-_INT32_MAX = 2**31 - 1
+def _prime_counter(n: int, base: np.ndarray) -> Callable[[int], int]:
+    """count(v) = pi(v) exactly for every v = n // k, from base = _root_primes(n) alone.
 
-
-def _prime_table(cutoff: int, table=None) -> tuple[int, np.ndarray]:
-    """The prime table (cutoff, primes <= cutoff).
-
-    The primes are int32 when cutoff <= _INT32_MAX, else int64, as the sieve
-    writes them, in a fresh sieve's values and order: 4 bytes a prime (8
-    when int64), the table's only array a prime long.  With the optional
-    table of c_pnt and c_sym_even, from a call at a bound >= cutoff, the
-    primes are a prefix view of that table's.
+    Lucy's form of the Legendre recursion (Lagarias, Miller and Odlyzko,
+    Math. Comp. 44, 1985): S(v) starts as v - 1, the integers 2..v, and for
+    each base prime p in turn every v >= p^2 loses S(v // p) - S(p - 1), the
+    numbers left whose least prime factor is p; what is left is pi(v).  The
+    values v <= s = max(isqrt(n), 2) are one array by v, the larger ones
+    one array by k, and a step updates each array in a few numpy calls from
+    the values before it.  count raises ValueError at any other v.
     """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    if table is None:
-        return cutoff, primes_up_to(cutoff, np.int32 if cutoff <= _INT32_MAX else np.int64)
-    bound, primes = table
-    if bound < cutoff:
-        raise ValueError(f"prime table sieved to {bound} cannot serve cutoff {cutoff}")
-    return cutoff, primes[: _count_up_to(primes, cutoff)]
+    s = max(math.isqrt(n), 2)
+    big = n // (s + 1)  # the k with n // k > s
+    small = np.arange(-1, s)  # S(v) by v
+    small[0] = 0
+    quotients = n // np.arange(1, big + 1)  # n // k by k - 1
+    large = np.empty(big + 1, dtype=np.int64)  # S(n // k) by k; entry 0 unused
+    large[1:] = quotients - 1
+    for p in base.tolist():
+        below = int(small[p - 1])
+        square = p * p
+        reach = min(big, n // square)  # the k with n // k >= p^2
+        split = min(reach, big // p)  # the k with k p <= big, whose n // (k p) is in large
+        large[1 : split + 1] -= large[p : split * p + 1 : p] - below
+        if split < reach:
+            large[split + 1 : reach + 1] -= small[quotients[split:reach] // p] - below
+        if square <= s:
+            small[square:] -= small[np.arange(square, s + 1) // p] - below
+
+    def count(v: int) -> int:
+        if v <= s:
+            return int(small[v])
+        k = n // v
+        if not k or n // k != v:
+            raise ValueError(f"the prime count to {n} holds no pi({v})")
+        return int(large[k])
+
+    return count
 
 
 def _count_up_to(primes: np.ndarray, x: int) -> int:
-    """How many of the sorted primes are <= x.
+    """How many of the sorted primes are <= x."""
+    return int(np.searchsorted(primes, x, "right"))
 
-    The needle takes the table's dtype: numpy 2 casts an int32 haystack to
-    int64, a full copy, to compare it with a Python int.
+
+def _check_cutoff(cutoff: int) -> int:
+    cutoff = int(cutoff)
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    return cutoff
+
+
+def _feed(segments: Iterator[np.ndarray], sinks) -> None:
+    """Hands each segment of primes to every sink in turn: one pass of the sieve for all of them."""
+    for segment in segments:
+        for sink in sinks:
+            sink.feed(segment)
+        del segment  # before the sieve allocates the next segment's primes
+
+
+class _Runs:
+    """Takes the first sum(sizes) primes of a stream as float64 runs of the given sizes.
+
+    feed copies the stream's primes, exact as float64 below 2**53, into one
+    run buffer and hands each full run to take, which must not keep it: the
+    next run overwrites it.  Primes past the last run are ignored, so a sum
+    to X reads its prefix of a stream to any bound >= X.
     """
-    return int(np.searchsorted(primes, primes.dtype.type(x), "right"))
+
+    def __init__(self, sizes: list[int]):
+        self._sizes = iter(sizes)
+        self._size = next(self._sizes, 0)
+        self._filled = 0
+        self._buffer = np.empty(max(sizes, default=0))
+
+    def feed(self, primes: np.ndarray) -> None:
+        while self._size and primes.size:
+            taken = min(self._size - self._filled, primes.size)
+            self._buffer[self._filled : self._filled + taken] = primes[:taken]
+            self._filled += taken
+            primes = primes[taken:]
+            if self._filled == self._size:
+                self.take(self._buffer[: self._size])
+                self._size = next(self._sizes, 0)
+                self._filled = 0
+
+    def take(self, run: np.ndarray) -> None:
+        raise NotImplementedError
 
 
-def _pairwise_sums(
-    primes: np.ndarray, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-) -> list[float]:
-    """float(np.sum(a)) for each array a of leaf(the primes as float64), streamed.
+def _pairwise_tree(n: int, leaf: Callable[[int], list[float]]) -> list[float]:
+    """numpy's pairwise sums of n entries, from leaf(size) of each leaf run in order.
 
     For a contiguous float64 array, np.sum is numpy's pairwise sum: a run of
     n > 128 entries adds the sum of its first m entries to the sum of the
     rest, where m is n // 2 rounded down to a multiple of 8 (the classic
     pairwise scheme; N. J. Higham, SIAM J. Sci. Comput. 14, 1993).  This
     recursion takes the same split down to runs of at most _BLOCK entries,
-    calls leaf on each run's float64 primes alone and np.sum on each array
-    it returns, and adds the halves as numpy does, in doubles.  So each sum
-    has np.sum's bytes over the whole array, while only one leaf's arrays
-    exist at a time.  leaf must form every entry from its own prime alone;
-    the float64 primes are exact, every prime being below 2**53.
+    whose sums leaf returns, and adds the halves as numpy does, in doubles.
     """
-    if primes.size <= _BLOCK:
-        return [float(np.sum(a)) for a in leaf(primes.astype(np.float64))]
-    half = primes.size // 2
+    if n <= _BLOCK:
+        return leaf(n)
+    half = n // 2
     half -= half % 8
-    left, right = _pairwise_sums(primes[:half], leaf), _pairwise_sums(primes[half:], leaf)
-    return [a + b for a, b in zip(left, right)]
+    left = _pairwise_tree(half, leaf)
+    return [a + b for a, b in zip(left, _pairwise_tree(n - half, leaf))]
+
+
+class _PairwiseSums(_Runs):
+    """float(np.sum(a)) for each array a of leaf(the first n primes as float64), streamed.
+
+    The leaf sizes of _pairwise_tree follow from n alone, so the arrays of
+    each leaf are formed and summed as soon as its last prime arrives; the
+    leaf sums, 1,024 lists at n = pi(10**8), are added along the tree at the
+    end.  So each sum has np.sum's bytes over the whole array while only one
+    leaf's arrays exist at a time.  leaf must form every entry from its own
+    prime alone.
+    """
+
+    def __init__(self, n: int, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]):
+        sizes: list[int] = []
+        _pairwise_tree(n, lambda size: sizes.append(size) or [])  # the leaf sizes, in order
+        super().__init__(sizes)
+        self._n = n
+        self._leaf = leaf
+        self._leaf_sums: list[list[float]] = []
+
+    def take(self, run: np.ndarray) -> None:
+        # np.sum of a 1-d array is np.add.reduce, less its Python-level dispatch.
+        self._leaf_sums.append([float(np.add.reduce(a)) for a in self._leaf(run)])
+
+    def sums(self) -> list[float]:
+        leaf_sums = iter(self._leaf_sums)
+        return _pairwise_tree(self._n, lambda size: next(leaf_sums))
+
+
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of terms, a list that this extends.
+
+    Each is math.fsum of terms and the negated parts before it: the exact
+    remainder rounded once, which is 0.0 only once nothing remains.
+    """
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        terms.append(-part)
+    return parts
+
+
+class _ExactSums(_Runs):
+    """math.fsum of log p / denominator(p) over the first n primes, for each denominator, streamed.
+
+    math.fsum is exactly rounded, so each sum keeps only the few floats of
+    _exact_parts of its quotients so far, and their math.fsum at the end
+    has the bytes of one math.fsum over every quotient.  The quotients are
+    formed _BLOCK primes at a time, the logs afresh for each denominator.
+    """
+
+    def __init__(self, n: int, denominators: list[Callable[[np.ndarray], np.ndarray]]):
+        super().__init__([min(_BLOCK, n - i) for i in range(0, n, _BLOCK)])
+        self._denominators = denominators
+        self._parts: list[list[float]] = [[] for _ in denominators]
+        self._quotients = np.empty(min(n, _BLOCK))
+
+    def take(self, run: np.ndarray) -> None:
+        for parts, denominator in zip(self._parts, self._denominators):
+            quotients = _log_quotients(run, self._quotients[: run.size], denominator)
+            parts[:] = _exact_parts(parts + quotients.tolist())
+
+    def sums(self) -> list[float]:
+        return [math.fsum(parts) for parts in self._parts]
 
 
 def _log_quotients(
@@ -204,30 +342,37 @@ def _even_leaf(p: np.ndarray) -> tuple[np.ndarray]:
     return (_log_quotients(p, np.empty(p.size), _even_denominator),)
 
 
-def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logs = np.log(p)
-    return logs, logs / p
-
-
-def _fsum_log_quotients(primes: np.ndarray, denominator: Callable[[np.ndarray], np.ndarray]) -> float:
-    """math.fsum of log p / denominator(p) over the primes, formed a block at a time.
-
-    math.fsum is exactly rounded in any order, so a block of the quotients
-    and of their Python floats is all that exists at a time.
-    """
-    buffer = np.empty(min(primes.size, _BLOCK))
-    blocks = (
-        _log_quotients(p.astype(np.float64), buffer[: p.size], denominator).tolist()
-        for p in _blocks(primes)
-    )
-    return math.fsum(itertools.chain.from_iterable(blocks))
+def _even_tail_bound(cutoff: int) -> float:
+    return (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
 
 
 def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
     return 1.0 + log_over_p - theta / cutoff - math.log(cutoff)
 
 
-def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
+def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log(p)
+    return logs, logs / p
+
+
+class _PntSums:
+    """theta and sum log p / p up to X and up to max(2, X // 10), streamed, each on its own tree."""
+
+    def __init__(self, count: Callable[[int], int], cutoff: int):
+        self._cutoffs = cutoff, max(2, cutoff // 10)
+        self._trees = [_PairwiseSums(count(x), _pnt_leaf) for x in self._cutoffs]
+
+    def feed(self, primes: np.ndarray) -> None:
+        for tree in self._trees:
+            tree.feed(primes)
+
+    def value(self) -> tuple[float, float]:
+        """(c_pnt at X, its distance from c_pnt at X/10)."""
+        value, decade_value = (_pnt_value_at(x, *tree.sums()) for x, tree in zip(self._cutoffs, self._trees))
+        return value, abs(value - decade_value)
+
+
+def c_pnt(cutoff: int) -> tuple[float, float]:
     """The prime-counting constant 1 + int_1^X (theta(t) - t)/t^2 dt.
 
     The integral is evaluated through the exact partial-summation identity
@@ -236,17 +381,17 @@ def c_pnt(cutoff: int, table=None) -> tuple[float, float]:
     uncertainty) where uncertainty = |value(X) - value(X/10)|, an empirical
     stabilization estimate, not a rigorous bound.  theta and
     sum log p / p come from one pass of leaves over the primes up to X, and
-    again from one over those up to X/10, whose pairwise tree is its own.
+    again from one over those up to X/10, whose pairwise tree is its own;
+    both take their primes from one sieve as it runs.
     """
-    cutoff, primes = _prime_table(cutoff, table)
-    decade = max(2, cutoff // 10)
-    value = _pnt_value_at(cutoff, *_pairwise_sums(primes, _pnt_leaf))
-    decade_primes = primes[: _count_up_to(primes, decade)]
-    decade_value = _pnt_value_at(decade, *_pairwise_sums(decade_primes, _pnt_leaf))
-    return value, abs(value - decade_value)
+    cutoff = _check_cutoff(cutoff)
+    count, segments = _prime_stream(cutoff)
+    sums = _PntSums(count, cutoff)
+    _feed(segments, [sums])
+    return sums.value()
 
 
-def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
+def c_sym_even(cutoff: int) -> tuple[float, float]:
     """The even-power constant sum_p log p / (p^{3/2} - p), with tail bound.
 
     The truncation error is below sum_{n>X} log n/(n^{3/2}-n); the summand is
@@ -256,10 +401,12 @@ def c_sym_even(cutoff: int, table=None) -> tuple[float, float]:
     precision at any feasible cutoff; c_sym_even_completed adds the remainder
     past X and serves the constant itself, with this route as its cross-check.
     """
-    cutoff, primes = _prime_table(cutoff, table)
-    (value,) = _pairwise_sums(primes, _even_leaf)
-    tail_bound = (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
-    return value, tail_bound
+    cutoff = _check_cutoff(cutoff)
+    count, segments = _prime_stream(cutoff)
+    tree = _PairwiseSums(count(cutoff), _even_leaf)
+    _feed(segments, [tree])
+    (value,) = tree.sums()
+    return value, _even_tail_bound(cutoff)
 
 
 # Asymptotic coefficients B_{2k}/(2k) for k = 1..8.
@@ -416,37 +563,47 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
 
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
-    the independent truncation route c_sym_even, read from the same table.
-    S_X and each head sum_{p<=X} log p / (p^{t/2} - 1) are streamed into
-    their math.fsum a block of primes at a time, the logs formed afresh for
+    the independent truncation route c_sym_even, summed in the same pass.
+    The t the series reaches follow from X alone, so S_X and each head
+    sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum a
+    block of primes at a time as the sieve runs, the logs formed afresh for
     each.
     """
-    cutoff, primes = table = _prime_table(cutoff)
-    sieve_value, sieve_tail = c_sym_even(cutoff, table)
-    partial = _fsum_log_quotients(primes, _even_denominator)
-    parts = [partial]
-    magnitude = partial  # prime-sum summands, all positive
-    propagated = 0.0
+    cutoff = _check_cutoff(cutoff)
     log_x = math.log(cutoff)
     shrink = 1.0 - cutoff**-0.5
+    series = []  # (t, a_t) for each t the series reaches with a_t != 0
     t = 3
     while True:
         a = _series_coefficient(t)
         if a:
-            zeta_value, zeta_radius = zeta(t / 2)
-            slope, slope_radius = zeta_prime(t / 2)
-            ratio = -slope / zeta_value
-            # zeta >= 1 for real s > 1 bounds the quotient's error.
-            ratio_radius = (slope_radius + (-slope + slope_radius) * zeta_radius) / zeta_value
-            head = _fsum_log_quotients(primes, lambda p: p ** (t / 2) - 1.0)
-            parts += [a * ratio, -a * head]
-            magnitude += abs(a) * head
-            propagated += abs(a) * (ratio_radius + _UNIT_ROUNDOFF * ratio)
+            series.append((t, a))
         sigma = (t - 1) / 2
         tail = 2.0 * cutoff ** (-sigma) * (log_x + 1.0 / sigma) / (sigma * shrink)
         if tail <= _SERIES_TAIL_TARGET:
             break
         t += 1
+    count, segments = _prime_stream(cutoff)
+    truncation = _PairwiseSums(count(cutoff), _even_leaf)
+    heads = _ExactSums(
+        count(cutoff), [_even_denominator] + [lambda p, s=t / 2: p**s - 1.0 for t, _ in series]
+    )
+    _feed(segments, [truncation, heads])
+    (sieve_value,) = truncation.sums()
+    sieve_tail = _even_tail_bound(cutoff)
+    partial, *head_values = heads.sums()
+    parts = [partial]
+    magnitude = partial  # prime-sum summands, all positive
+    propagated = 0.0
+    for (t, a), head in zip(series, head_values):
+        zeta_value, zeta_radius = zeta(t / 2)
+        slope, slope_radius = zeta_prime(t / 2)
+        ratio = -slope / zeta_value
+        # zeta >= 1 for real s > 1 bounds the quotient's error.
+        ratio_radius = (slope_radius + (-slope + slope_radius) * zeta_radius) / zeta_value
+        parts += [a * ratio, -a * head]
+        magnitude += abs(a) * head
+        propagated += abs(a) * (ratio_radius + _UNIT_ROUNDOFF * ratio)
     value = math.fsum(parts)
     rounding = (_ROUNDING_UNITS + 1) * _UNIT_ROUNDOFF * magnitude
     radius = tail + propagated + rounding + _UNIT_ROUNDOFF * abs(value)
@@ -527,28 +684,31 @@ class ConstantsBundle:
 
 
 def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> ConstantsBundle:
-    """The constants at (r, kappa), both sieved at cutoff, from one prime table.
+    """The constants at (r, kappa), both sieved at cutoff, in one pass of one sieve.
 
     cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
-    the even-power constant at DEFAULT_C_CUTOFF, both read from the one
-    table sieved to the larger: 4 bytes a prime, its int32 primes, beside
-    which each sum holds only one leaf of float64 arrays.  c_gamma,
-    which checks r and kappa, comes first, so a bad r or weight is refused
-    before the sieve.
+    the even-power constant at DEFAULT_C_CUTOFF, both summed as the one
+    sieve to the larger runs: each sum holds only one leaf of float64
+    arrays, and no prime table exists.  c_gamma, which checks r and kappa,
+    comes first, so a bad r or weight is refused before the sieve.
     """
     gamma_value = c_gamma(r, kappa)
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
-    table = _prime_table(max(pnt_cutoff, c_cutoff))
-    pnt_value, pnt_unc = c_pnt(pnt_cutoff, table)
-    c_value, c_tail = c_sym_even(c_cutoff, table)
+    pnt_cutoff, c_cutoff = _check_cutoff(pnt_cutoff), _check_cutoff(c_cutoff)
+    count, segments = _prime_stream(max(pnt_cutoff, c_cutoff))
+    pnt = _PntSums(count, pnt_cutoff)
+    even = _PairwiseSums(count(c_cutoff), _even_leaf)
+    _feed(segments, [pnt, even])
+    pnt_value, pnt_unc = pnt.value()
+    (c_value,) = even.sums()
     return ConstantsBundle(
         r=r,
         kappa=kappa,
         c_pnt_value=pnt_value,
         c_pnt_uncertainty=pnt_unc,
         c_value=c_value,
-        c_tail_bound=c_tail,
+        c_tail_bound=_even_tail_bound(c_cutoff),
         c_gamma_value=gamma_value,
-        pnt_cutoff=int(pnt_cutoff),
-        c_cutoff=int(c_cutoff),
+        pnt_cutoff=pnt_cutoff,
+        c_cutoff=c_cutoff,
     )

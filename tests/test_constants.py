@@ -27,11 +27,17 @@ from symlow.constants import (
     SIEVE_CAP_ENV,
     c_gamma,
     c_pnt,
+    _ExactSums,
+    _PairwiseSums,
+    _PntSums,
     _even_denominator,
     _even_leaf,
+    _exact_parts,
+    _feed,
     _log_quotients,
-    _pairwise_sums,
-    _prime_table,
+    _prime_counter,
+    _root_primes,
+    _segmented_sieve,
     _series_coefficient,
     c_sym_even,
     c_sym_even_completed,
@@ -135,16 +141,14 @@ class TestSieve:
         budget = (n + 1) // 2 + 8 * PI_1E7
         assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
 
-    def test_constants_memory_is_int32_primes_and_leaf_buffers(self):
-        # The table's int32 primes, which the sieve writes into an output
-        # sized by the Rosser-Schoenfeld bound, 4 bytes a slot.  Beside them
-        # at most 4 MiB: the sieve's segment buffers while it runs (under
-        # 3.5 MiB, see the cap sieve's test below), then one leaf's float64
-        # arrays at a time, a few _BLOCK entries each.  No array holds a
-        # float64 per prime (44 MiB at the cap).
-        n = 10**8
-        budget = 4 * (math.floor(1.25506 * n / math.log(n)) + 1) + 4 * 2**20
-        assert traced_peak(lambda: compute_constants(2, 12, n)) <= 1.05 * budget
+    def test_constants_memory_is_segment_and_leaf_buffers(self):
+        # No term grows with the primes: the constants are summed as the
+        # sieve runs, so a table of the primes, 22 MiB even as int32, would
+        # fail this.  At most 6 MiB: the sieve's segment buffers and the
+        # prime count's arrays (under 4 MiB, see the cap sieve's test
+        # below), a _BLOCK-entry float64 run buffer per sum and one leaf's
+        # float64 arrays at a time, and 1,024 leaf sums per tree.
+        assert traced_peak(lambda: compute_constants(2, 12, 10**8)) <= 6 * 2**20
 
     def test_matches_oracle_across_many_segments(self, monkeypatch):
         # 64 odd numbers a segment: up to 24 segments, each boundary and the
@@ -165,21 +169,24 @@ class TestSieve:
     def test_cap_sieve_memory_is_output_plus_segment_buffers(self):
         """At n = 10**8 the peak is the output and segment-sized buffers only.
 
-        The output is sized by the Rosser-Schoenfeld bound,
-        8 (floor(1.25506 n / ln n) + 1) bytes.  Beside it, at most 4 MiB:
+        The output is sized by the exact count, 8 pi(n) bytes.  Beside it, at
+        most 4 MiB:
         - the flags of one segment, 2**20 bytes: 1 MiB;
         - the wheel pattern, 2**20 + 15015 bytes: under 1.02 MiB;
-        - one segment's prime indices, 8 bytes each, freed before the next
+        - one segment's primes, 8 bytes each, freed before the next
           segment's: a segment covers 2**21 integers, and below 10**8 none
           holds more primes than the first, pi(2**21) = 155,611 (checked
           here), so under 1.19 MiB;
-        - the 1,223 base primes from 17 to 10**4 with their start slots and
-          offsets, as int64 arrays and Python lists: under 0.2 MiB.
-        That is under 3.5 MiB.  No term grows like n / 2, the bytes of a
+        - the 1,229 base primes up to 10**4, with the start slots and
+          offsets of those from 17 on, as int64 arrays and Python lists:
+          under 0.2 MiB;
+        - the prime count's arrays, three of 10**4 int64 entries and their
+          temporaries: under 0.4 MiB.
+        That is under 3.9 MiB.  No term grows like n / 2, the bytes of a
         flag per odd number up to n (about 48 MiB).
         """
         n = 10**8
-        budget = 8 * (math.floor(1.25506 * n / math.log(n)) + 1) + 4 * 2**20
+        budget = 8 * PI_1E8 + 4 * 2**20
         assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
         primes = primes_up_to(n)
         edges = numpy.arange(0, n + 2**21, 2**21)
@@ -301,9 +308,10 @@ class TestCompletedEvenPowerConstant:
             assert _series_coefficient(t) == want, t
 
     def test_trip_wire_raises_on_disagreeing_truncation(self, monkeypatch):
-        truncated, tail_bound = c_sym_even(50)
-        monkeypatch.setattr("symlow.constants.c_sym_even", lambda cutoff, table=None: (truncated + 1.0, tail_bound))
-        with pytest.raises(RuntimeError):
+        # A truncation route that sums 1 per prime, 15 up to 50, puts the
+        # completed constant's remainder below 0.
+        monkeypatch.setattr(symlow.constants, "_even_leaf", lambda p: (numpy.ones(p.size),))
+        with pytest.raises(RuntimeError, match="truncation route"):
             c_sym_even_completed(50)
 
     def test_rejects_tiny_cutoff(self):
@@ -313,41 +321,96 @@ class TestCompletedEvenPowerConstant:
             zeta(1.25)
 
 
+class TestPrimeCount:
+    """_prime_counter against the sieve, at every value the sums ask it for."""
+
+    def test_every_quotient_of_every_small_bound(self):
+        pi = numpy.cumsum(numpy.isin(numpy.arange(3001), eratosthenes(3000)))
+        for n in range(3001):
+            count = _prime_counter(n, _root_primes(n))
+            for v in {n // k for k in range(1, n + 1)}:
+                assert count(v) == pi[v], (n, v)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_sieve_around_powers_of_ten(self, k):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            base = _root_primes(n)
+            count = _prime_counter(n, base)
+            values = sorted({n // j for j in (1, 2, 10, 1000)})
+            sieved = dict.fromkeys(values, 0)
+            for segment in _segmented_sieve(n, base):
+                for v in values:
+                    sieved[v] += int(numpy.searchsorted(segment, v, "right"))
+            assert {v: count(v) for v in values} == sieved, n
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 11, 19, 20, 97, 100, 10**4, 10**7 + 19])
+    def test_counts_the_sums_use(self, cutoff):
+        # c_pnt asks for pi at X and at max(2, X // 10), the even sum at X.
+        count = _prime_counter(cutoff, _root_primes(cutoff))
+        primes = eratosthenes(cutoff)
+        for v in (cutoff, max(2, cutoff // 10)):
+            assert count(v) == numpy.searchsorted(primes, v, "right"), v
+
+    def test_default_cutoffs_counted_from_one_bound(self):
+        count = _prime_counter(10**7, _root_primes(10**7))
+        assert (count(10**7), count(10**6), count(10**5)) == (PI_1E7, 78_498, 9_592)
+
+    def test_int32_limit_without_sieving_to_it(self, monkeypatch):
+        sieved = []
+        sieve = symlow.constants._segmented_sieve
+        monkeypatch.setattr(symlow.constants, "_segmented_sieve", lambda n, base: sieved.append(n) or sieve(n, base))
+        n = 2**31 - 1
+        assert _prime_counter(n, _root_primes(n))(n) == 105_097_565
+        assert max(sieved) == math.isqrt(n)
+
+
 class TestSharedPrimeTable:
+    """The sums of one computation read one pass of one sieve, each to its own cutoff."""
+
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6])
     def test_views_equal_fresh_sieve(self, cutoff):
-        for table in (_prime_table(cutoff), _prime_table(10**7)):
-            assert c_pnt(cutoff, table) == c_pnt(cutoff)
-            assert c_sym_even(cutoff, table) == c_sym_even(cutoff)
+        # Sums to the cutoff fed a stream to 10**7 read only their prefix of
+        # it, as compute_constants's even sum does at the default cutoffs.
+        count = _prime_counter(cutoff, _root_primes(cutoff))
+        pnt, even = _PntSums(count, cutoff), _PairwiseSums(count(cutoff), _even_leaf)
+        _feed(_segmented_sieve(10**7, _root_primes(10**7)), [pnt, even])
+        assert pnt.value() == c_pnt(cutoff)
+        assert even.sums() == [c_sym_even(cutoff)[0]]
 
     def test_log_quotients_same_doubles_primes_untouched(self, monkeypatch):
         # 10 blocks of primes, the last one short.  The quotients that
         # c_sym_even sums, leaf by leaf, are in order the whole-array
-        # quotients of the float64 primes, and the table keeps its primes.
-        _, primes = table = _prime_table(10**6)
-        kept = primes.copy()
-        floats = primes.astype(numpy.float64)
+        # quotients of the float64 primes, and the sieve's segments keep
+        # their primes.
+        floats = primes_up_to(10**6).astype(numpy.float64)
         buffer = numpy.empty(floats.size)
         assert _log_quotients(floats, buffer, _even_denominator) is buffer
-        leaves = []
+        leaves, segments = [], []
+        sieve = symlow.constants._segmented_sieve
 
         def recorded(p):
             (got,) = _even_leaf(p)
             leaves.append(got.copy())
             return (got,)
 
+        def kept(n, base):
+            for segment in sieve(n, base):
+                segments.append((segment, segment.copy()))
+                yield segment
+
         monkeypatch.setattr(symlow.constants, "_even_leaf", recorded)
-        c_sym_even(10**6, table)
+        monkeypatch.setattr(symlow.constants, "_segmented_sieve", kept)
+        c_sym_even(10**6)
         assert max(leaf.size for leaf in leaves) <= _BLOCK
         assert numpy.array_equal(numpy.concatenate(leaves), numpy.log(floats) / (floats**1.5 - floats))
-        assert numpy.array_equal(primes, kept)
+        assert segments and all(numpy.array_equal(*pair) for pair in segments)
 
     def test_head_denominators_same_doubles(self, monkeypatch):
         # Every head log p / (p^{t/2} - 1) that c_sym_even_completed forms at
         # 10^6, over 10 blocks of primes, equals the whole-array quotient of
         # the float64 primes entry by entry, for each t with a_t != 0 that the
         # series reaches.  A sum of the heads could hide a last-bit move.
-        floats = _prime_table(10**6)[1].astype(numpy.float64)
+        floats = primes_up_to(10**6).astype(numpy.float64)
         heads = {}  # each head's blocks, by its denominator, in the order the series reaches it
 
         def checked(primes, buffer, denominator):
@@ -364,33 +427,25 @@ class TestSharedPrimeTable:
             assert numpy.array_equal(numpy.concatenate(blocks), numpy.log(floats) / (floats ** (t / 2) - 1.0)), t
         assert reached == [3, 4, 5, 7]  # a_6 = 0, and the series stops at t = 7
 
-    def test_table_is_int32_up_to_the_int32_limit(self, monkeypatch):
-        assert symlow.constants._INT32_MAX == numpy.iinfo(numpy.int32).max
-        assert _prime_table(10**4)[1].dtype == numpy.int32
-        # A limit lowered to 100 sends every larger cutoff down the int64
-        # branch, which a cap raised past 2**31 takes, without sieving that far.
-        monkeypatch.setattr(symlow.constants, "_INT32_MAX", 100)
-        assert _prime_table(100)[1].dtype == numpy.int32
-        assert _prime_table(101)[1].dtype == numpy.int64
-
     @pytest.mark.parametrize("cutoff", [101, 10**4, 10**6])
-    def test_int64_branch_same_floats(self, cutoff, monkeypatch):
-        int32 = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
-        monkeypatch.setattr(symlow.constants, "_INT32_MAX", 100)
-        assert _prime_table(cutoff)[1].dtype == numpy.int64
-        int64 = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
-        assert int64 == int32
+    def test_segment_edges_same_floats(self, cutoff, monkeypatch):
+        # Segments of 1,024 odd numbers, about 150 primes each near 10**6,
+        # put segment edges inside every leaf and block: the floats stay.
+        default = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        monkeypatch.setattr(symlow.constants, "_SEGMENT", 1024)
+        short = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        assert short == default
 
     def test_table_below_cutoff_rejected(self):
-        # Sieved to 10, the table ends at 7 and could not tell 11 from a gap.
-        table = _prime_table(10)
-        for cutoff in (11, 100):
-            with pytest.raises(ValueError, match="sieved to 10"):
-                c_pnt(cutoff, table)
-            with pytest.raises(ValueError, match="sieved to 10"):
-                c_sym_even(cutoff, table)
+        # Counted to 10, the count holds pi(v) for v <= 3 and v = 5, 10
+        # only: 11 lies past it, and 4 and 7 fall between its values.
+        count = _prime_counter(10, _root_primes(10))
+        assert [count(v) for v in (2, 3, 5, 10)] == [1, 2, 3, 4]
+        for v in (4, 7, 11, 100):
+            with pytest.raises(ValueError, match="count to 10"):
+                count(v)
         with pytest.raises(ValueError):
-            _prime_table(1, table)
+            c_pnt(1)
 
     @pytest.mark.parametrize(
         "compute",
@@ -402,19 +457,34 @@ class TestSharedPrimeTable:
         ids=["equal-cutoffs", "default-cutoffs", "completed"],
     )
     def test_one_sieve(self, compute, monkeypatch):
+        # One pass to the computation's bound; every other sieve is a base
+        # sieve, to the square root of the bound or below.
         calls = []
-        sieve = symlow.constants.primes_up_to
-        monkeypatch.setattr(symlow.constants, "primes_up_to", lambda n, *dtype: calls.append(n) or sieve(n, *dtype))
+        sieve = symlow.constants._segmented_sieve
+        monkeypatch.setattr(symlow.constants, "_segmented_sieve", lambda n, base: calls.append(n) or sieve(n, base))
         compute()
-        assert len(calls) == 1, calls
+        bound = max(calls)
+        assert [n for n in calls if n > math.isqrt(bound)] == [bound], calls
+
+
+def shuffled_chunks(n: int, rng) -> list[tuple[int, int]]:
+    """0..n cut into chunks of random size: single entries, a quarter of
+    them, and runs up to three leaves long that cross leaf edges."""
+    chunks, start = [], 0
+    while start < n:
+        size = 1 if rng.random() < 0.25 else int(rng.integers(2, 3 * _BLOCK))
+        chunks.append((start, min(n, start + size)))
+        start += size
+    return chunks
 
 
 class TestPairwiseSums:
-    """_pairwise_sums equals np.sum with == wherever numpy's pairwise rule holds.
+    """_PairwiseSums equals np.sum with == wherever numpy's pairwise rule holds.
 
-    Each leaf maps the table's entries, here the indices 0..n-1, to random
-    doubles of mixed sign and magnitude, whose sums round at every addition.
-    A numpy that changes its summation order fails here, not in a digest.
+    Each leaf maps the stream's entries, here the indices 0..n-1 fed in
+    chunks of random size as int32 or int64 arrays, to random doubles of
+    mixed sign and magnitude, whose sums round at every addition.  A numpy
+    that changes its summation order fails here, not in a digest.
     """
 
     @pytest.mark.parametrize("dtype", [numpy.int32, numpy.int64])
@@ -433,9 +503,42 @@ class TestPairwiseSums:
             i = p.astype(numpy.intp)
             return data[i], squares[i]
 
-        got = _pairwise_sums(numpy.arange(n, dtype=dtype), leaf)
-        assert got == [float(numpy.sum(data)), float(numpy.sum(squares))]
+        tree = _PairwiseSums(n, leaf)
+        for lo, hi in shuffled_chunks(n, rng) + [(n, n + 5)]:  # entries past n are not read
+            tree.feed(numpy.arange(lo, hi, dtype=dtype))
+        assert tree.sums() == [float(numpy.sum(data)), float(numpy.sum(squares))]
         assert sum(sizes) == n and max(sizes) <= _BLOCK
+
+
+class TestExactSums:
+    """Streamed math.fsum equals one math.fsum over every term with ==."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parts_keep_the_exact_sum(self, seed):
+        # Mixed signs and magnitudes from 1e-150 to 1e150, so whole chunks
+        # cancel, and a near-tie, 1 + 2**-53 + 2**-105, that rounds up only
+        # if no term is lost.
+        rng = numpy.random.default_rng(seed)
+        data = (rng.standard_normal(20_000) * 10.0 ** rng.integers(-150, 151, 20_000)).tolist()
+        data += [1e150, 1.0, 2.0**-53, -1e150, 2.0**-105]
+        parts = []
+        for lo, hi in shuffled_chunks(len(data), rng):
+            parts = _exact_parts(parts + data[lo:hi])
+            assert len(parts) <= 40
+        assert math.fsum(parts) == math.fsum(data)
+        exact = sum(map(Fraction, data))
+        assert sum(map(Fraction, parts)) == exact and math.fsum(parts) == float(exact)
+        assert _exact_parts([1e16, 1.0, -1e16, -1.0]) == []
+
+    def test_heads_equal_one_fsum(self):
+        primes = primes_up_to(10**5)
+        floats = primes.astype(numpy.float64)
+        denominators = [_even_denominator, lambda p: p**2.5 - 1.0]
+        sums = _ExactSums(primes.size, denominators)
+        for lo, hi in shuffled_chunks(primes.size, numpy.random.default_rng(3)):
+            sums.feed(primes[lo:hi])
+        want = [math.fsum((numpy.log(floats) / d(floats)).tolist()) for d in denominators]
+        assert sums.sums() == want
 
 
 def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float, float]:

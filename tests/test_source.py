@@ -77,6 +77,8 @@ def test_no_blas_products():
 UNREACHED_API = {
     "petersson.kloosterman_sums": "README's import example; the one-modulus Kloosterman block",
     "constants.c_sym_even_completed": "criterion 04 bounds it; c_pnt is to be completed the same way",
+    "constants.c_pnt": "criterion 03 checks it; compute_constants takes its sums in its own one sieve pass",
+    "constants.c_sym_even": "criterion 04's truncation route; compute_constants takes its sum in its own one sieve pass",
     "petersson.old_part_terms": "criterion 10 checks it; predict may come to read it",
     "petersson.old_part_sum": "criterion 10 checks it; predict may come to read it",
     "forms.gamma_shifts": "the exact shifts that c_gamma's closed form sums; criterion 05 sums them again",
