@@ -1,18 +1,19 @@
 """Constants of the density expansion: prime sums and archimedean terms.
 
-The two prime-sum constants are evaluated from a sieve with explicit error
-reporting: the prime-counting constant carries an empirical decade-difference
-uncertainty (its convergence is fluctuation-limited, so no rigorous bound is
-claimed), while the even-power constant carries a rigorous integral-comparison
-tail bound.  The even-power constant is also completed past the cutoff by a
-prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', which gives
-it to double precision with a rigorous radius.  Each computation sums its
-constants as one segmented sieve runs, and keeps no prime table: the exact
-prime count pi(X), from the primes up to sqrt(X) alone, fixes each sum's
-length before the first prime is found.  Each sum forms its logs and
-quotients a leaf of at most _BLOCK primes at a time, with the doubles of the
-whole-array float64 formulas, and adds the leaves along numpy's own pairwise
-tree (``_pairwise_tree``), whose leaf sizes follow from that length; so it
+compute_constants, the one sieved route to the two prime-sum constants,
+takes both from one pass of one sieve with explicit error reporting: the
+prime-counting constant carries an empirical decade-difference uncertainty
+(its convergence is fluctuation-limited, so no rigorous bound is claimed),
+the even-power constant a rigorous integral-comparison tail bound.
+c_sym_even_completed completes the even-power constant past the cutoff by a
+prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', to double
+precision with a rigorous radius.  Each computation sums its constants as
+one segmented sieve runs, and keeps no prime table: the exact prime count
+pi(X), from the primes up to sqrt(X) alone, fixes each sum's length before
+the first prime is found.  Each sum forms its logs and quotients a leaf of
+at most _BLOCK primes at a time, with the doubles of the whole-array
+float64 formulas, and adds the leaves along numpy's own pairwise tree
+(``_pairwise_tree``), whose leaf sizes follow from that length; so it
 returns the bytes of np.sum over the whole array without forming it.  The
 digamma routine is pinned to one fixed algorithm so reports are bit-stable
 across runs.
@@ -268,7 +269,8 @@ class _PairwiseSums(_Runs):
     leaf sums, 1,024 lists at n = pi(10**8), are added along the tree at the
     end.  So each sum has np.sum's bytes over the whole array while only one
     leaf's arrays exist at a time.  leaf must form every entry from its own
-    prime alone.
+    prime alone.  compute_constants feeds three from one stream, and
+    c_sym_even_completed one.
     """
 
     def __init__(self, n: int, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]):
@@ -353,60 +355,6 @@ def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
 def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logs = np.log(p)
     return logs, logs / p
-
-
-class _PntSums:
-    """theta and sum log p / p up to X and up to max(2, X // 10), streamed, each on its own tree."""
-
-    def __init__(self, count: Callable[[int], int], cutoff: int):
-        self._cutoffs = cutoff, max(2, cutoff // 10)
-        self._trees = [_PairwiseSums(count(x), _pnt_leaf) for x in self._cutoffs]
-
-    def feed(self, primes: np.ndarray) -> None:
-        for tree in self._trees:
-            tree.feed(primes)
-
-    def value(self) -> tuple[float, float]:
-        """(c_pnt at X, its distance from c_pnt at X/10)."""
-        value, decade_value = (_pnt_value_at(x, *tree.sums()) for x, tree in zip(self._cutoffs, self._trees))
-        return value, abs(value - decade_value)
-
-
-def c_pnt(cutoff: int) -> tuple[float, float]:
-    """The prime-counting constant 1 + int_1^X (theta(t) - t)/t^2 dt.
-
-    The integral is evaluated through the exact partial-summation identity
-    int_1^X (theta(t)-t)/t^2 dt = sum_{p<=X} log p / p - theta(X)/X - log X,
-    so the only approximation is the cutoff itself.  Returns (value,
-    uncertainty) where uncertainty = |value(X) - value(X/10)|, an empirical
-    stabilization estimate, not a rigorous bound.  theta and
-    sum log p / p come from one pass of leaves over the primes up to X, and
-    again from one over those up to X/10, whose pairwise tree is its own;
-    both take their primes from one sieve as it runs.
-    """
-    cutoff = _check_cutoff(cutoff)
-    count, segments = _prime_stream(cutoff)
-    sums = _PntSums(count, cutoff)
-    _feed(segments, [sums])
-    return sums.value()
-
-
-def c_sym_even(cutoff: int) -> tuple[float, float]:
-    """The even-power constant sum_p log p / (p^{3/2} - p), with tail bound.
-
-    The truncation error is below sum_{n>X} log n/(n^{3/2}-n); the summand is
-    decreasing, and log t/(t^{3/2}-t) <= log t * t^{-3/2} / (1 - X^{-1/2}) on
-    [X, inf), so integral comparison gives the rigorous bound
-    (2 log X + 4)/(sqrt(X) - 1).  This bare truncation cannot reach double
-    precision at any feasible cutoff; c_sym_even_completed adds the remainder
-    past X and serves the constant itself, with this route as its cross-check.
-    """
-    cutoff = _check_cutoff(cutoff)
-    count, segments = _prime_stream(cutoff)
-    tree = _PairwiseSums(count(cutoff), _even_leaf)
-    _feed(segments, [tree])
-    (value,) = tree.sums()
-    return value, _even_tail_bound(cutoff)
 
 
 # Asymptotic coefficients B_{2k}/(2k) for k = 1..8.
@@ -563,7 +511,7 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
 
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
-    the independent truncation route c_sym_even, summed in the same pass.
+    the bare truncation compute_constants reports, summed in the same pass.
     The t the series reaches follow from X alone, so S_X and each head
     sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum a
     block of primes at a time as the sieve runs, the logs formed afresh for
@@ -622,7 +570,7 @@ def c_gamma(r: int, kappa: int) -> float:
     psi(1/4 + (2a+1)(kappa-1)/4) + psi(3/4 + (2a+1)(kappa-1)/4); for even r,
     psi(1/4 + mu/2) plus the pairs psi(1/4 + a(kappa-1)/2) +
     psi(3/4 + a(kappa-1)/2) for 1 <= a <= r/2.  The tests hold it against
-    the shift route sum_j psi(1/4 + mu_j/2) over gamma_shifts(r, kappa).
+    the shift route sum_j psi(1/4 + mu_j/2) over oracles.gamma_shifts(r, kappa).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -686,26 +634,34 @@ class ConstantsBundle:
 def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> ConstantsBundle:
     """The constants at (r, kappa), both sieved at cutoff, in one pass of one sieve.
 
-    cutoff None takes the prime-counting constant at DEFAULT_PNT_CUTOFF and
-    the even-power constant at DEFAULT_C_CUTOFF, both summed as the one
-    sieve to the larger runs: each sum holds only one leaf of float64
-    arrays, and no prime table exists.  c_gamma, which checks r and kappa,
-    comes first, so a bad r or weight is refused before the sieve.
+    c_pnt = 1 + int_1^X (theta(t) - t)/t^2 dt = 1 + sum_{p<=X} log p / p -
+    theta(X)/X - log X by exact partial summation, with the empirical
+    uncertainty |c_pnt(X) - c_pnt(max(2, X // 10))|.  c is the bare truncation
+    sum_{p<=X} log p / (p^{3/2} - p); integral comparison bounds the rest by
+    (2 log X + 4)/(sqrt(X) - 1), as log t/(t^{3/2}-t) decreases and is at most
+    log t t^{-3/2} / (1 - X^{-1/2}) past X.  cutoff None takes c_pnt at
+    DEFAULT_PNT_CUTOFF and c at DEFAULT_C_CUTOFF.  The three sums' pairwise
+    trees take their primes from the one sieve to the larger cutoff as it
+    runs.  c_gamma, which checks r and kappa, comes first, so a bad r or
+    weight is refused before the sieve.
     """
     gamma_value = c_gamma(r, kappa)
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
     pnt_cutoff, c_cutoff = _check_cutoff(pnt_cutoff), _check_cutoff(c_cutoff)
+    decade_cutoff = max(2, pnt_cutoff // 10)
     count, segments = _prime_stream(max(pnt_cutoff, c_cutoff))
-    pnt = _PntSums(count, pnt_cutoff)
-    even = _PairwiseSums(count(c_cutoff), _even_leaf)
-    _feed(segments, [pnt, even])
-    pnt_value, pnt_unc = pnt.value()
+    pnt, decade, even = (
+        _PairwiseSums(count(x), leaf)
+        for x, leaf in ((pnt_cutoff, _pnt_leaf), (decade_cutoff, _pnt_leaf), (c_cutoff, _even_leaf))
+    )
+    _feed(segments, [pnt, decade, even])
+    pnt_value = _pnt_value_at(pnt_cutoff, *pnt.sums())
     (c_value,) = even.sums()
     return ConstantsBundle(
         r=r,
         kappa=kappa,
         c_pnt_value=pnt_value,
-        c_pnt_uncertainty=pnt_unc,
+        c_pnt_uncertainty=abs(pnt_value - _pnt_value_at(decade_cutoff, *decade.sums())),
         c_value=c_value,
         c_tail_bound=_even_tail_bound(c_cutoff),
         c_gamma_value=gamma_value,

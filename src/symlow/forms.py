@@ -23,17 +23,16 @@ working set stays bounded whatever the number of primes.  A value that a
 scalar formula takes from the C library (math.sin, math.log) comes through
 ``_libm``, never from the numpy ufunc.
 
-Also here: eigenvalue powers via the sine ratio, gamma-factor shifts, and
-the admissible test function the CLI uses, the Fejer kernel
-(``tests/sampled_kernel.py`` builds the other kind, a transform sampled on a
-grid, on the same TestFunction).  Each prime-side formula (angle,
-eigenvalue ratio, window transform) has one definition, an array kernel;
-``SyntheticForm.angle`` and ``TestFunction.phi_hat`` check their input and
-call it on a one-element array, at microseconds a call (a certified root or
-a whole bisection for an angle), so loops pass arrays.  The eigenvalue
-kernel ``_eigenvalue_powers`` has no scalar form: criterion 02 of the
-acceptance gate holds it against three scalar routes of the unit power sum,
-kept in the tests.
+Also here: eigenvalue powers via the sine ratio, and the admissible test
+function the CLI uses, the Fejer kernel (``tests/sampled_kernel.py`` builds
+the other kind, a transform sampled on a grid, on the same TestFunction).
+Each prime-side formula (angle, eigenvalue ratio, window transform) has
+one definition, an array kernel; ``SyntheticForm.angle`` and
+``TestFunction.phi_hat`` check their input and call it on a one-element
+array, at microseconds a call (a certified root or a whole bisection for an
+angle), so loops pass arrays.  The eigenvalue kernel ``_eigenvalue_powers``
+has no scalar form: criterion 02 of the acceptance gate holds it against
+three scalar routes of the unit power sum, kept in the tests.
 """
 
 from __future__ import annotations
@@ -362,7 +361,7 @@ def _angle_batch(seed: int, distribution: str, size: int, digest: bytes) -> list
     A batch is keyed by its primes' count and the BLAKE2b digest of their
     int64 bytes, so a cached batch keeps its read-only angles and not a copy
     of its primes.  A few whole batches are kept, so a walk repeated in the
-    same process (the same form again, or its flip) draws nothing.
+    same process (the same form again) draws nothing.
     """
     return []
 
@@ -373,13 +372,12 @@ class SyntheticForm:
 
     The prime sums read nothing of a form but its angles, so it carries no
     weight and no root number; pterms checks and reports its --kappa and
-    --eps itself.  flip reflects every angle t -> pi - t.
+    --eps itself.
     """
 
     q: int
     seed: int
     distribution: str = "sato-tate"
-    flip: bool = False
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
@@ -402,23 +400,17 @@ class SyntheticForm:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         # Object dtype: a prime checked by is_prime may exceed int64.
-        theta = float(_draw_angles(self.seed, self.distribution, np.array([p], dtype=object))[0])
-        return math.pi - theta if self.flip else theta
+        return float(_draw_angles(self.seed, self.distribution, np.array([p], dtype=object))[0])
 
     def _sieved_angles(self, primes: np.ndarray) -> np.ndarray:
-        """The seeded angles at sieved primes != q, reflected when flipped; unchecked."""
+        """The seeded angles at sieved primes != q; unchecked."""
         primes = np.ascontiguousarray(primes, dtype=np.int64)
         slot = _angle_batch(self.seed, self.distribution, primes.size, hashlib.blake2b(primes).digest())
         if not slot:
             angles = _draw_angles(self.seed, self.distribution, primes)
             angles.flags.writeable = False
             slot.append(angles)
-        theta = slot[0]
-        return math.pi - theta if self.flip else theta
-
-    def flipped(self) -> "SyntheticForm":
-        """Copy whose every angle is reflected t -> pi - t."""
-        return dataclasses.replace(self, flip=not self.flip)
+        return slot[0]
 
 
 def _eigenvalue_powers(theta: np.ndarray, n: int) -> np.ndarray:
@@ -441,30 +433,6 @@ def _check_weight(kappa: int) -> None:
     """ValueError unless kappa is a holomorphic weight: an even integer >= 2."""
     if kappa < 2 or kappa % 2:
         raise ValueError("weight must be an even integer >= 2")
-
-
-def gamma_shifts(r: int, kappa: int) -> tuple[Fraction, ...]:
-    """The r+1 archimedean shifts of the completed degree-(r+1) L-factor, exactly.
-
-    Odd r: (2a+1)(kappa-1)/2 and 1+(2a+1)(kappa-1)/2 for 0 <= a <= (r-1)/2.
-    Even r: the parity shift mu (1 iff r(kappa-1)/2 is odd, else 0), then
-    a(kappa-1) and 1+a(kappa-1) for 1 <= a <= r/2.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_weight(kappa)
-    shifts: list[Fraction] = []
-    if r % 2:
-        for a in range((r + 1) // 2):
-            base = Fraction((2 * a + 1) * (kappa - 1), 2)
-            shifts.extend((base, 1 + base))
-    else:
-        mu = 1 if (r * (kappa - 1) // 2) % 2 else 0
-        shifts.append(Fraction(mu))
-        for a in range(1, r // 2 + 1):
-            base = Fraction(a * (kappa - 1))
-            shifts.extend((base, 1 + base))
-    return tuple(shifts)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 ``satake_power_sum_routes`` takes the unit power sum by three routes, which
 criterion 02 holds the program's array kernels against.
-``c_gamma_from_shifts`` sums digamma over the exact gamma shifts, the second
-route to ``c_gamma`` of criterion 05.  ``divisor_count`` and ``weil_bound``
-give the pointwise Kloosterman bound of criterion 07.
+``c_gamma_from_shifts`` sums digamma over the exact ``gamma_shifts``, the
+second route to ``c_gamma`` of criterion 05.  ``divisor_count`` and
+``weil_bound`` give the pointwise Kloosterman bound of criterion 07.
+``reflected`` gives the form whose every angle is t -> pi - t, which
+criterion 09 and the flip-parity tests compare a form with.
 """
 
 import math
+from fractions import Fraction
 
 from symlow.constants import digamma
-from symlow.forms import gamma_shifts
+from symlow.forms import SyntheticForm, _check_weight
 from symlow.petersson import _factorization
 
 
@@ -50,6 +53,30 @@ def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float,
     return direct, ratio, cheb
 
 
+def gamma_shifts(r: int, kappa: int) -> tuple[Fraction, ...]:
+    """The r+1 archimedean shifts of the completed degree-(r+1) L-factor, exactly.
+
+    Odd r: (2a+1)(kappa-1)/2 and 1+(2a+1)(kappa-1)/2 for 0 <= a <= (r-1)/2.
+    Even r: the parity shift mu (1 iff r(kappa-1)/2 is odd, else 0), then
+    a(kappa-1) and 1+a(kappa-1) for 1 <= a <= r/2.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    _check_weight(kappa)
+    shifts: list[Fraction] = []
+    if r % 2:
+        for a in range((r + 1) // 2):
+            base = Fraction((2 * a + 1) * (kappa - 1), 2)
+            shifts.extend((base, 1 + base))
+    else:
+        mu = 1 if (r * (kappa - 1) // 2) % 2 else 0
+        shifts.append(Fraction(mu))
+        for a in range(1, r // 2 + 1):
+            base = Fraction(a * (kappa - 1))
+            shifts.extend((base, 1 + base))
+    return tuple(shifts)
+
+
 def c_gamma_from_shifts(r: int, kappa: int) -> float:
     """Cross-check route: sum of psi(1/4 + mu/2) over the shift multiset."""
     return math.fsum(
@@ -67,3 +94,19 @@ def divisor_count(c: int) -> int:
 def weil_bound(m: int, n: int, c: int) -> float:
     """tau(c) * gcd(m, n, c)^{1/2} * c^{1/2}, the pointwise Kloosterman bound."""
     return divisor_count(c) * math.sqrt(math.gcd(m, n, c)) * math.sqrt(c)
+
+
+class ReflectedForm(SyntheticForm):
+    """A SyntheticForm whose every angle is reflected t -> pi - t."""
+
+    def angle(self, p: int) -> float:
+        return math.pi - super().angle(p)
+
+    def _sieved_angles(self, primes):
+        return math.pi - super()._sieved_angles(primes)
+
+
+def reflected(form: SyntheticForm) -> SyntheticForm:
+    """form with every angle reflected t -> pi - t; reflecting twice gives form back."""
+    kind = SyntheticForm if isinstance(form, ReflectedForm) else ReflectedForm
+    return kind(form.q, form.seed, form.distribution)

@@ -9,16 +9,19 @@ criterion.  Under `-s`, ten lines of the output start with `[acceptance`.
 The gate checks the kernels the commands run.  Criterion 02 holds the
 eigenvalue kernel ``_eigenvalue_powers`` and the bracket kernel
 ``_power_brackets`` against three scalar routes of the unit power sum,
-criterion 05 holds ``c_gamma`` against the digamma sum over the gamma
-shifts, and criterion 07 bounds ``kloosterman_sums`` by the Weil bound;
-those routes and that bound live in ``tests/oracles.py``.
+criteria 03 and 04 read the sieved constants from ``compute_constants``,
+the one route that ``predict`` and ``constants`` take them by, criterion 05
+holds ``c_gamma`` against the digamma sum over the gamma shifts, criterion
+07 bounds ``kloosterman_sums`` by the Weil bound, and criterion 09 compares
+a form with its reflection; those routes, that bound and the reflected form
+live in ``tests/oracles.py``.
 
 Criterion 4 bounds the even-square prime constant itself, not a bare
 truncation of its series: the remainder past the 10^6 sieve (about 2e-3) is
 completed by a Moebius-inverted prime-zeta series, so the constant comes with
 a rigorous radius near 4e-13, checked against the demanded 1e-8 and against
-a 40-digit mpmath value.  The truncation route c_sym_even, whose rigorous
-bound at 10^6 is about 3.2e-2, stays as the completed route's cross-check.
+a 40-digit mpmath value.  The bare truncation that ``compute_constants``
+reports, whose rigorous bound at 10^6 is about 3.2e-2, is shown beside it.
 """
 
 import math
@@ -30,7 +33,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from oracles import c_gamma_from_shifts, satake_power_sum_routes, weil_bound
+from oracles import c_gamma_from_shifts, reflected, satake_power_sum_routes, weil_bound
 from test_constants import even_square_oracle, pnt_segment_oracle
 from test_explicit import square_identity_gaps
 from test_petersson import tau_coefficients
@@ -38,8 +41,6 @@ from test_petersson import tau_coefficients
 from symlow.cli import run_identity_suite
 from symlow.constants import (
     c_gamma,
-    c_pnt,
-    c_sym_even,
     c_sym_even_completed,
     compute_constants,
     digamma,
@@ -110,14 +111,14 @@ def test_criterion_02_power_sum_routes_and_square_identity():
 
 
 def test_criterion_03_prime_counting_constant():
-    value_100, _ = c_pnt(100)
+    value_100 = compute_constants(1, 12, 100).c_pnt_value
     oracle_100 = pnt_segment_oracle(100)
     quadrature_gap = abs(value_100 - oracle_100)
 
     started = time.perf_counter()
-    value_7, _ = c_pnt(10**7)
+    value_7 = compute_constants(1, 12, 10**7).c_pnt_value
     elapsed = time.perf_counter() - started
-    value_6, _ = c_pnt(10**6)
+    value_6 = compute_constants(1, 12, 10**6).c_pnt_value
     drift = abs(value_6 - value_7)
 
     ok = quadrature_gap < 1e-9 and drift < 0.05 and elapsed < 60.0
@@ -141,7 +142,8 @@ def test_criterion_04_even_square_constant_tail():
     oracle_gap = abs(value_6 - even_square_oracle())
     oracle_ok = oracle_gap <= tail_6
     # What a bare truncation at 1e6 leaves out, next to its rigorous bound.
-    truncated_6, truncation_bound_6 = c_sym_even(10**6)
+    bundle_6 = compute_constants(1, 12, 10**6)
+    truncated_6, truncation_bound_6 = bundle_6.c_value, bundle_6.c_tail_bound
     ok = cross_ok and threshold_ok and oracle_ok
     detail = (
         f"completed C={value_6!r} with radius {tail_6:.3e} at 1e6 (demanded < 1e-8), "
@@ -261,7 +263,7 @@ def test_criterion_09_prime_sum_properties():
     parity_gap = 0.0
     for r in (1, 3, 5):
         a = prime_sums(form, phi, r)["first_power"]
-        b = prime_sums(form.flipped(), phi, r)["first_power"]
+        b = prime_sums(reflected(form), phi, r)["first_power"]
         parity_gap = max(parity_gap, abs(a + b))
 
     enlargement_ok = prime_sums(form, phi, 1) == prime_sums(form, phi, 1, prime_limit=10**4)

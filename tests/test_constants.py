@@ -26,20 +26,19 @@ from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
     c_gamma,
-    c_pnt,
     _ExactSums,
     _PairwiseSums,
-    _PntSums,
     _even_denominator,
     _even_leaf,
     _exact_parts,
     _feed,
     _log_quotients,
+    _pnt_leaf,
+    _pnt_value_at,
     _prime_counter,
     _root_primes,
     _segmented_sieve,
     _series_coefficient,
-    c_sym_even,
     c_sym_even_completed,
     compute_constants,
     digamma,
@@ -221,32 +220,44 @@ class TestSieve:
             primes_up_to(10**8 + 1)
 
 
+def pnt_constant(cutoff: int) -> tuple[float, float]:
+    """(c_pnt_value, c_pnt_uncertainty) of the bundle sieved at cutoff."""
+    bundle = compute_constants(1, 12, cutoff)
+    return bundle.c_pnt_value, bundle.c_pnt_uncertainty
+
+
+def even_constant(cutoff: int) -> tuple[float, float]:
+    """(c_value, c_tail_bound), the bare truncation and its bound, of the bundle sieved at cutoff."""
+    bundle = compute_constants(1, 12, cutoff)
+    return bundle.c_value, bundle.c_tail_bound
+
+
 class TestPrimeCountingConstant:
     def test_smallest_cutoff_exact(self):
-        value, _ = c_pnt(2)
+        value, _ = pnt_constant(2)
         assert abs(value - (1.0 - math.log(2))) < 1e-15
 
     def test_against_segment_oracle(self):
-        value, _ = c_pnt(100)
+        value, _ = pnt_constant(100)
         assert abs(value - pnt_segment_oracle(100)) < 1e-12
 
     def test_oracle_at_larger_cutoff(self):
-        value, _ = c_pnt(2000)
+        value, _ = pnt_constant(2000)
         assert abs(value - pnt_segment_oracle(2000)) < 1e-11
 
     def test_uncertainty_is_decade_difference(self):
-        value_hi, unc = c_pnt(1000)
-        value_lo, _ = c_pnt(100)
+        value_hi, unc = pnt_constant(1000)
+        value_lo, _ = pnt_constant(100)
         assert abs(unc - abs(value_hi - value_lo)) < 1e-15
 
     def test_stabilizes_with_cutoff(self):
-        _, unc4 = c_pnt(10**4)
-        _, unc6 = c_pnt(10**6)
+        _, unc4 = pnt_constant(10**4)
+        _, unc6 = pnt_constant(10**6)
         assert unc6 < unc4
 
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
-            c_pnt(1)
+            pnt_constant(1)
 
 
 class TestEvenPowerConstant:
@@ -254,26 +265,26 @@ class TestEvenPowerConstant:
         want = math.fsum(
             math.log(p) / (p**1.5 - p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
         )
-        value, _ = c_sym_even(50)
+        value, _ = even_constant(50)
         assert abs(value - want) < 1e-13
 
     def test_tail_bound_formula(self):
-        _, tail = c_sym_even(10**4)
+        _, tail = even_constant(10**4)
         assert tail == (2.0 * math.log(10**4) + 4.0) / (math.sqrt(10**4) - 1.0)
 
     def test_tail_monotone(self):
-        tails = [c_sym_even(x)[1] for x in (10**3, 10**4, 10**5, 10**6)]
+        tails = [even_constant(x)[1] for x in (10**3, 10**4, 10**5, 10**6)]
         assert tails == sorted(tails, reverse=True)
 
     def test_cross_cutoff_within_tail(self):
-        lo, tail_lo = c_sym_even(10**4)
-        hi, _ = c_sym_even(10**6)
+        lo, tail_lo = even_constant(10**4)
+        hi, _ = even_constant(10**6)
         assert abs(hi - lo) <= tail_lo
         assert hi > lo  # positive summands only
 
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
-            c_sym_even(1)
+            even_constant(1)
 
 
 class TestCompletedEvenPowerConstant:
@@ -289,7 +300,7 @@ class TestCompletedEvenPowerConstant:
     @pytest.mark.parametrize("cutoff", [2, 50, 10**3, 10**4, 10**6])
     def test_remainder_within_truncation_bound(self, cutoff):
         value, _ = c_sym_even_completed(cutoff)
-        truncated, tail_bound = c_sym_even(cutoff)
+        truncated, tail_bound = even_constant(cutoff)
         assert 0.0 <= value - truncated <= tail_bound
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 7.5, 20.0])
@@ -345,7 +356,7 @@ class TestPrimeCount:
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 11, 19, 20, 97, 100, 10**4, 10**7 + 19])
     def test_counts_the_sums_use(self, cutoff):
-        # c_pnt asks for pi at X and at max(2, X // 10), the even sum at X.
+        # compute_constants asks for pi at X and at max(2, X // 10), the even sum at X.
         count = _prime_counter(cutoff, _root_primes(cutoff))
         primes = eratosthenes(cutoff)
         for v in (cutoff, max(2, cutoff // 10)):
@@ -369,17 +380,24 @@ class TestSharedPrimeTable:
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6])
     def test_views_equal_fresh_sieve(self, cutoff):
-        # Sums to the cutoff fed a stream to 10**7 read only their prefix of
-        # it, as compute_constants's even sum does at the default cutoffs.
+        # compute_constants's three trees to the cutoff, fed a stream to
+        # 10**7, read only their prefix of it, as its even sum does at the
+        # default cutoffs: a sum to X reads its prefix of a longer stream.
         count = _prime_counter(cutoff, _root_primes(cutoff))
-        pnt, even = _PntSums(count, cutoff), _PairwiseSums(count(cutoff), _even_leaf)
-        _feed(_segmented_sieve(10**7, _root_primes(10**7)), [pnt, even])
-        assert pnt.value() == c_pnt(cutoff)
-        assert even.sums() == [c_sym_even(cutoff)[0]]
+        decade = max(2, cutoff // 10)
+        cutoffs = [(cutoff, _pnt_leaf), (decade, _pnt_leaf), (cutoff, _even_leaf)]
+        trees = [_PairwiseSums(count(x), leaf) for x, leaf in cutoffs]
+        _feed(_segmented_sieve(10**7, _root_primes(10**7)), trees)
+        pnt, pnt_decade, (even,) = (tree.sums() for tree in trees)
+        value = _pnt_value_at(cutoff, *pnt)
+        bundle = compute_constants(2, 12, cutoff)
+        assert value == bundle.c_pnt_value
+        assert abs(value - _pnt_value_at(decade, *pnt_decade)) == bundle.c_pnt_uncertainty
+        assert even == bundle.c_value
 
     def test_log_quotients_same_doubles_primes_untouched(self, monkeypatch):
         # 10 blocks of primes, the last one short.  The quotients that
-        # c_sym_even sums, leaf by leaf, are in order the whole-array
+        # compute_constants's even sum adds, leaf by leaf, are in order the whole-array
         # quotients of the float64 primes, and the sieve's segments keep
         # their primes.
         floats = primes_up_to(10**6).astype(numpy.float64)
@@ -400,7 +418,7 @@ class TestSharedPrimeTable:
 
         monkeypatch.setattr(symlow.constants, "_even_leaf", recorded)
         monkeypatch.setattr(symlow.constants, "_segmented_sieve", kept)
-        c_sym_even(10**6)
+        compute_constants(2, 12, 10**6)
         assert max(leaf.size for leaf in leaves) <= _BLOCK
         assert numpy.array_equal(numpy.concatenate(leaves), numpy.log(floats) / (floats**1.5 - floats))
         assert segments and all(numpy.array_equal(*pair) for pair in segments)
@@ -431,9 +449,9 @@ class TestSharedPrimeTable:
     def test_segment_edges_same_floats(self, cutoff, monkeypatch):
         # Segments of 1,024 odd numbers, about 150 primes each near 10**6,
         # put segment edges inside every leaf and block: the floats stay.
-        default = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        default = c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
         monkeypatch.setattr(symlow.constants, "_SEGMENT", 1024)
-        short = c_pnt(cutoff), c_sym_even(cutoff), c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
+        short = c_sym_even_completed(cutoff), compute_constants(2, 12, cutoff)
         assert short == default
 
     def test_table_below_cutoff_rejected(self):
@@ -445,7 +463,7 @@ class TestSharedPrimeTable:
             with pytest.raises(ValueError, match="count to 10"):
                 count(v)
         with pytest.raises(ValueError):
-            c_pnt(1)
+            compute_constants(2, 12, 1)
 
     @pytest.mark.parametrize(
         "compute",
@@ -542,7 +560,7 @@ class TestExactSums:
 
 
 def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float, float]:
-    """(c_pnt value, its decade uncertainty, c_sym_even value), whole-array.
+    """(c_pnt_value, c_pnt_uncertainty, c_value) of the bundle, whole-array.
 
     The formulas that the int32 table and its streamed leaves replaced: the whole
     table as float64, its logs, and each quotient formed in one fresh array.
@@ -579,11 +597,9 @@ class TestConstantsBitForBit:
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6, 10**7 + 19])
     def test_equal_cutoffs(self, cutoff):
-        value, uncertainty, even = whole_array_constants(cutoff, cutoff)
-        assert c_pnt(cutoff) == (value, uncertainty)
-        assert c_sym_even(cutoff)[0] == even
         bundle = compute_constants(2, 12, cutoff)
-        assert (bundle.c_pnt_value, bundle.c_pnt_uncertainty, bundle.c_value) == (value, uncertainty, even)
+        want = whole_array_constants(cutoff, cutoff)
+        assert (bundle.c_pnt_value, bundle.c_pnt_uncertainty, bundle.c_value) == want
 
     def test_default_cutoffs(self):
         bundle = compute_constants(2, 12)
@@ -679,8 +695,10 @@ class TestConstantsBundle:
         bundle = compute_constants(1, 12, 10**4)
         assert bundle.r == 1 and bundle.kappa == 12
         assert bundle.pnt_cutoff == 10**4 and bundle.c_cutoff == 10**4
-        assert bundle.c_pnt_value == c_pnt(10**4)[0]
-        assert bundle.c_value == c_sym_even(10**4)[0]
+        value, _, even = whole_array_constants(10**4, 10**4)
+        assert bundle.c_pnt_value == value
+        assert bundle.c_value == even
+        assert bundle.c_tail_bound == (2.0 * math.log(10**4) + 4.0) / (math.sqrt(10**4) - 1.0)
         assert bundle.c_gamma_value == c_gamma(1, 12)
         assert bundle.c_infty_value == -2 * math.log(math.pi) + bundle.c_gamma_value
 

@@ -33,7 +33,7 @@ from symlow.forms import SyntheticForm, _eigenvalue_powers, fejer_test_function
 
 import random
 
-from oracles import satake_power_sum_routes
+from oracles import ReflectedForm, reflected, satake_power_sum_routes
 from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from test_forms import (
@@ -167,7 +167,7 @@ class TestFirstPowerSum:
 
     def test_parity_under_angle_flip(self):
         form = make_form(q=11)
-        flipped = form.flipped()
+        flipped = reflected(form)
         phi = fejer_test_function(1.0)
         for r in (1, 3, 5):
             a = prime_sums(form, phi, r)["first_power"]
@@ -223,7 +223,7 @@ class TestSquarePowerSum:
         phi = fejer_test_function(1.0)
         for r, m in ((1, 0), (2, 0), (2, 1), (3, 1)):
             a = prime_sums(form, phi, r)["square_power"][m]
-            b = prime_sums(form.flipped(), phi, r)["square_power"][m]
+            b = prime_sums(reflected(form), phi, r)["square_power"][m]
             assert abs(a - b) < 1e-12
 
     def test_sieve_enlargement_invariance(self):
@@ -274,14 +274,14 @@ class TestHigherPowerSum:
             phi = fejer_test_function(nu)
             a = prime_sums(form, phi, r)["higher_power"]
             assert a != 0.0
-            b = prime_sums(form.flipped(), phi, r)["higher_power"]
+            b = prime_sums(reflected(form), phi, r)["higher_power"]
             assert abs(a + b) < 1e-12, (q, r, nu)
         # Even rank: every bracket index is even, so any window works.
         form = make_form(q=3)
         phi = fejer_test_function(2.5)
         for r in (2, 4):
             a = prime_sums(form, phi, r)["higher_power"]
-            b = prime_sums(form.flipped(), phi, r)["higher_power"]
+            b = prime_sums(reflected(form), phi, r)["higher_power"]
             assert abs(a - b) < 1e-12
 
     def test_sieve_enlargement_invariance(self):
@@ -344,7 +344,7 @@ def separate_sums(form, hat, nu, r, prime_limit=None):
 
     def angle(p):
         theta = oracle_angle(form.seed, form.distribution, p)
-        return math.pi - theta if form.flip else theta
+        return math.pi - theta if isinstance(form, ReflectedForm) else theta
 
     scale = r * math.log(form.q)
     nu = float(nu)
@@ -409,7 +409,7 @@ class TestOneWalk:
         for q, r, nu in WALK_CASES:
             form = make_form(q=q, distribution="uniform" if variant == "uniform" else "sato-tate")
             if variant == "flipped":
-                form = form.flipped()
+                form = reflected(form)
             phi, hat = window(nu, samples if kind == "sampled" else None)
             own_bounds = separate_sums(form, hat, nu, r)
             assert prime_sums(form, phi, r) == own_bounds, (q, r, nu)
@@ -425,7 +425,7 @@ class TestOneWalk:
         # hat vanishes on [0, 1/2]: at q = 101, p = 3 has log p/scale in
         # (1/6, 1/4), so its first and square weights are 0 and its cube's not.
         phi, hat = window(1, [0.0, 0.0, 0.0, 1.0, 0.0])
-        for variant in (make_form(q=101), make_form(q=101).flipped()):
+        for variant in (make_form(q=101), reflected(make_form(q=101))):
             sums = prime_sums(variant, phi, 1)
             assert sums == separate_sums(variant, hat, 1, 1)
             assert sums["higher_power"] != 0.0

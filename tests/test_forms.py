@@ -54,10 +54,9 @@ from symlow.forms import (
     _uniform_units,
     _units_from_digests,
     fejer_test_function,
-    gamma_shifts,
     is_prime,
 )
-from oracles import satake_power_sum_routes
+from oracles import gamma_shifts, reflected, satake_power_sum_routes
 
 
 def chebu_at_angle(n: int, theta: float) -> float:
@@ -304,7 +303,7 @@ class TestBatchedAngles:
         for distribution, want in (("sato-tate", sato_tate), ("uniform", uniform)):
             form = SyntheticForm(q=10007, seed=seed, distribution=distribution)
             assert form._sieved_angles(primes).tolist() == want
-            flipped = form.flipped()._sieved_angles(primes).tolist()
+            flipped = reflected(form)._sieved_angles(primes).tolist()
             assert flipped == [math.pi - t for t in want]
 
     def test_edge_draws(self):
@@ -326,7 +325,7 @@ class TestBatchedAngles:
         primes = primes[primes != 11]
         for distribution in DISTRIBUTIONS:
             form = SyntheticForm(q=11, seed=4242, distribution=distribution)
-            for f in (form, form.flipped()):
+            for f in (form, reflected(form)):
                 batch = f._sieved_angles(primes).tolist()
                 assert [f.angle(p) for p in primes.tolist()] == batch
 
@@ -344,7 +343,7 @@ class TestBatchedAngles:
         with pytest.raises(ValueError):
             first[0] = 0.0
         assert form._sieved_angles(primes) is first
-        assert form.flipped()._sieved_angles(primes).tolist() == [math.pi - t for t in first]
+        assert reflected(form)._sieved_angles(primes).tolist() == [math.pi - t for t in first]
         assert _angle_batch.cache_info().hits == 2
 
     def test_cached_batch_pins_only_its_angles(self, monkeypatch):
@@ -866,10 +865,10 @@ class TestSyntheticForm:
 
     def test_flip_reflects_angles(self):
         f = self.make()
-        g = f.flipped()
+        g = reflected(f)
         for p in (2, 3, 5, 101):
             assert g.angle(p) == math.pi - f.angle(p)
-        assert g.flipped() == f
+        assert reflected(g) == f
         # Odd eigenvalue powers change sign, even ones do not.
         f_theta, g_theta = (numpy.array([h.angle(p) for p in (2, 3, 5)]) for h in (f, g))
         odd = _eigenvalue_powers(g_theta, 1) + _eigenvalue_powers(f_theta, 1)

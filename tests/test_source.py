@@ -1,5 +1,6 @@
-"""Source-level checks on the package: invariants are raised exceptions, and
-every definition has a caller.
+"""Source-level checks on the package: invariants are raised exceptions,
+every definition has a caller, and numpy computes no elementary function
+that is not named here.
 
 An `assert` statement vanishes under `python -O`, so a check written as one
 would silently stop guarding the numbers.  The unused-import check covers
@@ -76,14 +77,10 @@ def test_no_blas_products():
 # not a dunder, must be reached from the console script's entry point.
 UNREACHED_API = {
     "petersson.kloosterman_sums": "README's import example; the one-modulus Kloosterman block",
-    "constants.c_sym_even_completed": "criterion 04 bounds it; c_pnt is to be completed the same way",
-    "constants.c_pnt": "criterion 03 checks it; compute_constants takes its sums in its own one sieve pass",
-    "constants.c_sym_even": "criterion 04's truncation route; compute_constants takes its sum in its own one sieve pass",
+    "constants.c_sym_even_completed": "criterion 04 bounds it; ROADMAP item 2 puts it in the constants bundle",
     "petersson.old_part_terms": "criterion 10 checks it; predict may come to read it",
     "petersson.old_part_sum": "criterion 10 checks it; predict may come to read it",
-    "forms.gamma_shifts": "the exact shifts that c_gamma's closed form sums; criterion 05 sums them again",
     "forms.SyntheticForm.angle": "bench/tracer.py wraps it by name",
-    "forms.SyntheticForm.flipped": "criterion 09 and the flip-parity tests take the reflected form",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
@@ -171,3 +168,102 @@ def test_unreached_definition_is_found(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text("def helper():\n    return 1\n")
     assert unreached([*SOURCES, planted]) == ["planted.helper"]
+
+
+# numpy's elementary functions, whose last bits follow numpy's CPU dispatch
+# rather than the C library that _libm and the math module call.  np.sqrt is
+# not among them: IEEE 754 rounds it correctly in both.  Array ** is numpy's
+# power too, but an operator has no name to find; README's table of
+# elementary-function calls lists it, and this check does not police it.
+NUMPY_ELEMENTARY = {
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "hypot",
+    "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh", "sinc",
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2",
+    "power", "float_power", "cbrt",
+}
+
+# Each numpy elementary function that a definition of src/ names, with its
+# reason.  Every other elementary value comes from the C library.
+NUMPY_ELEMENTARY_ALLOWED = {
+    ("forms._root_block", "sin"): "Newton's proposal; math.sin at two adjacent floats certifies every root",
+    ("forms._root_block", "cos"): "Newton's proposal; math.sin at two adjacent floats certifies every root",
+    ("forms._bisect_block", "sin"): "every comparison within BISECTION_MARGIN of a tie is redone with math.sin",
+    ("constants._log_quotients", "log"): "the constants' logs; one library for them waits for ROADMAP item 2",
+    ("constants._pnt_leaf", "log"): "the constants' logs; one library for them waits for ROADMAP item 2",
+}
+
+
+def numpy_elementary_names(sources) -> list[tuple[str, str]]:
+    """(definition, function) for every name of NUMPY_ELEMENTARY that sources
+    read from numpy or import from it, where definition is the top-level
+    "module.function" or "module.Class.method" around it, or the module."""
+    found = []
+    for path in sources:
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "numpy"
+        }
+        scopes = [(module, tree)]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scopes.append((f"{module}.{node.name}", node))
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        scopes.append((f"{module}.{node.name}.{item.name}", item))
+        owner = {}  # node -> innermost listed scope, as later scopes are nested deeper
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                owner[node] = name
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in NUMPY_ELEMENTARY
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                found.append((owner[node], node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [(owner[node], a.name) for a in node.names if a.name in NUMPY_ELEMENTARY]
+    return sorted(set(found))
+
+
+def unnamed_numpy_elementary(sources) -> list[tuple[str, str]]:
+    """The (definition, function) pairs of sources that NUMPY_ELEMENTARY_ALLOWED lacks."""
+    return [key for key in numpy_elementary_names(sources) if key not in NUMPY_ELEMENTARY_ALLOWED]
+
+
+def test_numpy_elementary_functions_are_named():
+    # A value that reaches a document takes its elementary functions from the
+    # C library (forms._libm), unless NUMPY_ELEMENTARY_ALLOWED says why not.
+    found = unnamed_numpy_elementary(SOURCES)
+    assert not found, f"numpy elementary functions in src (take them through forms._libm): {found}"
+
+
+def test_numpy_elementary_allowlist_is_current():
+    found = set(numpy_elementary_names(SOURCES))
+    stale = [key for key in NUMPY_ELEMENTARY_ALLOWED if key not in found]
+    assert not stale, f"stale NUMPY_ELEMENTARY_ALLOWED entries: {stale}"
+
+
+def test_numpy_elementary_bypass_is_found(tmp_path):
+    # An allowed function name in another module is a bypass too; np.sqrt is not.
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as xp\n"
+        "from numpy import log1p\n"
+        "class Kernel:\n"
+        "    def value(self, x):\n"
+        "        return xp.exp(x) + xp.sqrt(x)\n"
+        "def _root_block(x):\n"
+        "    return xp.sin(x)\n"
+    )
+    assert unnamed_numpy_elementary([*SOURCES, planted]) == [
+        ("planted", "log1p"),
+        ("planted.Kernel.value", "exp"),
+        ("planted._root_block", "sin"),
+    ]
