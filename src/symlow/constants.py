@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .forms import _BLOCK, _check_weight
+from .forms import _BLOCK, _check_weight, _exact_parts
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -288,19 +288,6 @@ class _PairwiseSums(_Runs):
     def sums(self) -> list[float]:
         leaf_sums = iter(self._leaf_sums)
         return _pairwise_tree(self._n, lambda size: next(leaf_sums))
-
-
-def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of terms, a list that this extends.
-
-    Each is math.fsum of terms and the negated parts before it: the exact
-    remainder rounded once, which is 0.0 only once nothing remains.
-    """
-    parts = []
-    while part := math.fsum(terms):
-        parts.append(part)
-        terms.append(-part)
-    return parts
 
 
 class _ExactSums(_Runs):

@@ -131,6 +131,19 @@ def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, items), np.float64, x.size)
 
 
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of terms, a list that this extends.
+
+    Each is math.fsum of terms and the negated parts before it: the exact
+    remainder rounded once, which is 0.0 only once nothing remains.
+    """
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        terms.append(-part)
+    return parts
+
+
 # Bisection steps that one lookup in _head_table replaces.
 _HEAD_LEVELS = 12
 

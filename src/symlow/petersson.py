@@ -10,7 +10,9 @@ modulus alone.  Bessel J switches between the power series, an array kernel
 that keeps each entry's own terms, and Miller's backward recurrence.  The
 truncated diagonal term carries a rigorous bound on its truncation tail,
 built from the Weil bound and the small-argument Bessel bound; that radius
-does not cover the rounding of the computed terms.
+does not cover the rounding of the computed terms.  A sweep stops summing
+an index once a certificate, that bound widened for those roundings, proves
+that the moduli left cannot change the double of its sum.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import dataclasses
 import math
 import sys
 import warnings
-from array import array
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
-from .forms import _BLOCK, _check_weight, _libm, is_prime
+from .forms import _BLOCK, _check_weight, _exact_parts, _libm, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -301,8 +303,8 @@ def bessel_j(order: int, x: float) -> float:
     crossover is capped there and Miller's backward recurrence takes over.
     Arguments above 1e6 are rejected (recurrence cost grows linearly and the
     accuracy claim would be hollow).  This is the checked one-entry caller
-    of the array kernel _bessel_series; petersson_deltas hands the kernel an
-    index's series arguments at once and calls bessel_j for the rest only,
+    of the array kernel _bessel_series; petersson_deltas hands the kernel a
+    block's series arguments at once and calls bessel_j for the rest only,
     so each J is the same double either way.
     """
     if order < 0:
@@ -374,6 +376,44 @@ def delta_tail_bound(m: int, kappa: int, c_max: int) -> float:
     return math.exp(log_bound)
 
 
+# The widening of the tail bound in the early-stop certificate; see petersson_deltas.
+_TAIL_WIDENING = 1 + Fraction(1, 2**20)
+
+
+def _settled(parts: list[float], tail: Fraction | float) -> bool:
+    """Whether every real parts + r with |r| <= tail rounds to math.fsum(parts).
+
+    D = math.fsum(parts) and rho, the exact remainder of the parts past D,
+    must leave D + rho + r strictly inside the half gaps to D's neighbours;
+    where |D| is a power of two the gap toward zero is half the other.  A
+    tie is never settled, and neither is D = 0.  (A c-sum has |D| <= c_max
+    < 2**31, so both neighbours are finite.)
+    """
+    total = math.fsum(parts)
+    if not total:
+        return False
+    tail, centre = Fraction(tail), Fraction(total)
+    rest = sum(map(Fraction, parts)) - centre
+    above = (Fraction(math.nextafter(total, math.inf)) - centre) / 2
+    below = (centre - Fraction(math.nextafter(total, -math.inf))) / 2
+    return rest + tail < above and rest - tail > -below
+
+
+def _settled_at(m: int, kappa: int, c: int, root: float, parts: list[float]) -> bool:
+    """Whether index m's c-sum through modulus c is certified final: past the
+    window c <= 4 pi sqrt(m), the later terms sum to at most the tail bound
+    at c over 2 pi, widened, and _settled holds for that radius.  Below the
+    normal range the bound's rounding is not relative, but the bound stays
+    below the least normal double, so twice that covers it.  A bound of an
+    ulp of the sum or more never certifies: _settled would refuse it."""
+    if c <= root:
+        return False
+    tail = max(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), 2.0 * sys.float_info.min)
+    if tail >= math.ulp(math.fsum(parts)):
+        return False
+    return _settled(parts, _TAIL_WIDENING * Fraction(tail))
+
+
 def default_c_max(m: int) -> int:
     """max(1000, ceil(8 pi sqrt(m))): always inside the rigorous tail regime."""
     return max(1000, math.ceil(8.0 * math.pi * math.sqrt(m)))
@@ -389,19 +429,40 @@ def petersson_deltas(
     The moduli go in blocks of consecutive c whose cutoffs reach the same
     m, each block one _kloosterman_block call of at most _BLOCK count
     entries (indices times the block's total width; a modulus alone may
-    pass that), with one dict of count tables for the sweep.  Each m's
-    sums are kept, 8 bytes a modulus; after the sweep its J values come
-    from one series-kernel pass over its arguments inside the series
-    window, and from bessel_j for the rest.  Each m keeps its own cutoff
-    (default_c_max(m) when c_max is None), tail bound (of the truncation
-    only) and warning, and its term is the same double it would be alone:
-    every summand is the same expression and the c-sum is exactly rounded by
-    math.fsum.  i^kappa is evaluated as (-1)^{kappa/2}; no complex
-    arithmetic appears.  Warns for each m with c_max <= 4 pi sqrt(m), where
-    the reported tail bound is not yet in its provably decreasing regime.
-    Cutoffs must be below 2**31.  Every check, the tail bounds and the
-    Bessel argument bound included, runs before the sweep, so a bound past
-    the double range is refused before any Kloosterman sum.
+    pass that), with one dict of count tables for the sweep.  A block's J
+    values come from one series-kernel pass over its arguments inside the
+    series window, and from bessel_j for the rest, and each m folds its
+    terms into its _exact_parts, a few floats whose exact sum is its c-sum
+    so far.  Each m keeps its own cutoff (default_c_max(m) when c_max is
+    None), tail bound (of the declared truncation only) and warning, and
+    its term is the same double it would be alone: every summand is the
+    same expression and the c-sum is exactly rounded by math.fsum.
+    i^kappa is evaluated as (-1)^{kappa/2}; no complex arithmetic appears.
+
+    An m leaves the sweep before its cutoff once a certificate proves that
+    the terms still to come cannot change the double of its c-sum, so it
+    sums fewer moduli to the same value; c_max and tail_estimate still
+    describe the declared truncation.  At the end of a block at modulus c,
+    past 4 pi sqrt(m) and below the cutoff, every later term has argument
+    below 1 and takes the series route, and their sum is at most
+    T = delta_tail_bound(m, kappa, c) / 2 pi, widened by 1 + 2^-20.  The
+    widening covers, with a wide margin, what the bound leaves out: the
+    libm cosines of a computed S, each within 2^-48 of cos(2 pi k / c), so
+    that the computed |S| is at most tau(c) sqrt(c) + phi(c) 2^-48, less
+    than 2^-32 above the Weil bound for c < 2^31, before its one rounding;
+    the computed argument and series of J, within about 3 kappa ulps of
+    (x/2)^{kappa-1}/(kappa-1)!; the two roundings of S / c * J; and the
+    bound's own exp, log, lgamma and division by 2 pi.  The m stops if its
+    partial sum D plus its exact remainder rho stays, with +-T, strictly
+    inside the half gaps to D's two neighbours (_settled): a tie never
+    stops, and D = 0 never does.  An m that never certifies sums to its
+    cutoff.
+
+    Warns for each m with c_max <= 4 pi sqrt(m), where the reported tail
+    bound is not yet in its provably decreasing regime.  Cutoffs must be
+    below 2**31.  Every check, the tail bounds and the Bessel argument
+    bound included, runs before the sweep, so a bound past the double range
+    is refused before any Kloosterman sum.
     """
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
@@ -425,32 +486,37 @@ def petersson_deltas(
                 " the tail estimate is not yet rigorous",
                 stacklevel=2,
             )
-    sums = [array("d") for _ in ms]  # each index's Kloosterman sums, 8 bytes a modulus
+    order = kappa - 1
+    sign = -1.0 if (kappa // 2) % 2 else 1.0
+    parts: list[list[float]] = [[] for _ in ms]  # each index's c-sum so far, as _exact_parts
     tables: dict = {}  # count tables of the small prime powers, for this sweep only
-    c, end = k, max(c_maxes, default=0)
-    while c <= end:
-        live = [i for i, top in enumerate(c_maxes) if c <= top]
-        last = min(c_maxes[i] for i in live)  # the live indices stay live up to here
+    live = list(range(len(ms)))
+    c = k
+    while live:
+        last = min(c_maxes[i] for i in live)  # no live index passes its cutoff before here
         block, width = [], 0
         while c <= last and (not block or len(live) * (width + c) <= _BLOCK):
             block.append(c)
             width += c
             c += k
         flat = _kloosterman_block([ms[i] for i in live], 1, block, tables)
-        for row, i in enumerate(live):
-            sums[i].extend(flat[row * len(block):(row + 1) * len(block)])
-    order = kappa - 1
-    sign = -1.0 if (kappa // 2) % 2 else 1.0
-    out = []
-    for m, top, s, tail, root in zip(ms, c_maxes, sums, tails, roots):
-        cs = np.arange(k, top + 1, k)
-        x = root / cs
-        j = np.empty(x.size)
+        cs = np.array(block)
+        x = np.array([roots[i] for i in live])[:, None] / cs
+        j = np.empty(x.shape)
         series = _in_series_window(order, x)
         j[series] = np.clip(_bessel_series(order, x[series]), -1.0, 1.0)
         j[~series] = [bessel_j(order, y) for y in x[~series].tolist()]
-        terms = np.frombuffer(s) / cs * j  # S(m, 1; c) / c J(4 pi sqrt(m) / c), as each c alone
-        value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(terms.tolist())
+        # S(m, 1; c) / c J(4 pi sqrt(m) / c), as each c alone
+        terms = np.array(flat).reshape(x.shape) / cs * j
+        for i, row in zip(live, terms.tolist()):
+            parts[i] = _exact_parts(parts[i] + row)
+        live = [
+            i for i in live
+            if c <= c_maxes[i] and not _settled_at(ms[i], kappa, block[-1], roots[i], parts[i])
+        ]
+    out = []
+    for m, top, tail, total in zip(ms, c_maxes, tails, parts):
+        value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(total)
         out.append(PeterssonTerm(m=m, k=k, kappa=kappa, value=value, tail_estimate=tail, c_max=top))
     return out
 

@@ -7,6 +7,8 @@ second route to ``c_gamma`` of criterion 05.  ``divisor_count`` and
 ``weil_bound`` give the pointwise Kloosterman bound of criterion 07.
 ``reflected`` gives the form whose every angle is t -> pi - t, which
 criterion 09 and the flip-parity tests compare a form with.
+``full_sweep_value`` sums the diagonal term over every modulus to its
+cutoff, one modulus at a time, which the early-stopped sweep must equal.
 """
 
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from symlow.constants import digamma
 from symlow.forms import SyntheticForm, _check_weight
-from symlow.petersson import _factorization
+from symlow.petersson import _factorization, bessel_j, kloosterman_sums
 
 
 def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float, float]:
@@ -94,6 +96,18 @@ def divisor_count(c: int) -> int:
 def weil_bound(m: int, n: int, c: int) -> float:
     """tau(c) * gcd(m, n, c)^{1/2} * c^{1/2}, the pointwise Kloosterman bound."""
     return divisor_count(c) * math.sqrt(math.gcd(m, n, c)) * math.sqrt(c)
+
+
+def full_sweep_value(m: int, k: int, kappa: int, c_max: int) -> float:
+    """The truncated diagonal term at m, from one math.fsum of
+    S(m, 1; c) / c J_{kappa-1}(4 pi sqrt(m) / c) over every c <= c_max with
+    k | c, each modulus alone."""
+    c_sum = math.fsum(
+        kloosterman_sums([m], 1, c)[0] / c * bessel_j(kappa - 1, 4 * math.pi * math.sqrt(m) / c)
+        for c in range(k, c_max + 1, k)
+    )
+    sign = -1.0 if (kappa // 2) % 2 else 1.0
+    return (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * c_sum
 
 
 class ReflectedForm(SyntheticForm):

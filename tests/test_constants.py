@@ -21,7 +21,7 @@ import pytest
 import sympy
 
 import symlow.constants
-from symlow.forms import _BLOCK
+from symlow.forms import _BLOCK, _exact_parts
 from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
@@ -30,7 +30,6 @@ from symlow.constants import (
     _PairwiseSums,
     _even_denominator,
     _even_leaf,
-    _exact_parts,
     _feed,
     _log_quotients,
     _pnt_leaf,

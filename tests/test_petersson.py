@@ -30,6 +30,8 @@ from symlow.petersson import (
     _bessel_miller,
     _bessel_series,
     _kloosterman_block,
+    _settled,
+    _settled_at,
     bessel_j,
     default_c_max,
     delta_tail_bound,
@@ -39,7 +41,7 @@ from symlow.petersson import (
     petersson_delta,
     petersson_deltas,
 )
-from oracles import divisor_count, weil_bound
+from oracles import divisor_count, full_sweep_value, weil_bound
 
 
 def kloosterman_bruteforce(m: int, n: int, c: int) -> float:
@@ -496,15 +498,11 @@ class TestTauOracle:
 
 class TestPeterssonDelta:
     def test_diagonal_enters_once(self):
-        # Subtracting the hand-built c-sum must leave exactly the m=1
-        # diagonal; m=2 has no diagonal at all.
-        for m, diagonal in ((1, 1.0), (2, 0.0)):
+        # The term is the oracle's [m = 1] diagonal plus its hand-built
+        # c-sum, to the bit; m=2 has no diagonal at all.
+        for m in (1, 2):
             term = petersson_delta(m, 1, 12, 500)
-            hand = 2.0 * math.pi * math.fsum(
-                kloosterman_sums([m], 1, c)[0] / c * bessel_j(11, 4 * math.pi * math.sqrt(m) / c)
-                for c in range(1, 501)
-            )
-            assert abs(term.value - hand - diagonal) < 1e-13, m
+            assert term.value == full_sweep_value(m, 1, 12, 500), m
             assert term.c_max == 500
 
     def test_truncation_stability(self):
@@ -552,15 +550,10 @@ class TestPeterssonDelta:
             petersson_delta(m, 1, 12, int(threshold) + 1)
 
     def test_divisibility_constraint_thins_sum(self):
-        # k = 2 keeps only even moduli; recompute by hand from the parts.
-        c_max = 200
-        by_hand = math.fsum(
-            kloosterman_sums([3], 1, c)[0] / c * bessel_j(11, 4 * math.pi * math.sqrt(3) / c)
-            for c in range(2, c_max + 1, 2)
-        )
-        want = 2 * math.pi * (-1) ** 6 * by_hand
-        got = petersson_delta(3, 2, 12, c_max)
-        assert abs(got.value - want) < 1e-14
+        # k = 2 keeps only even moduli: the oracle over even c, not over all c.
+        got = petersson_delta(3, 2, 12, 200)
+        assert got.value == full_sweep_value(3, 2, 12, 200)
+        assert got.value != full_sweep_value(3, 1, 12, 200)
 
     def test_tau_ratio_small_m(self):
         base = petersson_delta(1, 1, 12, 600)
@@ -589,6 +582,19 @@ class TestPeterssonDelta:
             petersson_delta(1, 5, 12, 4)  # c_max below k
         with pytest.raises(ValueError):
             PeterssonTerm(m=1, k=1, kappa=12, value=1.0, tail_estimate=-0.1, c_max=10)
+
+
+def counted_pairs(monkeypatch) -> list[int]:
+    """A list to which every later _kloosterman_block call of a sweep appends
+    its number of (index, modulus) pairs."""
+    pairs = []
+
+    def counted(ms, n, cs, tables):
+        pairs.append(len(ms) * len(cs))
+        return _kloosterman_block(ms, n, cs, tables)
+
+    monkeypatch.setattr(symlow.petersson, "_kloosterman_block", counted)
+    return pairs
 
 
 class TestPeterssonDeltas:
@@ -642,10 +648,13 @@ class TestPeterssonDeltas:
     def test_small_blocks_match_one_modulus_sums(self, entries, monkeypatch):
         # With at most 2**11 count entries a block, a one-index sweep over
         # 4000 moduli runs in blocks of two or more moduli up to c = 1023 and
-        # alone after; the mixed cutoffs 1000, 1590, 1000 drop two live rows
-        # at c = 1000.  At 9200 entries the three-row block [999, 1000] could
-        # take c = 1001 too, and the live rows' change cuts it there.
-        sweeps = [([971], 4000), ([2, 4000, 3], None)]
+        # alone after, until it certifies; the mixed cutoffs 1000, 1590, 1000
+        # drop two live rows at c = 1000, none of the three settling before.
+        # At 9200 entries the three-row block [999, 1000] could take c = 1001
+        # too, and the live rows' change cuts it there.  A certification cuts
+        # a block as well: m = 2 settles long before its cutoff, and m = 1201
+        # goes on alone from the next modulus.
+        sweeps = [([971], 4000), ([1201, 4000, 1301], None), ([2, 1201], 1000)]
         want = [[petersson_delta(m, 1, 12, c_max) for m in ms] for ms, c_max in sweeps]
         blocks = []
 
@@ -660,12 +669,50 @@ class TestPeterssonDeltas:
         monkeypatch.setattr(symlow.petersson, "_kloosterman_block", _kloosterman_block)
         assert got == want
         assert sum(len(cs) > 1 for _, cs, _ in blocks) > 100
-        cut = next(cs for ms, cs, _ in blocks if ms == [2, 4000, 3] and cs[-1] == 1000)
+        cut = next(cs for ms, cs, _ in blocks if ms == [1201, 4000, 1301] and cs[-1] == 1000)
         if entries == 9200:
             assert cut == [999, 1000] and 3 * (sum(cut) + 1001) <= entries
+        pair = [cs for ms, cs, _ in blocks if ms == [2, 1201]]
+        alone = [cs for ms, cs, _ in blocks if ms == [1201]]
+        assert alone[0][0] == pair[-1][-1] + 1 < 1000 and alone[-1][-1] == 1000
+        assert max(cs[-1] for ms, cs, _ in blocks if ms == [971]) < 4000
         for ms, cs, sums in blocks:
             assert len(ms) * sum(cs) <= entries or len(cs) == 1, (ms, cs)
             assert sums == [one_modulus_sum(m, c) for m in ms for c in cs], (ms, cs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [10, 12, 16])
+    def test_early_stop_gives_the_full_sweep(self, k, kappa, monkeypatch):
+        # Every term is the double of the sum over every modulus to its
+        # cutoff, whether its index settles first or not.  At c_max = 60 the
+        # indices 30 and 100 are inside 4 pi sqrt(m) (68.8 and 125.7), where
+        # no certificate is taken.
+        ms, cutoffs = [1, 2, 7, 30, 100], (60, 400)
+        want = [[full_sweep_value(m, k, kappa, c_max) for m in ms] for c_max in cutoffs]
+        pairs = counted_pairs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = [petersson_deltas(ms, k, kappa, c_max) for c_max in cutoffs]
+        assert [[term.value for term in terms] for terms in got] == want
+        assert [[term.c_max for term in terms] for terms in got] == [[c_max] * len(ms) for c_max in cutoffs]
+        assert sum(pairs) < len(ms) * sum(c_max // k for c_max in cutoffs)  # some index did stop early
+
+    def test_early_stop_where_the_tail_bound_underflows(self, monkeypatch):
+        # At weight 200 the tail bound is below the least normal double from
+        # the first modulus past 4 pi sqrt(m) on; the sweep still stops there.
+        ms = [1, 2, 30]
+        want = [full_sweep_value(m, 1, 200, 300) for m in ms]
+        assert delta_tail_bound(30, 200, 69) == 0.0
+        pairs = counted_pairs(monkeypatch)
+        assert [term.value for term in petersson_deltas(ms, 1, 200, 300)] == want
+        assert sum(pairs) < 300
+
+    def test_work_guard(self, monkeypatch):
+        # The ten-index tau sweep to 1000 settles every index by c = 250 or
+        # so: at most 2500 of its 10000 (index, modulus) pairs are summed.
+        pairs = counted_pairs(monkeypatch)
+        petersson_deltas(range(1, 11), 1, 12, 1000)
+        assert sum(pairs) <= 2500
 
     def test_ten_indices_match_single_calls(self):
         # The sweep shares its count tables across indices and moduli.
@@ -692,6 +739,42 @@ class TestPeterssonDeltas:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+
+class TestCertificate:
+    """_settled against planted partial sums at and near rounding boundaries."""
+
+    def test_a_tie_never_settles(self):
+        # 1 + 2^-53 is the midpoint of 1.0 and its upper neighbour.
+        for tail in (0.0, 2.0**-1074, 2.0**-60, 1.0):
+            assert not _settled([1.0, 2.0**-53], tail), tail
+
+    def test_the_half_gap_above_is_strict(self):
+        assert not _settled([1.0, 2.0**-54], 2.0**-54)
+        assert _settled([1.0, 2.0**-54], 2.0**-55)
+
+    def test_the_gap_toward_zero_is_halved_at_a_power_of_two(self):
+        # Below 1.0 the neighbour is 1 - 2^-53, so the half gap is 2^-54 there
+        # against 2^-53 above: the same radius settles upward only.
+        assert not _settled([1.0, -(2.0**-55)], 2.0**-55)
+        assert _settled([1.0, 2.0**-55], 2.0**-55)
+        assert _settled([1.0, -(2.0**-55)], 2.0**-56)
+        assert not _settled([-1.0, 2.0**-55], 2.0**-55)
+        assert _settled([-1.0, -(2.0**-55)], 2.0**-55)
+
+    def test_zero_never_settles(self):
+        for parts in ([], [1.0, -1.0]):
+            assert not _settled(parts, 0.0)
+
+    def test_a_sweep_at_a_tie_goes_on(self):
+        # At c = 10^6 the tail bound of m = 2 is far below an ulp of 1, yet a
+        # partial sum at a tie does not stop; below 4 pi sqrt(2) = 17.8 no
+        # partial sum stops.
+        root = 4.0 * math.pi * math.sqrt(2)
+        assert delta_tail_bound(2, 12, 10**6) < 2.0**-150
+        assert not _settled_at(2, 12, 10**6, root, [1.0, 2.0**-53])
+        assert _settled_at(2, 12, 10**6, root, [1.0, 2.0**-60])
+        assert not _settled_at(2, 12, 17, root, [1.0])
 
 
 class TestOldPart:
