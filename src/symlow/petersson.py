@@ -45,8 +45,12 @@ MODULUS_LIMIT = 2**31
 # tables, so its memory (about 50 bytes an entry) does not grow with the
 # number of indices.
 COUNT_ENTRIES = 2**18
-# Series entries of one Bessel pass: each keeps at most 200 terms.
+# Series entries of one chunk of _bessel_series, each keeping at most 200
+# terms; a sweep's look-ahead J pass takes at least this many entries.
 _SERIES_CHUNK = 128
+# Rows of one chunk in _grid_sums: a grid piece's products are held for at
+# most this many rows of the weights at a time, whatever the number of rows.
+_GRID_ROWS = 16
 
 # Classical coefficients of the weight-12 level-1 cusp form's q-expansion,
 # for the CLI comparison table.  The test suite recomputes them from the
@@ -178,6 +182,7 @@ def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequ
     """The exactly rounded sum of weights[i, a:b] * cosines[a:b] for every row
     i and every segment [a, b) between consecutive bounds, row by row.
 
+    bounds runs from 0 to the number of columns, and no segment is empty.
     weights holds nonnegative integers, each row's segment summing below
     2^bits (bits <= 50), and |cosines| <= 1.  Each cosine is split exactly
     into pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits (Rump, Ogita
@@ -186,8 +191,11 @@ def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequ
     is at most 2^b units of its grid, so every product and every partial sum
     of a segment's piece sum is an integer below 2^51 units, exact in any
     summation order, and math.fsum of a segment's few piece sums is exactly
-    rounded.  One einsum a segment sums every row against every piece, in
-    numpy's own loop, with no BLAS call and no thread.
+    rounded.  Each piece's products with a chunk of rows go through one
+    np.add.reduceat over the segment starts, numpy's own loop with no BLAS
+    call and no thread, whatever the number of moduli in the block.  Rows
+    go _GRID_ROWS at a time, so the products held do not grow with the
+    number of rows.
     """
     b = 51 - bits
     grid, rest, pieces = 1.0, cosines, []
@@ -195,9 +203,12 @@ def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequ
         grid *= 2.0**-b
         pieces.append(np.rint(rest / grid) * grid)
         rest = rest - pieces[-1]
-    pieces = np.array(pieces)
-    sums = [np.einsum("ij,kj->ik", weights[:, lo:hi], pieces[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return [math.fsum(s) for s in np.stack(sums, axis=1).reshape(-1, len(pieces)).tolist()]
+    out = []
+    for top in range(0, len(weights), _GRID_ROWS):
+        chunk = weights[top:top + _GRID_ROWS]
+        sums = [np.add.reduceat(chunk * piece, bounds[:-1], axis=1) for piece in pieces]
+        out += [math.fsum(s) for s in np.stack(sums, axis=-1).reshape(-1, len(pieces)).tolist()]
+    return out
 
 
 def kloosterman_sums(
@@ -304,8 +315,8 @@ def bessel_j(order: int, x: float) -> float:
     Arguments above 1e6 are rejected (recurrence cost grows linearly and the
     accuracy claim would be hollow).  This is the checked one-entry caller
     of the array kernel _bessel_series; petersson_deltas hands the kernel a
-    block's series arguments at once and calls bessel_j for the rest only,
-    so each J is the same double either way.
+    look-ahead window's series arguments at once and calls bessel_j for the
+    rest only, so each J is the same double either way.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -429,14 +440,19 @@ def petersson_deltas(
     The moduli go in blocks of consecutive c whose cutoffs reach the same
     m, each block one _kloosterman_block call of at most _BLOCK count
     entries (indices times the block's total width; a modulus alone may
-    pass that), with one dict of count tables for the sweep.  A block's J
-    values come from one series-kernel pass over its arguments inside the
-    series window, and from bessel_j for the rest, and each m folds its
-    terms into its _exact_parts, a few floats whose exact sum is its c-sum
-    so far.  Each m keeps its own cutoff (default_c_max(m) when c_max is
-    None), tail bound (of the declared truncation only) and warning, and
-    its term is the same double it would be alone: every summand is the
-    same expression and the c-sum is exactly rounded by math.fsum.
+    pass that), with one dict of count tables for the sweep.  J comes from
+    look-ahead passes: a block that needs J values not yet computed takes
+    them for every live m over its moduli and the next ones, at least
+    _SERIES_CHUNK entries and never past the smallest live cutoff, in one
+    series-kernel pass over the arguments inside the series window and
+    from bessel_j for the rest.  The next blocks read the rest of that
+    window, and an m's row goes when the m leaves the sweep.  Each m folds
+    its terms into its _exact_parts, a few floats whose exact sum is its
+    c-sum so far.  Each m keeps its own cutoff (default_c_max(m) when
+    c_max is None), tail bound (of the declared truncation only) and
+    warning, and its term is the same double it would be alone: every
+    summand is the same expression, each J the same double whatever window
+    it was computed in, and the c-sum is exactly rounded by math.fsum.
     i^kappa is evaluated as (-1)^{kappa/2}; no complex arithmetic appears.
 
     An m leaves the sweep before its cutoff once a certificate proves that
@@ -491,6 +507,7 @@ def petersson_deltas(
     parts: list[list[float]] = [[] for _ in ms]  # each index's c-sum so far, as _exact_parts
     tables: dict = {}  # count tables of the small prime powers, for this sweep only
     live = list(range(len(ms)))
+    ahead, first = np.empty((len(ms), 0)), k  # each live index's J at moduli first, first + k, ...
     c = k
     while live:
         last = min(c_maxes[i] for i in live)  # no live index passes its cutoff before here
@@ -500,20 +517,28 @@ def petersson_deltas(
             width += c
             c += k
         flat = _kloosterman_block([ms[i] for i in live], 1, block, tables)
-        cs = np.array(block)
-        x = np.array([roots[i] for i in live])[:, None] / cs
-        j = np.empty(x.shape)
-        series = _in_series_window(order, x)
-        j[series] = np.clip(_bessel_series(order, x[series]), -1.0, 1.0)
-        j[~series] = [bessel_j(order, y) for y in x[~series].tolist()]
+        start = (block[0] - first) // k
+        if start + len(block) > ahead.shape[1]:
+            # a look-ahead pass: this block's moduli and the next ones, at
+            # least _SERIES_CHUNK entries, never past the smallest live cutoff
+            count = min(max(len(block), -(-_SERIES_CHUNK // len(live))), (last - block[0]) // k + 1)
+            cs = np.arange(block[0], block[0] + count * k, k)
+            x = np.array([roots[i] for i in live])[:, None] / cs
+            ahead, first, start = np.empty(x.shape), block[0], 0
+            series = _in_series_window(order, x)
+            ahead[series] = np.clip(_bessel_series(order, x[series]), -1.0, 1.0)
+            ahead[~series] = [bessel_j(order, y) for y in x[~series].tolist()]
+        j = ahead[:, start:start + len(block)]
         # S(m, 1; c) / c J(4 pi sqrt(m) / c), as each c alone
-        terms = np.array(flat).reshape(x.shape) / cs * j
+        terms = np.array(flat).reshape(j.shape) / np.array(block) * j
         for i, row in zip(live, terms.tolist()):
             parts[i] = _exact_parts(parts[i] + row)
-        live = [
-            i for i in live
-            if c <= c_maxes[i] and not _settled_at(ms[i], kappa, block[-1], roots[i], parts[i])
+        going = [
+            c <= c_maxes[i] and not _settled_at(ms[i], kappa, block[-1], roots[i], parts[i])
+            for i in live
         ]
+        live = [i for i, goes in zip(live, going) if goes]
+        ahead = ahead[going]
     out = []
     for m, top, tail, total in zip(ms, c_maxes, tails, parts):
         value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(total)

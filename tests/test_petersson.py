@@ -212,6 +212,26 @@ class TestKloosterman:
             tracemalloc.stop()
         assert got == want
         assert peak < 2**16  # nothing c-long: 8 bytes a residue would be 16 GiB
+        assert len(weights) > symlow.petersson._GRID_ROWS  # rows in several chunks
+
+    def test_grid_sums_row_chunks(self, monkeypatch):
+        # 60 rows over segments of 5, 40, 1 and 30 columns, in chunks of
+        # _GRID_ROWS (16) rows, of one row, and of all 60: every (row,
+        # segment) sum is the exactly rounded sum of its products.
+        rng = numpy.random.default_rng(33)
+        bounds = [0, 5, 45, 46, 76]
+        cosines = numpy.cos(rng.uniform(0.0, 2.0 * math.pi, 76)) * 2.0 ** -rng.integers(0, 40, 76)
+        weights = rng.integers(0, 51, (60, 76)).astype(float)  # a segment sums to 2000 at most
+        exact = [Fraction(cosine) for cosine in cosines.tolist()]
+        want = [
+            float(sum(Fraction(w) * cosine for w, cosine in zip(row[lo:hi], exact[lo:hi])))
+            for row in weights.tolist()
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert len(weights) > symlow.petersson._GRID_ROWS > 1
+        for rows in (symlow.petersson._GRID_ROWS, 1, len(weights)):
+            monkeypatch.setattr(symlow.petersson, "_GRID_ROWS", rows)
+            assert symlow.petersson._grid_sums(weights, cosines, 11, bounds) == want, rows
 
     def test_many_index_sums_do_not_rest_on_the_residue_order(self, monkeypatch):
         # The grid product sums exactly, so the residues may come in any order,
@@ -506,8 +526,10 @@ class TestPeterssonDelta:
             assert term.c_max == 500
 
     def test_truncation_stability(self):
+        # The sweep to 1000 certifies its stop at c = 127; the oracle sums
+        # every modulus to 2000, each alone, with no stop at all.
         a = petersson_delta(1, 1, 12, 1000).value
-        b = petersson_delta(1, 1, 12, 2000).value
+        b = full_sweep_value(1, 1, 12, 2000)
         assert abs(a - b) < 1e-12
         assert abs(a - 2.8402873751674607) < 1e-12
 
@@ -597,6 +619,18 @@ def counted_pairs(monkeypatch) -> list[int]:
     return pairs
 
 
+def counted_passes(monkeypatch, log: list) -> list:
+    """log, to which every later _bessel_series call of a sweep appends its
+    number of series entries."""
+
+    def counted(order, x):
+        log.append(x.size)
+        return _bessel_series(order, x)
+
+    monkeypatch.setattr(symlow.petersson, "_bessel_series", counted)
+    return log
+
+
 class TestPeterssonDeltas:
     def test_mixed_default_cutoffs_match_single_calls(self):
         ms = [2, 4000, 3]
@@ -654,20 +688,40 @@ class TestPeterssonDeltas:
         # too, and the live rows' change cuts it there.  A certification cuts
         # a block as well: m = 2 settles long before its cutoff, and m = 1201
         # goes on alone from the next modulus.
+        #
+        # J comes in look-ahead passes, which events records among the blocks
+        # (a block as its indices, a pass as its number of series entries).
+        # At 2**11 entries the pair's pass at c = 77 takes both rows to
+        # c = 140, 128 entries; m = 2 settles at c = 98, and 1201 reads its
+        # row for two blocks more.  At 9200 the pair's one block ends at
+        # c = 95, where m = 2 settles.
         sweeps = [([971], 4000), ([1201, 4000, 1301], None), ([2, 1201], 1000)]
         want = [[petersson_delta(m, 1, 12, c_max) for m in ms] for ms, c_max in sweeps]
-        blocks = []
+        blocks, events = [], []
 
         def recorded(ms, n, cs, tables):
             sums = _kloosterman_block(ms, n, cs, tables)
             blocks.append((list(ms), list(cs), sums))
+            events.append(list(ms))
             return sums
 
         monkeypatch.setattr(symlow.petersson, "_BLOCK", entries)
         monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
+        counted_passes(monkeypatch, events)
         got = [petersson_deltas(ms, 1, 12, c_max) for ms, c_max in sweeps]
         monkeypatch.setattr(symlow.petersson, "_kloosterman_block", _kloosterman_block)
         assert got == want
+        pair_sweep = events[events.index([2, 1201]):]
+        passes = [i for i, event in enumerate(pair_sweep) if isinstance(event, int)]
+        split = pair_sweep.index([1201])
+        if entries == 2**11:
+            assert len(passes) == 10
+            before = max(i for i in passes if i < split)
+            after = min(i for i in passes if i > split)
+            assert pair_sweep[before] == 128 and pair_sweep[before + 1:split] == [[2, 1201]] * 2
+            assert pair_sweep[split:after] == [[1201]] * 2
+        else:
+            assert len(passes) == 9 and pair_sweep[:split + 1] == [[2, 1201], 158, [1201]]
         assert sum(len(cs) > 1 for _, cs, _ in blocks) > 100
         cut = next(cs for ms, cs, _ in blocks if ms == [1201, 4000, 1301] and cs[-1] == 1000)
         if entries == 9200:
@@ -713,6 +767,20 @@ class TestPeterssonDeltas:
         pairs = counted_pairs(monkeypatch)
         petersson_deltas(range(1, 11), 1, 12, 1000)
         assert sum(pairs) <= 2500
+
+    def test_look_ahead_passes(self, monkeypatch):
+        # One series pass a block would be 318 for m = 971 over the 4000
+        # moduli it declares.  A look-ahead pass takes 128 entries or more,
+        # so the one-index sweep, certified at c = 2171, makes at most 25,
+        # and the ten-index tau sweep no more than its 20 blocks.
+        want = [petersson_delta(m, 1, 12, 1000) for m in range(1, 11)]
+        passes = counted_passes(monkeypatch, [])
+        petersson_deltas([971], 1, 12, 4000)
+        deep = len(passes)
+        sweep = petersson_deltas(range(1, 11), 1, 12, 1000)
+        assert deep <= 25
+        assert len(passes) - deep <= 20
+        assert sweep == want
 
     def test_ten_indices_match_single_calls(self):
         # The sweep shares its count tables across indices and moduli.
