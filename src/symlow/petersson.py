@@ -2,17 +2,20 @@
 
 Kloosterman sums are exact (residue counts in integer arithmetic, cosines
 summed in double precision).  A sweep takes its moduli in blocks of
-consecutive moduli that serve the same indices: a block builds every
-index's counts side by side, takes all its cosines in one call, cuts them
-once into pieces on a common grid and sums each (index, modulus) exactly
-before one final rounding, so any block gives the same doubles as one
-modulus alone.  Bessel J switches between the power series, an array kernel
-that keeps each entry's own terms, and Miller's backward recurrence.  The
-truncated diagonal term carries a rigorous bound on its truncation tail,
-built from the Weil bound and the small-argument Bessel bound; that radius
-does not cover the rounding of the computed terms.  A sweep stops summing
-an index once a certificate, that bound widened for those roundings, proves
-that the moduli left cannot change the double of its sum.
+consecutive moduli that serve the same indices, at least _BLOCK_MODULI of
+them where the count matrix allows: a block builds every index's counts
+side by side, takes all its cosines in one call, cuts them once into
+pieces on a common grid and sums each (index, modulus) exactly before one
+final rounding, so any block gives the same doubles as one modulus alone.
+A sweep builds each count table once and keeps it, in its narrowest
+unsigned integer type, while a later modulus of the sweep can read it.
+Bessel J switches between the power series, an array kernel that keeps
+each entry's own terms, and Miller's backward recurrence.  The truncated
+diagonal term carries a rigorous bound on its truncation tail, built from
+the Weil bound and the small-argument Bessel bound; that radius does not
+cover the rounding of the computed terms.  A sweep stops summing an index
+once a certificate, that bound widened for those roundings, proves that the
+moduli left cannot change the double of its sum.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ MODULUS_LIMIT = 2**31
 # tables, so its memory (about 50 bytes an entry) does not grow with the
 # number of indices.
 COUNT_ENTRIES = 2**18
+# Moduli a sweep's block takes while its count matrix stays within
+# COUNT_ENTRIES, even past _BLOCK entries: the per-block cost is paid fewer
+# times, and no block is split into chunks of rows for it.
+_BLOCK_MODULI = 16
 # Series entries of one chunk of _bessel_series, each keeping at most 200
 # terms; a sweep's look-ahead J pass takes at least this many entries.
 _SERIES_CHUNK = 128
@@ -125,8 +132,13 @@ def _count_table(ms: Sequence[int], n: int, q: int, p: int) -> np.ndarray:
     return np.bincount(residues.ravel(), minlength=len(ms) * q).reshape(len(ms), q)
 
 
+def _narrowed(table: np.ndarray) -> np.ndarray:
+    """table in the narrowest unsigned type that holds its largest count."""
+    return table.astype(np.min_scalar_type(table.max()))
+
+
 def _kloosterman_block(
-    ms: Sequence[int], n: int, cs: Sequence[int], tables: dict
+    ms: Sequence[int], n: int, cs: Sequence[int], tables: dict, last: int
 ) -> list[float]:
     """Exact S(m, n; c) for every m in ms and c in cs, row by row: ms[0]'s
     sums over cs, then ms[1]'s, and so on.
@@ -140,16 +152,22 @@ def _kloosterman_block(
     _grid_sums sums each (m, c) segment exactly, with bits = bitlen(max cs):
     a row's N at c sums to phi(c) < 2^bitlen(c).  So each value is the one
     that c alone gives.  ms is taken in chunks of COUNT_ENTRIES // sum(cs)
-    rows (at least one).  tables keeps the count tables of the prime powers
-    q with 8 q <= c (small, recurring q, in O(c) memory), keyed by q, n mod q
-    and each m mod q.
+    rows (at least one).  tables keeps, keyed by q, n mod q and each m mod
+    q, the count table of every prime power q || c that a later modulus up
+    to last can read again (c + q <= last), so a sweep to last builds each
+    table once.  A kept table takes the narrowest unsigned type that holds
+    its largest count, so it stays exact: one byte a count at an odd prime
+    p not dividing n, where counts are at most 2, and never more than four
+    bytes (a count is below q < 2^31).  Kept tables have q <= last / 2, so
+    for one ms they hold at most len(ms) times the sum of those prime
+    powers q: 290,851 counts a row at last = 4000, 0.29 MB at a byte each.
     """
     if len(ms) == 0:
         return []
     width = sum(cs)
     rows = max(1, COUNT_ENTRIES // width)
     if len(ms) > rows:
-        chunks = (_kloosterman_block(ms[i:i + rows], n, cs, tables) for i in range(0, len(ms), rows))
+        chunks = (_kloosterman_block(ms[i:i + rows], n, cs, tables, last) for i in range(0, len(ms), rows))
         return [s for chunk in chunks for s in chunk]
     counts = np.empty((len(ms), width))
     edges = list(accumulate(cs, initial=0))  # each modulus's first column, then the width
@@ -163,8 +181,8 @@ def _kloosterman_block(
             table = tables.get(key)
             if table is None:
                 table = _count_table(ms, n, q, p)
-                if 8 * q <= c:
-                    tables[key] = table
+                if c + q <= last:
+                    table = tables[key] = _narrowed(table)
             repeats = view.reshape(len(ms), c // q, q)  # a view: a row's c columns are contiguous
             if number:
                 repeats *= table[:, None, :]
@@ -211,9 +229,7 @@ def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequ
     return out
 
 
-def kloosterman_sums(
-    ms: Sequence[int], n: int, c: int, tables: dict | None = None
-) -> list[float]:
+def kloosterman_sums(ms: Sequence[int], n: int, c: int) -> list[float]:
     """Exact S(m, n; c) for every m in ms, from the multiplicities of the residues.
 
     S(m, n; c) = sum over k mod c of N(k) cos(2 pi k / c), where N(k) counts
@@ -222,14 +238,14 @@ def kloosterman_sums(
     exact integers, and the one-modulus block of _kloosterman_block sums it
     against the cosines exactly before one final rounding.  So each value is
     the per-unit sum's double, whichever ms share c or whichever moduli
-    share a block.  |S| <= phi(c).  tables, when given, keeps the count
-    tables of the small, recurring prime powers across calls.
+    share a block.  |S| <= phi(c).  No count table outlives the call: only
+    a sweep (petersson_deltas) has later moduli to read one again.
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
     if c >= MODULUS_LIMIT:
         raise ValueError(f"modulus {c} must be < 2**31 for exact int64 residues")
-    return _kloosterman_block(ms, n, [c], {} if tables is None else tables)
+    return _kloosterman_block(ms, n, [c], {}, c)
 
 
 def _in_series_window(order: int, x):
@@ -438,9 +454,14 @@ def petersson_deltas(
     The term at m is [m = 1] + 2 pi (-1)^{kappa/2} times the sum over
     c <= c_max with k | c of S(m,1;c)/c J_{kappa-1}(4 pi sqrt m / c).
     The moduli go in blocks of consecutive c whose cutoffs reach the same
-    m, each block one _kloosterman_block call of at most _BLOCK count
-    entries (indices times the block's total width; a modulus alone may
-    pass that), with one dict of count tables for the sweep.  J comes from
+    m, each block one _kloosterman_block call.  A block takes moduli while
+    its count entries (indices times the block's total width) stay within
+    _BLOCK, and up to _BLOCK_MODULI moduli while they stay within
+    COUNT_ENTRIES, so no block is cut into chunks of rows for its length; a
+    modulus alone may pass both.  One dict of count tables serves the
+    sweep: a table stays while a modulus up to the largest live cutoff can
+    read it again, and when indices leave it keeps the rows of those that
+    stay, so each table is built once.  J comes from
     look-ahead passes: a block that needs J values not yet computed takes
     them for every live m over its moduli and the next ones, at least
     _SERIES_CHUNK entries and never past the smallest live cutoff, in one
@@ -505,18 +526,21 @@ def petersson_deltas(
     order = kappa - 1
     sign = -1.0 if (kappa // 2) % 2 else 1.0
     parts: list[list[float]] = [[] for _ in ms]  # each index's c-sum so far, as _exact_parts
-    tables: dict = {}  # count tables of the small prime powers, for this sweep only
+    tables: dict = {}  # count tables that later moduli read, for this sweep only
     live = list(range(len(ms)))
     ahead, first = np.empty((len(ms), 0)), k  # each live index's J at moduli first, first + k, ...
     c = k
     while live:
         last = min(c_maxes[i] for i in live)  # no live index passes its cutoff before here
         block, width = [], 0
-        while c <= last and (not block or len(live) * (width + c) <= _BLOCK):
+        while c <= last:
+            budget = COUNT_ENTRIES if len(block) < _BLOCK_MODULI else _BLOCK
+            if block and len(live) * (width + c) > budget:
+                break
             block.append(c)
             width += c
             c += k
-        flat = _kloosterman_block([ms[i] for i in live], 1, block, tables)
+        flat = _kloosterman_block([ms[i] for i in live], 1, block, tables, max(c_maxes[i] for i in live))
         start = (block[0] - first) // k
         if start + len(block) > ahead.shape[1]:
             # a look-ahead pass: this block's moduli and the next ones, at
@@ -539,6 +563,14 @@ def petersson_deltas(
         ]
         live = [i for i, goes in zip(live, going) if goes]
         ahead = ahead[going]
+        if live and not all(going):
+            # A key names every live index's residue: keep the rows that stay,
+            # re-keyed, and drop the tables of row chunks, whose keys name fewer.
+            tables = {
+                (q, r, *(h for h, goes in zip(heads, going) if goes)): _narrowed(table[going])
+                for (q, r, *heads), table in tables.items()
+                if len(heads) == len(going)
+            }
     out = []
     for m, top, tail, total in zip(ms, c_maxes, tails, parts):
         value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(total)

@@ -29,6 +29,7 @@ from symlow.petersson import (
     PeterssonTerm,
     _bessel_miller,
     _bessel_series,
+    _count_table,
     _kloosterman_block,
     _settled,
     _settled_at,
@@ -145,13 +146,13 @@ class TestKloosterman:
         # One index takes its own route from its row's nonzero residues; over
         # every modulus a 4000-modulus sweep reaches, it must give the double
         # that the many-index route gives the same m.  Each sweep keeps its
-        # own dict of count tables, as petersson_deltas does.
+        # own dict of count tables to c = 4000, as petersson_deltas does.
         singles: dict[int, dict] = {971: {}, 1019: {}}
         shared: dict = {}
         for c in range(1, 4001):
-            batch = kloosterman_sums([971, 1019, 2], 1, c, shared)
+            batch = _kloosterman_block([971, 1019, 2], 1, [c], shared, 4000)
             for m, row in zip((971, 1019), batch):
-                assert kloosterman_sums([m], 1, c, singles[m]) == [row], (m, c)
+                assert _kloosterman_block([m], 1, [c], singles[m], 4000) == [row], (m, c)
 
     def test_odd_prime_count_tables_match_enumeration(self):
         for p in [*sympy.primerange(3, 2001), sympy.prevprime(2**20)]:
@@ -168,13 +169,13 @@ class TestKloosterman:
 
     def test_chunks_match_single_calls(self, monkeypatch):
         # Chunks of 4, 3 and then 1 row of the 11 indices, sharing one dict of
-        # count tables per modulus.
+        # count tables per modulus, which keeps every table (c + q <= 2 c).
         monkeypatch.setattr(symlow.petersson, "COUNT_ENTRIES", 50)
         ms = [0, 1, 2, 7, 3, 7, 997, 10**6, 12, 13, 25]
         for c in (12, 16, 30, 97, 360):
             tables: dict = {}
             for n in (1, 0, 5, -3):
-                chunked = kloosterman_sums(ms, n, c, tables)
+                chunked = _kloosterman_block(ms, n, [c], tables, 2 * c)
                 assert chunked == [kloosterman_sums([m], n, c)[0] for m in ms], (n, c)
 
     def test_grid_sums_exact_near_the_modulus_limit(self):
@@ -241,7 +242,7 @@ class TestKloosterman:
         ms = [0, 1, 2, 7, 997, 10**6]
         cases = [(c, n) for c in (12, 97, 360, 1000, 3960, 4001) for n in (1, -3)]
         want = [kloosterman_sums(ms, n, c) for c, n in cases]
-        blocks = [_kloosterman_block(ms, n, [12, 97, 360], {}) for n in (1, -3)]
+        blocks = [_kloosterman_block(ms, n, [12, 97, 360], {}, 360) for n in (1, -3)]
         for order in (lambda k: k[::-1], rng.permutation):
             def permuted(weights, cosines, bits, bounds, order=order):
                 # within each modulus's segment, so no residue changes modulus
@@ -251,7 +252,7 @@ class TestKloosterman:
 
             monkeypatch.setattr(symlow.petersson, "_grid_sums", permuted)
             assert [kloosterman_sums(ms, n, c) for c, n in cases] == want
-            assert [_kloosterman_block(ms, n, [12, 97, 360], {}) for n in (1, -3)] == blocks
+            assert [_kloosterman_block(ms, n, [12, 97, 360], {}, 360) for n in (1, -3)] == blocks
 
     def test_peak_memory_bounded_in_the_indices(self):
         # 180 indices at a modulus near 4000 hold about 38 MiB in one count
@@ -611,9 +612,9 @@ def counted_pairs(monkeypatch) -> list[int]:
     its number of (index, modulus) pairs."""
     pairs = []
 
-    def counted(ms, n, cs, tables):
+    def counted(ms, n, cs, tables, last):
         pairs.append(len(ms) * len(cs))
-        return _kloosterman_block(ms, n, cs, tables)
+        return _kloosterman_block(ms, n, cs, tables, last)
 
     monkeypatch.setattr(symlow.petersson, "_kloosterman_block", counted)
     return pairs
@@ -680,27 +681,27 @@ class TestPeterssonDeltas:
 
     @pytest.mark.parametrize("entries", [2**11, 9200])
     def test_small_blocks_match_one_modulus_sums(self, entries, monkeypatch):
-        # With at most 2**11 count entries a block, a one-index sweep over
-        # 4000 moduli runs in blocks of two or more moduli up to c = 1023 and
-        # alone after, until it certifies; the mixed cutoffs 1000, 1590, 1000
-        # drop two live rows at c = 1000, none of the three settling before.
-        # At 9200 entries the three-row block [999, 1000] could take c = 1001
-        # too, and the live rows' change cuts it there.  A certification cuts
-        # a block as well: m = 2 settles long before its cutoff, and m = 1201
-        # goes on alone from the next modulus.
+        # With at most `entries` count entries a block past its first
+        # _BLOCK_MODULI (16) moduli, and at most COUNT_ENTRIES within them,
+        # a one-index sweep over 4000 moduli runs in blocks of 16 moduli or
+        # more until it certifies; the mixed cutoffs 1000, 1590, 1000 drop
+        # two live rows at c = 1000, none of the three settling before, and
+        # that change cuts the three-row block ending there below 16 moduli.
+        # A certification cuts a block as well: m = 2 settles long before
+        # its cutoff, and m = 1201 goes on alone from the next modulus.
         #
         # J comes in look-ahead passes, which events records among the blocks
         # (a block as its indices, a pass as its number of series entries).
-        # At 2**11 entries the pair's pass at c = 77 takes both rows to
-        # c = 140, 128 entries; m = 2 settles at c = 98, and 1201 reads its
+        # At 2**11 entries the pair's pass at c = 63 takes both rows to
+        # c = 126, 128 entries; m = 2 settles at c = 94, and 1201 reads its
         # row for two blocks more.  At 9200 the pair's one block ends at
         # c = 95, where m = 2 settles.
         sweeps = [([971], 4000), ([1201, 4000, 1301], None), ([2, 1201], 1000)]
         want = [[petersson_delta(m, 1, 12, c_max) for m in ms] for ms, c_max in sweeps]
         blocks, events = [], []
 
-        def recorded(ms, n, cs, tables):
-            sums = _kloosterman_block(ms, n, cs, tables)
+        def recorded(ms, n, cs, tables, last):
+            sums = _kloosterman_block(ms, n, cs, tables, last)
             blocks.append((list(ms), list(cs), sums))
             events.append(list(ms))
             return sums
@@ -715,23 +716,26 @@ class TestPeterssonDeltas:
         passes = [i for i, event in enumerate(pair_sweep) if isinstance(event, int)]
         split = pair_sweep.index([1201])
         if entries == 2**11:
-            assert len(passes) == 10
+            assert len(passes) == 9
             before = max(i for i in passes if i < split)
             after = min(i for i in passes if i > split)
-            assert pair_sweep[before] == 128 and pair_sweep[before + 1:split] == [[2, 1201]] * 2
+            assert pair_sweep[before] == 128 and pair_sweep[before + 1:split] == [[2, 1201]]
             assert pair_sweep[split:after] == [[1201]] * 2
         else:
             assert len(passes) == 9 and pair_sweep[:split + 1] == [[2, 1201], 158, [1201]]
+        floor, entries_cap = symlow.petersson._BLOCK_MODULI, symlow.petersson.COUNT_ENTRIES
         assert sum(len(cs) > 1 for _, cs, _ in blocks) > 100
+        assert sum(len(cs) >= floor and len(ms) * sum(cs) > entries for ms, cs, _ in blocks) > 100
         cut = next(cs for ms, cs, _ in blocks if ms == [1201, 4000, 1301] and cs[-1] == 1000)
-        if entries == 9200:
-            assert cut == [999, 1000] and 3 * (sum(cut) + 1001) <= entries
+        assert len(cut) < floor and 3 * (sum(cut) + 1001) <= entries_cap
+        assert cut == list(range(997 if entries == 2**11 else 990, 1001))
         pair = [cs for ms, cs, _ in blocks if ms == [2, 1201]]
         alone = [cs for ms, cs, _ in blocks if ms == [1201]]
         assert alone[0][0] == pair[-1][-1] + 1 < 1000 and alone[-1][-1] == 1000
         assert max(cs[-1] for ms, cs, _ in blocks if ms == [971]) < 4000
         for ms, cs, sums in blocks:
-            assert len(ms) * sum(cs) <= entries or len(cs) == 1, (ms, cs)
+            within = len(ms) * sum(cs) <= (entries_cap if len(cs) <= floor else entries)
+            assert within or len(cs) == 1, (ms, cs)
             assert sums == [one_modulus_sum(m, c) for m in ms for c in cs], (ms, cs)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -768,6 +772,53 @@ class TestPeterssonDeltas:
         petersson_deltas(range(1, 11), 1, 12, 1000)
         assert sum(pairs) <= 2500
 
+    def test_blocks_and_count_tables_work_guard(self, monkeypatch):
+        # Blocks of at least 16 moduli: the one-index sweep to its certified
+        # stop near c = 2170 takes about 120 blocks (318 with a block budget
+        # of 8192 entries alone).  Each prime power's count table is built
+        # once, even as the ten-index tau sweep's indices leave: 357 builds
+        # for the one-index sweep and 65 for the tau sweep (1139 and 275
+        # when tables were kept only from c = 8 q on).
+        pairs = counted_pairs(monkeypatch)
+        builds = []
+
+        def counted(ms, n, q, p):
+            builds.append(q)
+            return _count_table(ms, n, q, p)
+
+        monkeypatch.setattr(symlow.petersson, "_count_table", counted)
+        petersson_deltas([971], 1, 12, 4000)
+        assert len(pairs) <= 150
+        assert len(builds) <= 400
+        assert len(set(builds)) == len(builds)
+        del builds[:]
+        petersson_deltas(range(1, 11), 1, 12, 1000)
+        assert len(builds) <= 250
+        assert len(set(builds)) == len(builds)
+
+    def test_kept_count_tables_are_exact(self, monkeypatch):
+        # Every table a sweep keeps holds _count_table's int64 counts, in the
+        # narrowest unsigned type for its largest, also after the ten-index
+        # sweep's tables drop the rows of leaving indices.  At q = 2**16 with
+        # m = n = 1 the largest count is 256, which one byte would wrap to 0.
+        tables: dict = {}
+
+        def recorded(ms, n, cs, kept, last):
+            sums = _kloosterman_block(ms, n, cs, kept, last)
+            tables.update(kept)
+            return sums
+
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
+        petersson_deltas([971], 1, 12, 4000)
+        petersson_deltas(range(1, 11), 2, 12, 1000)
+        assert len(tables) > 300
+        _kloosterman_block([1], 1, [2**16], tables, 2**17)
+        assert tables[2**16, 1, 1].max() == 256
+        for (q, n, *ms), table in tables.items():
+            want = _count_table(ms, n, q, min(symlow.petersson._factorization(q)))
+            assert table.dtype == numpy.min_scalar_type(want.max())
+            assert table.dtype.kind == "u" and numpy.array_equal(table, want), (q, n, ms)
+
     def test_look_ahead_passes(self, monkeypatch):
         # One series pass a block would be 318 for m = 971 over the 4000
         # moduli it declares.  A look-ahead pass takes 128 entries or more,
@@ -796,7 +847,9 @@ class TestPeterssonDeltas:
         ids=["deep", "sweep"],
     )
     def test_peak_memory(self, compute):
-        # A sweep keeps count tables only for prime powers q <= c_max / 8.
+        # A sweep keeps a count table while a later modulus can read it
+        # (q <= c_max / 2), in its narrowest unsigned type: one byte a count
+        # at every odd prime not dividing n.
         petersson_delta(2, 1, 12, 20)  # first-call state, outside the count
         tracemalloc.start()
         try:
