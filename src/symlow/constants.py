@@ -7,8 +7,11 @@ prime-counting constant carries an empirical decade-difference uncertainty
 the even-power constant a rigorous integral-comparison tail bound.
 c_sym_even_completed completes the even-power constant past the cutoff by a
 prime-zeta series over hand-rolled Euler-Maclaurin zeta and zeta', to double
-precision with a rigorous radius.  Each computation sums its constants as
-one segmented sieve runs, and keeps no prime table: the exact prime count
+precision with a rigorous radius.  The sieve is read one way, by every
+consumer in the package (these two and explicit.prime_sums): the segments
+of ``_prime_stream``, each used and dropped before the next, so no
+consumer keeps a prime table and the cap bounds time, not memory.  Each
+computation sums its constants as the sieve runs: the exact prime count
 pi(X), from the primes up to sqrt(X) alone, fixes each sum's length before
 the first prime is found.  Each sum forms its logs and quotients a leaf of
 at most _BLOCK primes at a time, with the doubles of the whole-array
@@ -53,7 +56,7 @@ def sieve_cap() -> int:
 
 
 def check_sieve_bound(n: int, what: str = "sieve bound") -> None:
-    """ValueError naming ``what`` when n exceeds the sieve memory cap.
+    """ValueError naming ``what`` when n exceeds the sieve cap.
 
     A bound of 17 digits or more is printed to 4 significant digits, so the
     message stays one short line.
@@ -61,7 +64,7 @@ def check_sieve_bound(n: int, what: str = "sieve bound") -> None:
     cap = sieve_cap()
     if n > cap:
         shown = n if n < 10**16 else f"{Decimal(int(n)):.4g}"
-        raise ValueError(f"{what} {shown} exceeds the memory guard {cap} (override with {SIEVE_CAP_ENV})")
+        raise ValueError(f"{what} {shown} exceeds the sieve cap {cap} (override with {SIEVE_CAP_ENV})")
 
 
 # Odd numbers one sieve segment holds: 1 MiB of flags, inside a 2 MiB L2 cache.
@@ -72,31 +75,13 @@ _WHEEL = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL)
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as a sorted int64 array, guarded by the sieve memory cap.
-
-    The segments of _segmented_sieve go straight into one output sized by
-    the exact count pi(n), so the sieve holds the output and a few
-    segment-sized buffers, never a flag per number up to n.
-    """
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    count, segments = _prime_stream(n)
-    primes = np.empty(count(n), dtype=np.int64)
-    filled = 0
-    for found in segments:
-        primes[filled : filled + found.size] = found
-        filled += found.size
-        del found  # before the sieve allocates the next segment's primes
-    return primes
-
-
 def _prime_stream(bound: int) -> tuple[Callable[[int], int], Iterator[np.ndarray]]:
-    """(count, segments) for bound >= 2, guarded by the sieve memory cap.
+    """(count, segments) for bound >= 2, refused past the sieve cap.
 
     count(v) is pi(v) for every v = bound // k, known before the first
     prime is found; segments yields the primes <= bound a segment at a time.
-    Both start from one list of the primes up to sqrt(bound).
+    Both start from one list of the primes up to sqrt(bound).  Every reader
+    of the sieve takes the segments from here and keeps no table of them.
     """
     check_sieve_bound(bound)
     base = _root_primes(bound)
@@ -149,6 +134,8 @@ def _segmented_sieve(n: int, base: np.ndarray) -> Iterator[np.ndarray]:
         found += 2 * lo + 1
         if lo == 0:
             found[0] = 2
+        if lo + size >= slots:
+            del flags, pattern, segment  # the last segment's reader runs without them
         yield found
         del found  # before the next segment's indices are allocated
 
@@ -191,11 +178,6 @@ def _prime_counter(n: int, base: np.ndarray) -> Callable[[int], int]:
         return int(large[k])
 
     return count
-
-
-def _count_up_to(primes: np.ndarray, x: int) -> int:
-    """How many of the sorted primes are <= x."""
-    return int(np.searchsorted(primes, x, "right"))
 
 
 def _check_cutoff(cutoff: int) -> int:

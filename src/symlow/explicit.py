@@ -2,22 +2,23 @@
 
 The prediction assembles the main term and the single 1/log-scale correction
 from precomputed constants.  The prime side is one explicit-formula walk over
-the prime powers p^n of a synthetic form: ``prime_sums`` sieves once, takes
+the prime powers p^n of a synthetic form: ``prime_sums`` reads one sieve a
+segment at a time and holds no table of the primes.  Per segment it takes
 log p once, draws the angles of the primes with some nonzero weight as one
 batch, and splits the terms into the first-power, even-square and
-higher-power sums.  Every power n reads a prefix of the one sieve, and its
-terms stream into math.fsum a block of primes at a time, each formed with
-the same operations in the same order as the scalar expression (math.log,
-math.sin and pow through ``forms._libm``; products, quotients and np.sqrt,
-which are correctly rounded), so every sum is bit-identical to a per-prime
-loop.  The eigenvalues and weights come from the array kernels of ``forms``
-(``_eigenvalue_powers`` and ``TestFunction.phi_hat_array``), the one
-definition of each formula.  Criterion 02 of the acceptance gate holds
-``_eigenvalue_powers`` and the bracket ``_power_brackets`` built on it
-against three scalar routes of the unit power sum, kept in the tests.  Every
-sum is finite because the window transform has compact support: enlarging
-the sieve past the natural cutoff only appends terms with exactly zero
-weight.
+higher-power sums.  The terms are formed a block of primes at a time, each
+with the same operations in the same order as the scalar expression
+(math.log, math.sin and pow through ``forms._libm``; products, quotients and
+np.sqrt, which are correctly rounded), and fold into exact accumulators
+(``forms._exact_parts``) whose one math.fsum is exactly rounded, so every
+sum is bit-identical to a per-prime loop.  The eigenvalues and weights come
+from the array kernels of ``forms`` (``_eigenvalue_powers`` and
+``TestFunction.phi_hat_array``), the one definition of each formula.
+Criterion 02 of the acceptance gate holds ``_eigenvalue_powers`` and the
+bracket ``_power_brackets`` built on it against three scalar routes of the
+unit power sum, kept in the tests.  Every sum is finite because the window
+transform has compact support: enlarging the sieve past the natural cutoff
+only appends terms with exactly zero weight.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ import math
 import warnings
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count
-from typing import Any, Callable, Iterator
+from itertools import count
+from typing import Any
 
 import numpy as np
 
-from .constants import ConstantsBundle, _count_up_to, check_sieve_bound, nu_max, primes_up_to
+from .constants import ConstantsBundle, _prime_stream, check_sieve_bound, nu_max
 from .forms import (
     SyntheticForm,
     TestFunction,
     _blocks,
     _eigenvalue_powers,
+    _exact_parts,
     _libm,
     is_prime,
 )
@@ -186,15 +188,16 @@ def prime_sums(
       bracket(theta_p, n, r) (log p/p^{n/2}) hat(n log p/scale).
 
     prime_limit bounds p for n = 1 and n = 2 and p^n for n >= 3; it defaults
-    to the first-power natural bound.  One sieve serves every power n, each
-    reading a prefix of it: the primes up to the smaller of its own limit
-    (prime_limit, or prime_limit^(1/n) for n >= 3, in integers) and its
-    natural bound exp(nu scale/n), past which every weight is exactly 0, so
-    each value is bit-identical to that sum taken alone at its own bound.
-    The angle at p is drawn once, in one batch, only if some term at p has
-    nonzero weight.  Every class streams its terms into math.fsum a block
-    at a time, over the primes of nonzero weight in that block; the higher
-    powers share one fsum.
+    to the first-power natural bound.  One sieve serves every power n, read a
+    segment at a time: power n takes the segment's primes up to the smaller
+    of its own limit (prime_limit, or prime_limit^(1/n) for n >= 3, in
+    integers) and its natural bound exp(nu scale/n), past which every weight
+    is exactly 0, so each value is bit-identical to that sum taken alone at
+    its own bound.  A segment's angles are drawn once, in one batch, at the
+    primes where some term has nonzero weight.  Each class folds its terms
+    into its _exact_parts a block at a time (the higher powers share one),
+    and one math.fsum of those is the math.fsum of every term, whatever the
+    segments.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -203,47 +206,51 @@ def prime_sums(
     if prime_limit is None:
         prime_limit = _natural_prime_limit(scale, nu, 1.0)
         check_sieve_bound(prime_limit, f"support radius nu = {nu} is too large: its prime bound")
-    primes = primes_up_to(prime_limit)
-    primes = primes[primes != form.q]
-    logs = _libm(math.log, primes)
 
-    def prefix_weights(n: int) -> np.ndarray:
-        """The window at n log p/scale over the primes that power n reads:
-        p^n within prime_limit (p within it for n <= 2) and p within the
-        natural bound, past which every weight is exactly 0."""
-        bound = prime_limit if n <= 2 else _root_floor(prime_limit, n)
+    def bound(n: int) -> int:
+        """The largest p that power n reads: p^n within prime_limit (p within
+        it for n <= 2) and p within the natural bound."""
+        largest = prime_limit if n <= 2 else _root_floor(prime_limit, n)
         with contextlib.suppress(ValueError):  # a bound past every float is past the sieve too
-            bound = min(bound, _natural_prime_limit(scale, nu, n))
-        return phi.phi_hat_array(n * logs[: _count_up_to(primes, bound)] / scale)
+            largest = min(largest, _natural_prime_limit(scale, nu, n))
+        return largest
 
-    # weights[n - 1] for n <= 2 and every n with 2^n <= prime_limit.
-    weights = [prefix_weights(n) for n in range(1, max(3, int(prime_limit).bit_length()))]
-    weighted = np.zeros(primes.size, dtype=bool)
-    for w in weights:
-        weighted[: w.size] |= w != 0.0
-    theta = np.zeros(primes.size)
-    # The primes come from the sieve and exclude q: no primality recheck.
-    theta[weighted] = form._sieved_angles(primes[weighted])
+    # bounds[n - 1] for n <= 2 and every n with 2^n <= prime_limit.
+    bounds = [bound(n) for n in range(1, max(3, int(prime_limit).bit_length()))]
+    # (accumulator, n, values(theta)) per power; the higher powers share the last accumulator.
+    classes = [(0, 1, partial(_eigenvalue_powers, n=r))]
+    classes += [(1 + m, 2, partial(_eigenvalue_powers, n=2 * (r - m))) for m in range(r)]
+    classes += [(r + 1, n, partial(_power_brackets, n=n, r=r)) for n in range(3, len(bounds) + 1)]
+    parts: list[list[float]] = [[] for _ in range(r + 2)]
 
-    def terms(n: int, values: Callable[[np.ndarray], np.ndarray]) -> Iterator[list[float]]:
-        """values(theta) log p / p^(n/2) * weight at the primes of nonzero weight, per block."""
-        size = weights[n - 1].size
-        for t, lp, p, w in zip(*(_blocks(x[:size]) for x in (theta, logs, primes, weights[n - 1]))):
-            keep = w != 0.0
-            p = p[keep].astype(np.float64)  # exact below 2**53
-            # For n >= 3, the C pow that the scalar p ** (n / 2.0) calls.
-            root = np.sqrt(p) if n == 1 else p if n == 2 else _libm(lambda x: x ** (n / 2.0), p)
-            yield (values(t[keep]) * lp[keep] / root * w[keep]).tolist()
+    def fold(primes: np.ndarray) -> None:
+        """Folds the terms of one segment's primes into parts; its arrays go on return."""
+        logs = _libm(math.log, primes)
+        weights = [
+            phi.phi_hat_array(n * logs[: np.searchsorted(primes, b, "right")] / scale)
+            for n, b in enumerate(bounds, 1)
+        ]
+        at_q = int(np.searchsorted(primes, form.q))
+        weighted = np.zeros(primes.size, dtype=bool)
+        for w in weights:
+            if at_q < w.size and primes[at_q] == form.q:
+                w[at_q] = 0.0  # q takes no term: a weight of 0 leaves it out of every sum and draw
+            weighted[: w.size] |= w != 0.0
+        theta = np.zeros(primes.size)
+        # The weighted primes come from the sieve and exclude q: no primality recheck.
+        theta[weighted] = form._sieved_angles(primes[weighted])
+        for k, n, values in classes:
+            w = weights[n - 1]
+            for t, lp, p, wb in zip(*(_blocks(x[: w.size]) for x in (theta, logs, primes, w))):
+                keep = wb != 0.0
+                p = p[keep].astype(np.float64)  # exact below 2**53
+                # For n >= 3, the C pow that the scalar p ** (n / 2.0) calls.
+                root = np.sqrt(p) if n == 1 else p if n == 2 else _libm(lambda x: x ** (n / 2.0), p)
+                terms = values(t[keep]) * lp[keep] / root * wb[keep]
+                parts[k] = _exact_parts(parts[k] + terms.tolist())
 
-    def total(parts: Iterator[list[float]]) -> float:
-        return -(2.0 / scale) * math.fsum(chain.from_iterable(parts))
-
-    return {
-        "first_power": total(terms(1, partial(_eigenvalue_powers, n=r))),
-        "square_power": [total(terms(2, partial(_eigenvalue_powers, n=2 * (r - m)))) for m in range(r)],
-        # One fsum over every n >= 3: a sum of per-n sums would round differently.
-        "higher_power": total(chain.from_iterable(
-            terms(n, partial(_power_brackets, n=n, r=r)) for n in range(3, len(weights) + 1)
-        )),
-    }
-
+    for segment in _prime_stream(prime_limit)[1] if prime_limit >= 2 else ():
+        fold(segment)
+        del segment  # before the sieve allocates the next segment's primes
+    first, *square, higher = (-(2.0 / scale) * math.fsum(s) for s in parts)
+    return {"first_power": first, "square_power": square, "higher_power": higher}

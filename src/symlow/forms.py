@@ -13,7 +13,8 @@ over the rest of the bracket (about nine draws in ten), a few Newton steps
 propose the root and math.sin at two adjacent floats certifies it as the
 bisection's own; the other draws run the remaining 52 steps on numpy
 arrays, redoing with math.sin every comparison that np.sin could decide
-differently.  The prime walk reads whole batches through a small cache.
+differently.  The prime walk draws one batch per sieve segment, through a
+small cache of the last few batches.
 
 Two decisions live here for every module: how long a pass is, and which
 library computes an elementary function.  A long pass over a prime-indexed
@@ -373,8 +374,11 @@ def _angle_batch(seed: int, distribution: str, size: int, digest: bytes) -> list
 
     A batch is keyed by its primes' count and the BLAKE2b digest of their
     int64 bytes, so a cached batch keeps its read-only angles and not a copy
-    of its primes.  A few whole batches are kept, so a walk repeated in the
-    same process (the same form again) draws nothing.
+    of its primes.  The prime walk draws one batch per sieve segment, so a
+    batch holds at most one segment's primes (155,611 below 10**8) and the
+    cache at most four of them.  A walk of at most four segments repeated in
+    the same process (the same form again) draws nothing; a longer walk
+    evicts its first batches before it reads them again.
     """
     return []
 
@@ -405,8 +409,8 @@ class SyntheticForm:
         as an uncached batch of one: about 0.22 ms a call on a 2-core machine
         (52 bisection steps on a one-element array), where a batch costs about
         1.2 us a prime.  Callers that hold many primes away from q (the prime
-        sums) read ``_sieved_angles`` for all of them at once, which is cached
-        and skips the Miller-Rabin recheck.
+        sums, a sieve segment at a time) read ``_sieved_angles`` for all of
+        them at once, which is cached and skips the Miller-Rabin recheck.
         """
         if p == self.q:
             raise ValueError("angle is undefined at the level prime")

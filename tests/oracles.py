@@ -9,12 +9,16 @@ second route to ``c_gamma`` of criterion 05.  ``divisor_count`` and
 criterion 09 and the flip-parity tests compare a form with.
 ``full_sweep_value`` sums the diagonal term over every modulus to its
 cutoff, one modulus at a time, which the early-stopped sweep must equal.
+``primes_up_to`` joins the sieve's segments into the whole table of primes
+that the program itself never holds.
 """
 
 import math
 from fractions import Fraction
 
-from symlow.constants import digamma
+import numpy as np
+
+from symlow.constants import _prime_stream, digamma
 from symlow.forms import SyntheticForm, _check_weight
 from symlow.petersson import _factorization, bessel_j, kloosterman_sums
 
@@ -124,3 +128,9 @@ def reflected(form: SyntheticForm) -> SyntheticForm:
     """form with every angle reflected t -> pi - t; reflecting twice gives form back."""
     kind = SyntheticForm if isinstance(form, ReflectedForm) else ReflectedForm
     return kind(form.q, form.seed, form.distribution)
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as one sorted int64 array: the segments of _prime_stream(n), joined."""
+    segments = _prime_stream(n)[1] if n >= 2 else []
+    return np.concatenate([np.empty(0, dtype=np.int64), *segments])

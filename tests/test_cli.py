@@ -23,9 +23,9 @@ import symlow.forms
 import symlow.petersson
 from symlow.chebyshev import ONE, cheb_poly
 from symlow.cli import DEFAULT_SEED, main, render_json
-from symlow.constants import primes_up_to
 from symlow.petersson import default_c_max, delta_tail_bound
 
+from oracles import primes_up_to
 from test_forms import scalar_fejer_hat
 
 
@@ -277,7 +277,7 @@ class TestPtermsCommand:
     def test_one_sieve_and_one_primality_proof(self, monkeypatch, capsys):
         # The three sums share one sieve, and sieved primes are not re-proved
         # before their angle is read; the only Miller-Rabin run is the level's.
-        calls = {"primes_up_to": 0, "is_prime": 0}
+        calls = {"_prime_stream": 0, "is_prime": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -288,11 +288,11 @@ class TestPtermsCommand:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(symlow.explicit, "primes_up_to")
+        counted(symlow.explicit, "_prime_stream")
         counted(symlow.forms, "is_prime")
         assert main(["pterms", "--r", "2", "--kappa", "12", "--q", "1000003", "--nu", "19/40"]) == 0
         assert len(json.loads(capsys.readouterr().out)["square_power"]) == 2
-        assert calls == {"primes_up_to": 1, "is_prime": 1}
+        assert calls == {"_prime_stream": 1, "is_prime": 1}
 
     def test_one_draw_per_weighted_prime_and_none_on_replay(self, monkeypatch, capsys):
         # A cold walk hashes each weighted prime once, in one batch; the same

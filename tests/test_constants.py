@@ -35,6 +35,7 @@ from symlow.constants import (
     _pnt_leaf,
     _pnt_value_at,
     _prime_counter,
+    _prime_stream,
     _root_primes,
     _segmented_sieve,
     _series_coefficient,
@@ -42,11 +43,10 @@ from symlow.constants import (
     compute_constants,
     digamma,
     nu_max,
-    primes_up_to,
     zeta,
     zeta_prime,
 )
-from oracles import c_gamma_from_shifts
+from oracles import c_gamma_from_shifts, primes_up_to
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -112,7 +112,7 @@ def traced_peak(compute) -> int:
         tracemalloc.stop()
 
 
-# pi(10**7) and pi(10**8); the memory guards below budget in units of their arrays.
+# pi(10**7) and pi(10**8).
 PI_1E7 = 664_579
 PI_1E8 = 5_761_455
 
@@ -129,15 +129,11 @@ class TestSieve:
 
     @pytest.mark.parametrize("n", [0, 2, 3, 10**4])
     def test_int64_and_contiguous(self, n):
-        primes = primes_up_to(n)
-        assert primes.dtype == numpy.int64
-        assert primes.flags.c_contiguous
-
-    def test_sieve_memory_is_half_mask_plus_primes(self):
-        n = 10**7
-        assert primes_up_to(n).size == PI_1E7
-        budget = (n + 1) // 2 + 8 * PI_1E7
-        assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
+        # The segments that every reader takes, and the table the tests join from them.
+        segments = list(_prime_stream(n)[1]) if n >= 2 else []
+        for primes in [*segments, primes_up_to(n)]:
+            assert primes.dtype == numpy.int64
+            assert primes.flags.c_contiguous
 
     def test_constants_memory_is_segment_and_leaf_buffers(self):
         # No term grows with the primes: the constants are summed as the
@@ -156,19 +152,21 @@ class TestSieve:
             assert primes_up_to(n).tolist() == eratosthenes(n).tolist(), n
 
     def test_cap_sieve_keeps_its_bytes(self):
-        primes = primes_up_to(10**8)
-        assert primes.size == 5_761_455
+        # The segments' int64 bytes in order, hashed as they come: the table's bytes.
+        digest, size = hashlib.sha256(), 0
+        for primes in _prime_stream(10**8)[1]:
+            digest.update(primes.tobytes())
+            size += primes.size
+        assert size == PI_1E8
         assert primes[-1] == 99_999_989
         # Recorded from the unsegmented odd-only sieve.
-        assert hashlib.sha256(primes.tobytes()).hexdigest() == (
-            "a7eead5377c738f5ecdd62fd01a0cedbcecee527cbf31739d4ecc1f3fae07766"
-        )
+        assert digest.hexdigest() == "a7eead5377c738f5ecdd62fd01a0cedbcecee527cbf31739d4ecc1f3fae07766"
 
     def test_cap_sieve_memory_is_output_plus_segment_buffers(self):
-        """At n = 10**8 the peak is the output and segment-sized buffers only.
+        """At n = 10**8 the stream holds segment-sized buffers only.
 
-        The output is sized by the exact count, 8 pi(n) bytes.  Beside it, at
-        most 4 MiB:
+        No reader keeps a table of the primes, so no term is 8 pi(n) bytes
+        (44 MiB).  Read and dropped a segment at a time, at most 4 MiB:
         - the flags of one segment, 2**20 bytes: 1 MiB;
         - the wheel pattern, 2**20 + 15015 bytes: under 1.02 MiB;
         - one segment's primes, 8 bytes each, freed before the next
@@ -184,11 +182,15 @@ class TestSieve:
         flag per odd number up to n (about 48 MiB).
         """
         n = 10**8
-        budget = 8 * PI_1E8 + 4 * 2**20
-        assert traced_peak(lambda: primes_up_to(n)) <= 1.05 * budget
-        primes = primes_up_to(n)
-        edges = numpy.arange(0, n + 2**21, 2**21)
-        assert numpy.diff(numpy.searchsorted(primes, edges)).max() == 155_611
+        sizes = []
+
+        def read():
+            for primes in _prime_stream(n)[1]:
+                sizes.append(primes.size)
+                del primes  # before the sieve allocates the next segment's primes
+
+        assert traced_peak(read) <= 4 * 2**20
+        assert max(sizes) == 155_611
 
     def test_primes_match_sympy(self):
         got = primes_up_to(10**4).tolist()

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 import sympy
 
+import symlow.constants
 import symlow.forms
-from symlow.constants import compute_constants, nu_max, primes_up_to
+from symlow.constants import compute_constants, nu_max
 from symlow.explicit import (
     REMAINDER_MARKER,
     _power_brackets,
@@ -33,7 +34,7 @@ from symlow.forms import SyntheticForm, _eigenvalue_powers, fejer_test_function
 
 import random
 
-from oracles import ReflectedForm, reflected, satake_power_sum_routes
+from oracles import ReflectedForm, primes_up_to, reflected, satake_power_sum_routes
 from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
 from test_forms import (
@@ -473,6 +474,41 @@ class TestOneWalk:
         finally:
             symlow.forms._angle_batch.cache_clear()
         assert peak <= 7 * 8 * n + 2**20
+
+    def test_cold_walk_holds_segment_arrays_only(self, monkeypatch):
+        # pterms --r 1 --q 10007 at nu = 17/10 walks the 433,165 primes up to
+        # its natural bound 6,317,084 in four segments of 2^21 integers, three
+        # of them full.  At most 16 MiB, fixed from the sizes: the sieve's
+        # buffers (2 MiB) and a dozen arrays of the largest segment (155,611
+        # entries, 1.19 MiB): its primes, the logs, the weights and the
+        # window's temporaries, the mask, the weighted primes, the angles,
+        # and the three earlier batches in the cache.  A table of the primes
+        # (3.3 MiB) and its half dozen companions would fail it.  What a walk
+        # holds does not depend on its draws, so they are stubbed.
+        form, phi = make_form(q=10007, distribution="uniform"), fejer_test_function(Fraction(17, 10))
+        assert prime_cutoffs(10007, 1, Fraction(17, 10))["first_power"] > 3 * 2**21
+        monkeypatch.setattr(symlow.forms, "_draw_angles", lambda s, d, p: np.zeros(p.size))
+        symlow.forms._angle_batch.cache_clear()
+        try:
+            peak = traced_peak(lambda: prime_sums(form, phi, 1))
+        finally:
+            symlow.forms._angle_batch.cache_clear()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("distribution", ["sato-tate", "uniform"])
+    def test_short_segments_keep_every_sum(self, distribution, monkeypatch):
+        # 64 odd numbers a segment: each walk spans hundreds of segments of
+        # a few dozen primes, each its own short block and angle batch, and
+        # evicts its first batches from the cache of four; the sums stay.
+        cases = [(10007, 1, Fraction(6, 5), None), (101, 2, Fraction(6, 5), None),
+                 (11, 3, Fraction(3, 2), None), (101, 2, Fraction(6, 5), 30_000)]
+        walks = [(make_form(q=q, distribution=distribution), fejer_test_function(nu), r, limit)
+                 for q, r, nu, limit in cases]
+        default = [prime_sums(*walk) for walk in walks]
+        monkeypatch.setattr(symlow.constants, "_SEGMENT", 64)
+        symlow.forms._angle_batch.cache_clear()
+        assert [prime_sums(*walk) for walk in walks] == default
+        assert symlow.forms._angle_batch.cache_info().misses > 4 * 200
 
     def test_window_evaluated_about_once_per_prime(self):
         # Each power n evaluates the window only on its own prefix of the

@@ -31,7 +31,6 @@ from scipy.integrate import quad
 from scipy.special import eval_chebyu, sici
 
 import symlow.forms
-from symlow.constants import primes_up_to
 from symlow.explicit import prime_cutoffs
 from sampled_kernel import sampled_test_function
 from test_constants import traced_peak
@@ -56,7 +55,7 @@ from symlow.forms import (
     fejer_test_function,
     is_prime,
 )
-from oracles import gamma_shifts, reflected, satake_power_sum_routes
+from oracles import gamma_shifts, primes_up_to, reflected, satake_power_sum_routes
 
 
 def chebu_at_angle(n: int, theta: float) -> float:
