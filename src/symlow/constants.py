@@ -75,17 +75,17 @@ _WHEEL = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL)
 
 
-def _prime_stream(bound: int) -> tuple[Callable[[int], int], Iterator[np.ndarray]]:
-    """(count, segments) for bound >= 2, refused past the sieve cap.
+def _prime_stream(bound: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """(base, segments) for bound >= 2, refused past the sieve cap.
 
-    count(v) is pi(v) for every v = bound // k, known before the first
-    prime is found; segments yields the primes <= bound a segment at a time.
-    Both start from one list of the primes up to sqrt(bound).  Every reader
-    of the sieve takes the segments from here and keeps no table of them.
+    base is the primes up to sqrt(bound), from which segments yields the
+    primes <= bound a segment at a time and _prime_counter(bound, base), built
+    by the constants alone, counts them.  Every reader of the sieve takes the
+    segments from here and keeps no table of them.
     """
     check_sieve_bound(bound)
     base = _root_primes(bound)
-    return _prime_counter(bound, base), _segmented_sieve(bound, base)
+    return base, _segmented_sieve(bound, base)
 
 
 def _root_primes(n: int) -> np.ndarray:
@@ -500,7 +500,8 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
         if tail <= _SERIES_TAIL_TARGET:
             break
         t += 1
-    count, segments = _prime_stream(cutoff)
+    base, segments = _prime_stream(cutoff)
+    count = _prime_counter(cutoff, base)
     truncation = _PairwiseSums(count(cutoff), _even_leaf)
     heads = _ExactSums(
         count(cutoff), [_even_denominator] + [lambda p, s=t / 2: p**s - 1.0 for t, _ in series]
@@ -618,7 +619,9 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
     pnt_cutoff, c_cutoff = _check_cutoff(pnt_cutoff), _check_cutoff(c_cutoff)
     decade_cutoff = max(2, pnt_cutoff // 10)
-    count, segments = _prime_stream(max(pnt_cutoff, c_cutoff))
+    bound = max(pnt_cutoff, c_cutoff)
+    base, segments = _prime_stream(bound)
+    count = _prime_counter(bound, base)
     pnt, decade, even = (
         _PairwiseSums(count(x), leaf)
         for x, leaf in ((pnt_cutoff, _pnt_leaf), (decade_cutoff, _pnt_leaf), (c_cutoff, _even_leaf))

@@ -14,8 +14,8 @@ each entry's own terms, and Miller's backward recurrence.  The truncated
 diagonal term carries a rigorous bound on its truncation tail, built from
 the Weil bound and the small-argument Bessel bound; that radius does not
 cover the rounding of the computed terms.  A sweep stops summing an index
-once a certificate, that bound widened for those roundings, proves that the
-moduli left cannot change the double of its sum.
+once a certificate, that bound or a hyperbola-split one if smaller, widened
+for those roundings, proves that the moduli left cannot change its double.
 """
 
 from __future__ import annotations
@@ -378,6 +378,28 @@ def _divisor_sum_tail(c_max: int, s: float) -> tuple[float, float]:
     )
 
 
+def _log_hyperbola_tail(x: int, s: float) -> float:
+    """log of a bound on T(x), the sum of tau(n) n^{-s} over n > x, s > 1, x >= 1.
+
+    With u = isqrt(x), (u + 1)^2 > x, and the pairs d e > x with d <= u, with
+    e <= u < d and with d, e > u split T(x) = 2 sum_{d<=u} d^{-s} sum_{e>x/d}
+    e^{-s} + (sum_{d>u} d^{-s})^2 (Dirichlet's hyperbola method; Apostol,
+    Introduction to Analytic Number Theory, 3.5).  As t^{-s} is convex,
+    sum_{e>=N} e^{-s} <= (N - 1/2)^{1-s}/(s-1) (Hermite-Hadamard); N > x/d,
+    so a d <= u adds at most (x - u/2)^{1-s}/(d (s-1)), and H_u <= 1 + log u:
+    T(x) <= 2 (1 + log u)(x - u/2)^{1-s}/(s-1) + ((u + 1/2)^{1-s}/(s-1))^2,
+    its terms added in log space, where neither leaves the double range."""
+    u = math.isqrt(x)
+    near = math.log(2.0 * (1.0 + math.log(u)) / (s - 1.0)) + (1.0 - s) * math.log(x - u / 2)
+    far = 2.0 * ((1.0 - s) * math.log(u + 0.5) - math.log(s - 1.0))
+    return max(near, far) + math.log1p(math.exp(-abs(near - far)))
+
+
+def _log_prefactor(m: int, kappa: int) -> float:
+    """log of (2 pi sqrt(m))^{kappa-1}/(kappa-1)!, the factor of the tail bounds."""
+    return (kappa - 1) * math.log(2.0 * math.pi * math.sqrt(m)) - math.lgamma(kappa)
+
+
 def delta_tail_bound(m: int, kappa: int, c_max: int) -> float:
     """Tail of the c-sum past c_max: Weil times the small-argument J bound.
 
@@ -388,7 +410,7 @@ def delta_tail_bound(m: int, kappa: int, c_max: int) -> float:
     product is taken in log space; ValueError where the bound itself does.
     """
     s = kappa - 0.5
-    log_pref = (kappa - 1) * math.log(2.0 * math.pi * math.sqrt(m)) - math.lgamma(kappa)
+    log_pref = _log_prefactor(m, kappa)
     power, bracket = _divisor_sum_tail(c_max, s)
     if log_pref < _LOG_DOUBLE_MAX and power >= sys.float_info.min:
         bound = 2.0 * math.pi * math.exp(log_pref) * (power * bracket)
@@ -428,14 +450,16 @@ def _settled(parts: list[float], tail: Fraction | float) -> bool:
 
 def _settled_at(m: int, kappa: int, c: int, root: float, parts: list[float]) -> bool:
     """Whether index m's c-sum through modulus c is certified final: past the
-    window c <= 4 pi sqrt(m), the later terms sum to at most the tail bound
-    at c over 2 pi, widened, and _settled holds for that radius.  Below the
-    normal range the bound's rounding is not relative, but the bound stays
-    below the least normal double, so twice that covers it.  A bound of an
-    ulp of the sum or more never certifies: _settled would refuse it."""
+    window c <= 4 pi sqrt(m), where no bound overflows, the later terms sum
+    to at most the tail bound at c over 2 pi or, if smaller, the prefactor
+    times the hyperbola bound on T(c), widened, and _settled holds for that
+    radius.  Below the normal range the rounding is not relative, but the
+    bound stays below the least normal double, so twice that covers it.  A
+    bound of an ulp of the sum or more never certifies: _settled refuses it."""
     if c <= root:
         return False
-    tail = max(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), 2.0 * sys.float_info.min)
+    hyperbola = math.exp(_log_prefactor(m, kappa) + _log_hyperbola_tail(c, kappa - 0.5))
+    tail = max(min(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), hyperbola), 2.0 * sys.float_info.min)
     if tail >= math.ulp(math.fsum(parts)):
         return False
     return _settled(parts, _TAIL_WIDENING * Fraction(tail))
@@ -481,19 +505,22 @@ def petersson_deltas(
     sums fewer moduli to the same value; c_max and tail_estimate still
     describe the declared truncation.  At the end of a block at modulus c,
     past 4 pi sqrt(m) and below the cutoff, every later term has argument
-    below 1 and takes the series route, and their sum is at most
-    T = delta_tail_bound(m, kappa, c) / 2 pi, widened by 1 + 2^-20.  The
-    widening covers, with a wide margin, what the bound leaves out: the
-    libm cosines of a computed S, each within 2^-48 of cos(2 pi k / c), so
-    that the computed |S| is at most tau(c) sqrt(c) + phi(c) 2^-48, less
-    than 2^-32 above the Weil bound for c < 2^31, before its one rounding;
-    the computed argument and series of J, within about 3 kappa ulps of
-    (x/2)^{kappa-1}/(kappa-1)!; the two roundings of S / c * J; and the
-    bound's own exp, log, lgamma and division by 2 pi.  The m stops if its
-    partial sum D plus its exact remainder rho stays, with +-T, strictly
-    inside the half gaps to D's two neighbours (_settled): a tie never
-    stops, and D = 0 never does.  An m that never certifies sums to its
-    cutoff.
+    below 1 and takes the series route, and their sum is at most T =
+    min(delta_tail_bound(m, kappa, c) / 2 pi, P H), widened by 1 + 2^-20:
+    P = (2 pi sqrt(m))^{kappa-1}/(kappa-1)! times H, _log_hyperbola_tail's
+    bound on the divisor-sum tail past c, is the smaller past c = 4 at
+    kappa 12 and c = 492 at kappa 200.  The widening covers, with a wide
+    margin, what T leaves out: the libm cosines of a computed S, each within
+    2^-48 of cos(2 pi k / c), so that the computed |S| is at most tau(c)
+    sqrt(c) + phi(c) 2^-48, less than 2^-32 above the Weil bound for
+    c < 2^31, before its one rounding; the computed argument and series of
+    J, within about 3 kappa ulps of (x/2)^{kappa-1}/(kappa-1)!; the two
+    roundings of S / c * J; and the bounds' own exp, log, log1p, lgamma and
+    division by 2 pi, their log-space exponents below 2^22 in size for
+    kappa < 10^5.  The m stops if its partial sum D plus its exact
+    remainder rho stays, with +-T, strictly inside the half gaps to D's two
+    neighbours (_settled): a tie never stops, and D = 0 never does.  An m
+    that never certifies sums to its cutoff.
 
     Warns for each m with c_max <= 4 pi sqrt(m), where the reported tail
     bound is not yet in its provably decreasing regime.  Cutoffs must be

@@ -9,18 +9,28 @@ second route to ``c_gamma`` of criterion 05.  ``divisor_count`` and
 criterion 09 and the flip-parity tests compare a form with.
 ``full_sweep_value`` sums the diagonal term over every modulus to its
 cutoff, one modulus at a time, which the early-stopped sweep must equal.
+``tail_bound_settled_at`` is the sweep's certificate from
+``delta_tail_bound`` alone, the second route to where an index may stop.
 ``primes_up_to`` joins the sieve's segments into the whole table of primes
 that the program itself never holds.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from symlow.constants import _prime_stream, digamma
 from symlow.forms import SyntheticForm, _check_weight
-from symlow.petersson import _factorization, bessel_j, kloosterman_sums
+from symlow.petersson import (
+    _TAIL_WIDENING,
+    _factorization,
+    _settled,
+    bessel_j,
+    delta_tail_bound,
+    kloosterman_sums,
+)
 
 
 def satake_power_sum_routes(theta: float, n: int, r: int) -> tuple[float, float, float]:
@@ -112,6 +122,18 @@ def full_sweep_value(m: int, k: int, kappa: int, c_max: int) -> float:
     )
     sign = -1.0 if (kappa // 2) % 2 else 1.0
     return (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * c_sum
+
+
+def tail_bound_settled_at(m: int, kappa: int, c: int, root: float, parts: list[float]) -> bool:
+    """petersson._settled_at with delta_tail_bound as its only tail bound,
+    so without the hyperbola bound: no index may stop later under the
+    sweep's own certificate than under this one."""
+    if c <= root:
+        return False
+    tail = max(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), 2.0 * sys.float_info.min)
+    if tail >= math.ulp(math.fsum(parts)):
+        return False
+    return _settled(parts, _TAIL_WIDENING * Fraction(tail))
 
 
 class ReflectedForm(SyntheticForm):

@@ -30,7 +30,9 @@ from symlow.petersson import (
     _bessel_miller,
     _bessel_series,
     _count_table,
+    _divisor_sum_tail,
     _kloosterman_block,
+    _log_hyperbola_tail,
     _settled,
     _settled_at,
     bessel_j,
@@ -42,7 +44,7 @@ from symlow.petersson import (
     petersson_delta,
     petersson_deltas,
 )
-from oracles import divisor_count, full_sweep_value, weil_bound
+from oracles import divisor_count, full_sweep_value, tail_bound_settled_at, weil_bound
 
 
 def kloosterman_bruteforce(m: int, n: int, c: int) -> float:
@@ -563,6 +565,27 @@ class TestPeterssonDelta:
         with pytest.raises(ValueError, match="beyond the double range"):
             delta_tail_bound(10**8, 200, 1)
 
+    def test_hyperbola_tail_bound_above_the_exact_tail(self):
+        # tau from an integer sieve to N = 10^6: each d <= 1000 counts the
+        # factorizations n = d e with e >= d, twice where e > d.  The divisor
+        # tail past X is at most its terms on (X, N], summed from n = N down
+        # (relative error below 1e-9), plus the bound of _divisor_sum_tail at
+        # N; the hyperbola bound stays above that for every X <= 10^4, by 8%
+        # at least.
+        top = 10**6
+        tau = numpy.zeros(top + 1, dtype=numpy.int64)
+        for d in range(1, math.isqrt(top) + 1):
+            tau[d * d :: d] += 2
+            tau[d * d] -= 1
+        assert tau[1:13].tolist() == [divisor_count(n) for n in range(1, 13)]
+        n = numpy.arange(1, top + 1, dtype=numpy.float64)
+        for s in (2.5, 3.5, 5.5, 11.5, 15.5, 23.5):
+            power, bracket = _divisor_sum_tail(top, s)
+            past = numpy.cumsum((tau[1:] * n**-s)[::-1])[::-1].tolist()  # past[x]: n > x
+            for x in range(1, 10**4 + 1):
+                exact = past[x] + power * bracket
+                assert math.exp(_log_hyperbola_tail(x, s)) > exact * (1.0 + 1e-9), (s, x)
+
     def test_warns_inside_nonrigorous_window(self):
         m = 9
         threshold = 4 * math.pi * math.sqrt(m)  # ~37.7
@@ -618,6 +641,19 @@ def counted_pairs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(symlow.petersson, "_kloosterman_block", counted)
     return pairs
+
+
+def stopping_moduli(monkeypatch) -> dict[int, int]:
+    """A dict in which every later _kloosterman_block call of a sweep sets
+    each of its indices to its last modulus: where each index stops."""
+    last = {}
+
+    def recorded(ms, n, cs, tables, top):
+        last.update(dict.fromkeys(ms, cs[-1]))
+        return _kloosterman_block(ms, n, cs, tables, top)
+
+    monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
+    return last
 
 
 def counted_passes(monkeypatch, log: list) -> list:
@@ -765,20 +801,56 @@ class TestPeterssonDeltas:
         assert [term.value for term in petersson_deltas(ms, 1, 200, 300)] == want
         assert sum(pairs) < 300
 
+    def test_where_the_certified_stops_come(self, monkeypatch):
+        # With the hyperbola bound m = 971 stops at c = 1882 and m = 1013 at
+        # c = 2234 of 4000, and the ten-index tau sweep settles its last
+        # index at c = 200 of 1000; delta_tail_bound alone stops them at
+        # 2170, 2570 and 234.
+        last = stopping_moduli(monkeypatch)
+        petersson_deltas([971], 1, 12, 4000)
+        petersson_deltas([1013], 1, 12, 4000)
+        assert last[971] <= 1900 and last[1013] <= 2250
+        last.clear()
+        petersson_deltas(range(1, 11), 1, 12, 1000)
+        assert sorted(last) == list(range(1, 11)) and max(last.values()) <= 210
+
+    def test_no_index_stops_later_than_with_the_tail_bound_alone(self, monkeypatch):
+        # test_early_stop_gives_the_full_sweep's grid and its kappa = 200
+        # case, swept under the certificate of delta_tail_bound alone and
+        # under the sweep's own: the same values, and every index stops at
+        # the same modulus or before.
+        grid = [(k, kappa, c_max) for k in (1, 2, 3) for kappa in (10, 12, 16) for c_max in (60, 400)]
+        sweeps = [([1, 2, 7, 30, 100], *point) for point in grid] + [([1, 2, 30], 1, 200, 300)]
+        last = stopping_moduli(monkeypatch)
+        runs = []
+        for certificate in (tail_bound_settled_at, _settled_at):
+            monkeypatch.setattr(symlow.petersson, "_settled_at", certificate)
+            for ms, k, kappa, c_max in sweeps:
+                last.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    runs.append(([term.value for term in petersson_deltas(ms, k, kappa, c_max)], dict(last)))
+        alone, both = runs[: len(sweeps)], runs[len(sweeps):]
+        assert [values for values, _ in both] == [values for values, _ in alone]
+        for (_, before), (_, after), sweep in zip(alone, both, sweeps):
+            assert all(after[m] <= before[m] for m in sweep[0]), sweep
+        assert any(after != before for (_, before), (_, after) in zip(alone, both))
+
     def test_work_guard(self, monkeypatch):
-        # The ten-index tau sweep to 1000 settles every index by c = 250 or
-        # so: at most 2500 of its 10000 (index, modulus) pairs are summed.
+        # The ten-index tau sweep to 1000 settles every index by c = 200: it
+        # sums 1472 of its 10000 (index, modulus) pairs, at most 2500.
         pairs = counted_pairs(monkeypatch)
         petersson_deltas(range(1, 11), 1, 12, 1000)
         assert sum(pairs) <= 2500
 
     def test_blocks_and_count_tables_work_guard(self, monkeypatch):
         # Blocks of at least 16 moduli: the one-index sweep to its certified
-        # stop near c = 2170 takes about 120 blocks (318 with a block budget
-        # of 8192 entries alone).  Each prime power's count table is built
-        # once, even as the ten-index tau sweep's indices leave: 357 builds
-        # for the one-index sweep and 65 for the tau sweep (1139 and 275
-        # when tables were kept only from c = 8 q on).
+        # stop at c = 1882 takes 102 blocks (235 with a block budget of 8192
+        # entries alone).  Each prime power's count table is built once, even
+        # as the ten-index tau sweep's indices leave: 319 builds for the
+        # one-index sweep and 60 for the tau sweep (1139 and 275 to the
+        # stops of delta_tail_bound alone when tables were kept only from
+        # c = 8 q on).
         pairs = counted_pairs(monkeypatch)
         builds = []
 
@@ -822,8 +894,8 @@ class TestPeterssonDeltas:
     def test_look_ahead_passes(self, monkeypatch):
         # One series pass a block would be 318 for m = 971 over the 4000
         # moduli it declares.  A look-ahead pass takes 128 entries or more,
-        # so the one-index sweep, certified at c = 2171, makes at most 25,
-        # and the ten-index tau sweep no more than its 20 blocks.
+        # so the one-index sweep, certified at c = 1882, makes 15 (at most
+        # 25), and the ten-index tau sweep 10, no more than its 11 blocks.
         want = [petersson_delta(m, 1, 12, 1000) for m in range(1, 11)]
         passes = counted_passes(monkeypatch, [])
         petersson_deltas([971], 1, 12, 4000)
