@@ -18,8 +18,9 @@ at most _BLOCK primes at a time, with the doubles of the whole-array
 float64 formulas, and adds the leaves along numpy's own pairwise tree
 (``_pairwise_tree``), whose leaf sizes follow from that length; so it
 returns the bytes of np.sum over the whole array without forming it.  The
-digamma routine is pinned to one fixed algorithm so reports are bit-stable
-across runs.
+heads of c_sym_even_completed, exactly rounded, need no length: each
+segment's blocks go through ``forms._fold``.  The digamma routine is
+pinned to one fixed algorithm so reports are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .forms import _BLOCK, _check_weight, _exact_parts
+from .forms import _BLOCK, _blocks, _check_weight, _fold
 from .petersson import _factorization
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
@@ -195,36 +196,6 @@ def _feed(segments: Iterator[np.ndarray], sinks) -> None:
         del segment  # before the sieve allocates the next segment's primes
 
 
-class _Runs:
-    """Takes the first sum(sizes) primes of a stream as float64 runs of the given sizes.
-
-    feed copies the stream's primes, exact as float64 below 2**53, into one
-    run buffer and hands each full run to take, which must not keep it: the
-    next run overwrites it.  Primes past the last run are ignored, so a sum
-    to X reads its prefix of a stream to any bound >= X.
-    """
-
-    def __init__(self, sizes: list[int]):
-        self._sizes = iter(sizes)
-        self._size = next(self._sizes, 0)
-        self._filled = 0
-        self._buffer = np.empty(max(sizes, default=0))
-
-    def feed(self, primes: np.ndarray) -> None:
-        while self._size and primes.size:
-            taken = min(self._size - self._filled, primes.size)
-            self._buffer[self._filled : self._filled + taken] = primes[:taken]
-            self._filled += taken
-            primes = primes[taken:]
-            if self._filled == self._size:
-                self.take(self._buffer[: self._size])
-                self._size = next(self._sizes, 0)
-                self._filled = 0
-
-    def take(self, run: np.ndarray) -> None:
-        raise NotImplementedError
-
-
 def _pairwise_tree(n: int, leaf: Callable[[int], list[float]]) -> list[float]:
     """numpy's pairwise sums of n entries, from leaf(size) of each leaf run in order.
 
@@ -243,66 +214,68 @@ def _pairwise_tree(n: int, leaf: Callable[[int], list[float]]) -> list[float]:
     return [a + b for a, b in zip(left, _pairwise_tree(n - half, leaf))]
 
 
-class _PairwiseSums(_Runs):
+class _PairwiseSums:
     """float(np.sum(a)) for each array a of leaf(the first n primes as float64), streamed.
 
-    The leaf sizes of _pairwise_tree follow from n alone, so the arrays of
-    each leaf are formed and summed as soon as its last prime arrives; the
-    leaf sums, 1,024 lists at n = pi(10**8), are added along the tree at the
-    end.  So each sum has np.sum's bytes over the whole array while only one
+    The leaf sizes of _pairwise_tree follow from n alone, so feed copies
+    the primes, exact as float64 below 2**53, into one leaf buffer, and
+    each leaf's arrays are formed and summed once its last prime arrives;
+    the leaf sums, 1,024 lists at n = pi(10**8), are added along the tree at
+    the end.  So each sum has np.sum's bytes over the whole array while one
     leaf's arrays exist at a time.  leaf must form every entry from its own
-    prime alone.  compute_constants feeds three from one stream, and
-    c_sym_even_completed one.
+    prime alone.  Primes past the first n are ignored, so a sum to X reads
+    its prefix of any longer stream: compute_constants feeds three from one.
     """
 
     def __init__(self, n: int, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]):
         sizes: list[int] = []
         _pairwise_tree(n, lambda size: sizes.append(size) or [])  # the leaf sizes, in order
-        super().__init__(sizes)
         self._n = n
         self._leaf = leaf
+        self._sizes = iter(sizes)
+        self._size = next(self._sizes, 0)
+        self._filled = 0
+        self._buffer = np.empty(max(sizes, default=0))
         self._leaf_sums: list[list[float]] = []
 
-    def take(self, run: np.ndarray) -> None:
-        # np.sum of a 1-d array is np.add.reduce, less its Python-level dispatch.
-        self._leaf_sums.append([float(np.add.reduce(a)) for a in self._leaf(run)])
+    def feed(self, primes: np.ndarray) -> None:
+        while self._size and primes.size:
+            taken = min(self._size - self._filled, primes.size)
+            self._buffer[self._filled : self._filled + taken] = primes[:taken]
+            self._filled += taken
+            primes = primes[taken:]
+            if self._filled == self._size:
+                # np.sum of a 1-d array is np.add.reduce, less its Python-level dispatch.
+                leaf = self._leaf(self._buffer[: self._size])
+                self._leaf_sums.append([float(np.add.reduce(a)) for a in leaf])
+                self._size = next(self._sizes, 0)
+                self._filled = 0
 
     def sums(self) -> list[float]:
         leaf_sums = iter(self._leaf_sums)
         return _pairwise_tree(self._n, lambda size: next(leaf_sums))
 
 
-class _ExactSums(_Runs):
-    """math.fsum of log p / denominator(p) over the first n primes, for each denominator, streamed.
+class _ExactSums:
+    """math.fsum of log p / denominator(p) over every prime fed, for each denominator, streamed.
 
-    math.fsum is exactly rounded, so each sum keeps only the few floats of
-    _exact_parts of its quotients so far, and their math.fsum at the end
-    has the bytes of one math.fsum over every quotient.  The quotients are
-    formed _BLOCK primes at a time, the logs afresh for each denominator.
+    Each sum keeps the few floats of _fold's parts of its quotients so far,
+    whose math.fsum has the bytes of one math.fsum over every quotient.
+    Each _BLOCK of primes takes its logs once, then each quotient.
     """
 
-    def __init__(self, n: int, denominators: list[Callable[[np.ndarray], np.ndarray]]):
-        super().__init__([min(_BLOCK, n - i) for i in range(0, n, _BLOCK)])
+    def __init__(self, denominators: list[Callable[[np.ndarray], np.ndarray]]):
         self._denominators = denominators
         self._parts: list[list[float]] = [[] for _ in denominators]
-        self._quotients = np.empty(min(n, _BLOCK))
 
-    def take(self, run: np.ndarray) -> None:
-        for parts, denominator in zip(self._parts, self._denominators):
-            quotients = _log_quotients(run, self._quotients[: run.size], denominator)
-            parts[:] = _exact_parts(parts + quotients.tolist())
+    def feed(self, primes: np.ndarray) -> None:
+        for block in _blocks(primes):
+            p = block.astype(np.float64)  # exact below 2**53
+            logs = np.log(p)
+            self._parts = [_fold(parts, logs / d(p)) for parts, d in zip(self._parts, self._denominators)]
 
     def sums(self) -> list[float]:
         return [math.fsum(parts) for parts in self._parts]
-
-
-def _log_quotients(
-    primes: np.ndarray, buffer: np.ndarray, denominator: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """log p / denominator(p) of a run of float64 primes, written into the buffer as long."""
-    np.log(primes, out=buffer)
-    buffer /= denominator(primes)
-    return buffer
 
 
 def _even_denominator(p: np.ndarray) -> np.ndarray:
@@ -310,7 +283,7 @@ def _even_denominator(p: np.ndarray) -> np.ndarray:
 
 
 def _even_leaf(p: np.ndarray) -> tuple[np.ndarray]:
-    return (_log_quotients(p, np.empty(p.size), _even_denominator),)
+    return (np.log(p) / _even_denominator(p),)
 
 
 def _even_tail_bound(cutoff: int) -> float:
@@ -482,9 +455,9 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
     the bare truncation compute_constants reports, summed in the same pass.
     The t the series reaches follow from X alone, so S_X and each head
-    sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum a
-    block of primes at a time as the sieve runs, the logs formed afresh for
-    each.
+    sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum as
+    the sieve to X runs: the heads read each segment a block of primes at a
+    time, the logs formed once a block, and fold it with forms._fold.
     """
     cutoff = _check_cutoff(cutoff)
     log_x = math.log(cutoff)
@@ -501,11 +474,8 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
             break
         t += 1
     base, segments = _prime_stream(cutoff)
-    count = _prime_counter(cutoff, base)
-    truncation = _PairwiseSums(count(cutoff), _even_leaf)
-    heads = _ExactSums(
-        count(cutoff), [_even_denominator] + [lambda p, s=t / 2: p**s - 1.0 for t, _ in series]
-    )
+    truncation = _PairwiseSums(_prime_counter(cutoff, base)(cutoff), _even_leaf)
+    heads = _ExactSums([_even_denominator] + [lambda p, s=t / 2: p**s - 1.0 for t, _ in series])
     _feed(segments, [truncation, heads])
     (sieve_value,) = truncation.sums()
     sieve_tail = _even_tail_bound(cutoff)

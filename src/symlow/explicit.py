@@ -10,7 +10,7 @@ higher-power sums.  The terms are formed a block of primes at a time, each
 with the same operations in the same order as the scalar expression
 (math.log, math.sin and pow through ``forms._libm``; products, quotients and
 np.sqrt, which are correctly rounded), and fold into exact accumulators
-(``forms._exact_parts``) whose one math.fsum is exactly rounded, so every
+(``forms._fold``) whose one math.fsum is exactly rounded, so every
 sum is bit-identical to a per-prime loop.  The eigenvalues and weights come
 from the array kernels of ``forms`` (``_eigenvalue_powers`` and
 ``TestFunction.phi_hat_array``), the one definition of each formula.
@@ -40,7 +40,7 @@ from .forms import (
     TestFunction,
     _blocks,
     _eigenvalue_powers,
-    _exact_parts,
+    _fold,
     _libm,
     is_prime,
 )
@@ -195,9 +195,9 @@ def prime_sums(
     is exactly 0, so each value is bit-identical to that sum taken alone at
     its own bound.  A segment's angles are drawn once, in one batch, at the
     primes where some term has nonzero weight.  Each class folds its terms
-    into its _exact_parts a block at a time (the higher powers share one),
-    and one math.fsum of those is the math.fsum of every term, whatever the
-    segments.
+    into its parts with _fold, a block at a time (the higher powers share
+    one), and one math.fsum of those is the math.fsum of every term,
+    whatever the segments.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -246,8 +246,7 @@ def prime_sums(
                 p = p[keep].astype(np.float64)  # exact below 2**53
                 # For n >= 3, the C pow that the scalar p ** (n / 2.0) calls.
                 root = np.sqrt(p) if n == 1 else p if n == 2 else _libm(lambda x: x ** (n / 2.0), p)
-                terms = values(t[keep]) * lp[keep] / root * wb[keep]
-                parts[k] = _exact_parts(parts[k] + terms.tolist())
+                parts[k] = _fold(parts[k], values(t[keep]) * lp[keep] / root * wb[keep])
 
     for segment in _prime_stream(prime_limit)[1] if prime_limit >= 2 else ():
         fold(segment)

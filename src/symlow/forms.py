@@ -16,13 +16,14 @@ arrays, redoing with math.sin every comparison that np.sin could decide
 differently.  The prime walk draws one batch per sieve segment, through a
 small cache of the last few batches.
 
-Two decisions live here for every module: how long a pass is, and which
-library computes an elementary function.  A long pass over a prime-indexed
-array goes _BLOCK = 8192 entries at a time (``_blocks``; ``_items`` and
-``_blockwise`` build on it), so its temporaries stay in cache and its
-working set stays bounded whatever the number of primes.  A value that a
-scalar formula takes from the C library (math.sin, math.log) comes through
-``_libm``, never from the numpy ufunc.
+Three decisions live here for every module: how long a pass is, which
+library computes an elementary function, and how an exact sum is kept.  A
+long pass over a prime-indexed array goes _BLOCK = 8192 entries at a time
+(``_blocks``, ``_items``, ``_blockwise``), so its temporaries stay in cache
+and its working set stays bounded.  A value that a scalar formula takes from
+the C library (math.sin, math.log) comes through ``_libm``, never numpy.  An
+exact sum is a few floats (``_exact_parts``) that arrays fold into through
+``_fold``, whose split ``_split`` also cuts the Kloosterman cosines.
 
 Also here: eigenvalue powers via the sine ratio, and the admissible test
 function the CLI uses, the Fejer kernel (``tests/sampled_kernel.py`` builds
@@ -133,15 +134,56 @@ def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of terms, a list that this extends.
+    """A few floats whose exact sum is that of terms, a short list that this extends.
 
     Each is math.fsum of terms and the negated parts before it: the exact
-    remainder rounded once, which is 0.0 only once nothing remains.
+    remainder rounded once, 0.0 once nothing remains (ArithmeticError at NaN, inf).
     """
     parts = []
     while part := math.fsum(terms):
+        if not math.isfinite(part):
+            raise ArithmeticError(f"an exact sum cannot hold {part}")
         parts.append(part)
         terms.append(-part)
+    return parts
+
+
+def _split(x: np.ndarray, top: int, bits: int) -> Iterator[np.ndarray]:
+    """Pieces of the float64 array x, |x| <= 2**top, that sum to x exactly.
+
+    The k-th piece is what x less the pieces before it leaves, rounded to the
+    nearest multiple of the grid 2**max(top - k bits, -1074) (Rump, Ogita and
+    Oishi, SIAM J. Sci. Comput. 31, 2008): exact subtractions, and integers of
+    at most 2**bits grid units.  One piece comes at least, ceil((top - low)
+    / bits) at most, 2**low the least bit set in x (27 at top = 0, bits = 40
+    beside a subnormal), and never over ceil((top + 1074) / bits), NaN or not.
+    """
+    rest = x
+    for k in range(1, -(-(top + 1074) // bits) + 1):
+        grid = math.ldexp(1.0, max(top - k * bits, -1074))
+        piece = rest / grid
+        np.rint(piece, out=piece)
+        piece *= grid
+        rest = np.subtract(rest, piece, out=None if rest is x else rest)  # x itself stays
+        yield piece
+        if not rest.any():
+            return
+
+
+def _fold(parts: list[float], terms: np.ndarray) -> list[float]:
+    """_exact_parts of parts and every entry of the float64 array terms.
+
+    Each block of at most _BLOCK = 2**13 terms is split, 40 bits a piece below
+    the power of two over its largest magnitude, so np.add.reduce sums each
+    piece below 2**53 units, exactly, and _exact_parts folds those few sums.
+    ArithmeticError at a NaN, an inf or 2**1010, where a piece sum may overflow.
+    """
+    for block in _blocks(terms):
+        largest = float(np.max(np.abs(block)))
+        if not largest < 2.0**1010:
+            raise ArithmeticError(f"a term of magnitude {largest} is outside the exact fold's range")
+        pieces = _split(block, math.frexp(largest)[1], 53 - (_BLOCK.bit_length() - 1))
+        parts = _exact_parts(parts + [float(np.add.reduce(piece)) for piece in pieces])
     return parts
 
 

@@ -4,10 +4,10 @@ Kloosterman sums are exact (residue counts in integer arithmetic, cosines
 summed in double precision).  A sweep takes its moduli in blocks of
 consecutive moduli that serve the same indices, at least _BLOCK_MODULI of
 them where the count matrix allows: a block builds every index's counts
-side by side, takes all its cosines in one call, cuts them once into
-pieces on a common grid and sums each (index, modulus) exactly before one
-final rounding, so any block gives the same doubles as one modulus alone.
-A sweep builds each count table once and keeps it, in its narrowest
+side by side, takes all its cosines in one call, cuts them (forms._split)
+into pieces on a common grid and sums each (index, modulus) exactly before
+one final rounding, so any block gives the same doubles as one modulus
+alone.  A sweep builds each count table once and keeps it, in its narrowest
 unsigned integer type, while a later modulus of the sweep can read it.
 Bessel J switches between the power series, an array kernel that keeps
 each entry's own terms, and Miller's backward recurrence.  The truncated
@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .forms import _BLOCK, _check_weight, _exact_parts, _libm, is_prime
+from .forms import _BLOCK, _check_weight, _exact_parts, _libm, _split, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -202,31 +202,19 @@ def _grid_sums(weights: np.ndarray, cosines: np.ndarray, bits: int, bounds: Sequ
 
     bounds runs from 0 to the number of columns, and no segment is empty.
     weights holds nonnegative integers, each row's segment summing below
-    2^bits (bits <= 50), and |cosines| <= 1.  Each cosine is split exactly
-    into pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits (Rump, Ogita
-    and Oishi, SIAM J. Sci. Comput. 31, 2008): a piece is what is left of the
-    cosine rounded to a multiple of its grid, until nothing is left.  A piece
-    is at most 2^b units of its grid, so every product and every partial sum
-    of a segment's piece sum is an integer below 2^51 units, exact in any
-    summation order, and math.fsum of a segment's few piece sums is exactly
-    rounded.  Each piece's products with a chunk of rows go through one
-    np.add.reduceat over the segment starts, numpy's own loop with no BLAS
-    call and no thread, whatever the number of moduli in the block.  Rows
-    go _GRID_ROWS at a time, so the products held do not grow with the
-    number of rows.
+    2^bits (bits <= 50), and |cosines| <= 1.  forms._split cuts the cosines
+    exactly into pieces on the grids 2^-b, 2^-2b, ... with b = 51 - bits, each
+    at most 2^b grid units, so every partial sum of a segment's piece sum is
+    an integer below 2^51 units, exact in any order, and math.fsum of its
+    few piece sums is exactly rounded.  Each piece, as the split yields it,
+    takes one np.add.reduceat over the segment starts (numpy's loop, no BLAS)
+    per _GRID_ROWS rows: one piece and one chunk of products at a time.
     """
-    b = 51 - bits
-    grid, rest, pieces = 1.0, cosines, []
-    while not pieces or rest.any():
-        grid *= 2.0**-b
-        pieces.append(np.rint(rest / grid) * grid)
-        rest = rest - pieces[-1]
-    out = []
-    for top in range(0, len(weights), _GRID_ROWS):
-        chunk = weights[top:top + _GRID_ROWS]
-        sums = [np.add.reduceat(chunk * piece, bounds[:-1], axis=1) for piece in pieces]
-        out += [math.fsum(s) for s in np.stack(sums, axis=-1).reshape(-1, len(pieces)).tolist()]
-    return out
+    sums = []  # each piece's sums, by row and segment
+    for piece in _split(cosines, 0, 51 - bits):
+        chunks = (slice(top, top + _GRID_ROWS) for top in range(0, len(weights), _GRID_ROWS))
+        sums.append(np.concatenate([np.add.reduceat(weights[c] * piece, bounds[:-1], axis=1) for c in chunks]))
+    return [math.fsum(s) for s in np.stack(sums, axis=-1).reshape(-1, len(sums)).tolist()]
 
 
 def kloosterman_sums(ms: Sequence[int], n: int, c: int) -> list[float]:
@@ -491,14 +479,15 @@ def petersson_deltas(
     _SERIES_CHUNK entries and never past the smallest live cutoff, in one
     series-kernel pass over the arguments inside the series window and
     from bessel_j for the rest.  The next blocks read the rest of that
-    window, and an m's row goes when the m leaves the sweep.  Each m folds
-    its terms into its _exact_parts, a few floats whose exact sum is its
-    c-sum so far.  Each m keeps its own cutoff (default_c_max(m) when
-    c_max is None), tail bound (of the declared truncation only) and
-    warning, and its term is the same double it would be alone: every
-    summand is the same expression, each J the same double whatever window
-    it was computed in, and the c-sum is exactly rounded by math.fsum.
-    i^kappa is evaluated as (-1)^{kappa/2}; no complex arithmetic appears.
+    window, and an m's row goes when the m leaves the sweep.  Each m folds its
+    few dozen terms a block into its _exact_parts (too few for forms._fold to
+    pay), a few floats whose exact sum is its c-sum so far.  Each m keeps its
+    own cutoff (default_c_max(m) when c_max is None), tail bound (of the
+    declared truncation only) and warning, and its term is the same double it
+    would be alone: every summand is the same expression, each J the same
+    double whatever window it was computed in, and the c-sum is exactly
+    rounded by math.fsum.  i^kappa is evaluated as (-1)^{kappa/2}; no complex
+    arithmetic appears.
 
     An m leaves the sweep before its cutoff once a certificate proves that
     the terms still to come cannot change the double of its c-sum, so it

@@ -14,14 +14,18 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symlow.constants
-from symlow.forms import _BLOCK, _exact_parts
+import symlow.forms
+from symlow.forms import _BLOCK, _exact_parts, _fold
 from symlow.constants import (
     ConstantsBundle,
     SIEVE_CAP_ENV,
@@ -31,7 +35,6 @@ from symlow.constants import (
     _even_denominator,
     _even_leaf,
     _feed,
-    _log_quotients,
     _pnt_leaf,
     _pnt_value_at,
     _prime_counter,
@@ -400,10 +403,8 @@ class TestSharedPrimeTable:
         # 10 blocks of primes, the last one short.  The quotients that
         # compute_constants's even sum adds, leaf by leaf, are in order the whole-array
         # quotients of the float64 primes, and the sieve's segments keep
-        # their primes.
+        # their primes, through compute_constants and c_sym_even_completed.
         floats = primes_up_to(10**6).astype(numpy.float64)
-        buffer = numpy.empty(floats.size)
-        assert _log_quotients(floats, buffer, _even_denominator) is buffer
         leaves, segments = [], []
         sieve = symlow.constants._segmented_sieve
 
@@ -422,29 +423,35 @@ class TestSharedPrimeTable:
         compute_constants(2, 12, 10**6)
         assert max(leaf.size for leaf in leaves) <= _BLOCK
         assert numpy.array_equal(numpy.concatenate(leaves), numpy.log(floats) / (floats**1.5 - floats))
+        c_sym_even_completed(10**6)
         assert segments and all(numpy.array_equal(*pair) for pair in segments)
 
     def test_head_denominators_same_doubles(self, monkeypatch):
-        # Every head log p / (p^{t/2} - 1) that c_sym_even_completed forms at
-        # 10^6, over 10 blocks of primes, equals the whole-array quotient of
-        # the float64 primes entry by entry, for each t with a_t != 0 that the
-        # series reaches.  A sum of the heads could hide a last-bit move.
+        # Every quotient that c_sym_even_completed folds at 10^6, over 10
+        # blocks of primes in its one segment, equals the whole-array quotient
+        # of the float64 primes entry by entry: log p / (p^{3/2} - p) for the
+        # partial sum, then the head log p / (p^{t/2} - 1) for each t with
+        # a_t != 0 that the series reaches.  A sum of the heads could hide a
+        # last-bit move.
         floats = primes_up_to(10**6).astype(numpy.float64)
-        heads = {}  # each head's blocks, by its denominator, in the order the series reaches it
+        folded = []  # every array folded, in order: a block's sums in turn, block by block
+        fold = symlow.constants._fold
 
-        def checked(primes, buffer, denominator):
-            got = _log_quotients(primes, buffer, denominator)
-            if denominator is not _even_denominator:
-                heads.setdefault(denominator, []).append(got.copy())
-            return got
+        def recorded(parts, terms):
+            folded.append(terms.copy())
+            return fold(parts, terms)
 
-        monkeypatch.setattr(symlow.constants, "_log_quotients", checked)
+        monkeypatch.setattr(symlow.constants, "_fold", recorded)
         c_sym_even_completed(10**6)
-        reached = [t for t in range(3, 200) if _series_coefficient(t)][: len(heads)]
-        for t, blocks in zip(reached, heads.values()):
-            assert len(blocks) == 10, t
-            assert numpy.array_equal(numpy.concatenate(blocks), numpy.log(floats) / (floats ** (t / 2) - 1.0)), t
+        sums = len(folded) // 10
+        reached = [t for t in range(3, 200) if _series_coefficient(t)][: sums - 1]
         assert reached == [3, 4, 5, 7]  # a_6 = 0, and the series stops at t = 7
+        assert len(folded) == 10 * sums
+        denominators = [_even_denominator] + [lambda p, t=t: p ** (t / 2) - 1.0 for t in reached]
+        for i, denominator in enumerate(denominators):
+            blocks = folded[i::sums]
+            assert max(block.size for block in blocks) <= _BLOCK
+            assert numpy.array_equal(numpy.concatenate(blocks), numpy.log(floats) / denominator(floats)), i
 
     @pytest.mark.parametrize("cutoff", [101, 10**4, 10**6])
     def test_segment_edges_same_floats(self, cutoff, monkeypatch):
@@ -529,35 +536,98 @@ class TestPairwiseSums:
         assert sum(sizes) == n and max(sizes) <= _BLOCK
 
 
+# Finite terms of every size _fold takes, below 2**1000, with the small ones
+# drawn apart so that subnormals come often.
+fold_floats = st.one_of(
+    st.floats(min_value=-(2.0**1000), max_value=2.0**1000),
+    st.floats(min_value=-(2.0**-1000), max_value=2.0**-1000),
+)
+
+
+@st.composite
+def fold_cases(draw):
+    """(terms, cuts, block): terms of mixed magnitudes and subnormals, the
+    negations of some of them (exact cancellation), and near-ties x, half an
+    ulp of x and a nudge either way, shuffled; cut points of a chunking; and
+    a power of two for _BLOCK, so that one chunk spans several blocks."""
+    terms = draw(st.lists(fold_floats, max_size=40))
+    if terms:
+        terms += [-x for x in draw(st.lists(st.sampled_from(terms), max_size=len(terms)))]
+    for x in draw(st.lists(fold_floats.filter(bool), max_size=3)):
+        terms += [x, math.ulp(x) / 2, draw(st.sampled_from([1.0, -1.0])) * math.ulp(x) * 2.0**-60]
+    terms = draw(st.permutations(terms))
+    cuts = sorted(draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+    return terms, cuts, draw(st.sampled_from([1, 2, 8, _BLOCK]))
+
+
 class TestExactSums:
     """Streamed math.fsum equals one math.fsum over every term with ==."""
+
+    @given(fold_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_over_any_chunking(self, case):
+        terms, cuts, block = case
+        array = numpy.array(terms, dtype=numpy.float64)
+        parts = []
+        with mock.patch.object(symlow.forms, "_BLOCK", block):
+            for lo, hi in zip([0, *cuts], [*cuts, len(terms)]):
+                parts = _fold(parts, array[lo:hi])
+        exact = sum(map(Fraction, terms), Fraction(0))
+        assert sum(map(Fraction, parts), Fraction(0)) == exact
+        assert math.fsum(parts) == math.fsum(terms) == float(exact)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**1010, -(2.0**1023)])
+    def test_fold_refuses_terms_outside_its_range(self, bad):
+        # One term in the second of three blocks.  A NaN once made the parts
+        # loop forever, their list growing without bound.
+        terms = numpy.ones(3 * _BLOCK)
+        terms[_BLOCK + 5] = bad
+        with pytest.raises(ArithmeticError):
+            _fold([], terms)
+        assert _fold([], numpy.full(_BLOCK, 2.0**1009)) == [2.0**1022]  # the largest magnitude taken
+
+    def test_parts_refuse_an_infinity(self):
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ArithmeticError):
+                _exact_parts([1.0, bad])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_parts_keep_the_exact_sum(self, seed):
         # Mixed signs and magnitudes from 1e-150 to 1e150, so whole chunks
         # cancel, and a near-tie, 1 + 2**-53 + 2**-105, that rounds up only
-        # if no term is lost.
+        # if no term is lost.  The chunks go to _exact_parts as lists and to
+        # _fold as arrays, some of them several blocks long.
         rng = numpy.random.default_rng(seed)
-        data = (rng.standard_normal(20_000) * 10.0 ** rng.integers(-150, 151, 20_000)).tolist()
-        data += [1e150, 1.0, 2.0**-53, -1e150, 2.0**-105]
-        parts = []
+        array = rng.standard_normal(20_000) * 10.0 ** rng.integers(-150, 151, 20_000)
+        array = numpy.concatenate([array, [1e150, 1.0, 2.0**-53, -1e150, 2.0**-105]])
+        data = array.tolist()
+        parts, folded = [], []
         for lo, hi in shuffled_chunks(len(data), rng):
             parts = _exact_parts(parts + data[lo:hi])
-            assert len(parts) <= 40
-        assert math.fsum(parts) == math.fsum(data)
+            folded = _fold(folded, array[lo:hi])
+            assert len(parts) <= 40 and len(folded) <= 40
         exact = sum(map(Fraction, data))
-        assert sum(map(Fraction, parts)) == exact and math.fsum(parts) == float(exact)
+        for kept in (parts, folded):
+            assert math.fsum(kept) == math.fsum(data)
+            assert sum(map(Fraction, kept)) == exact and math.fsum(kept) == float(exact)
         assert _exact_parts([1e16, 1.0, -1e16, -1.0]) == []
+        assert _fold([], numpy.array([1e16, 1.0, -1e16, -1.0])) == []
 
-    def test_heads_equal_one_fsum(self):
+    def test_heads_equal_one_fsum(self, monkeypatch):
+        # The heads read every prime of the sieve's segments, here of 1,024
+        # odd numbers each (about 100 primes near 10**5), and of chunks of
+        # random size that cross the blocks: both equal one math.fsum of the
+        # whole-array quotients.
+        monkeypatch.setattr(symlow.constants, "_SEGMENT", 1024)
         primes = primes_up_to(10**5)
         floats = primes.astype(numpy.float64)
         denominators = [_even_denominator, lambda p: p**2.5 - 1.0]
-        sums = _ExactSums(primes.size, denominators)
-        for lo, hi in shuffled_chunks(primes.size, numpy.random.default_rng(3)):
-            sums.feed(primes[lo:hi])
         want = [math.fsum((numpy.log(floats) / d(floats)).tolist()) for d in denominators]
-        assert sums.sums() == want
+        segmented, chunked = _ExactSums(denominators), _ExactSums(denominators)
+        _feed(_prime_stream(10**5)[1], [segmented])
+        for lo, hi in shuffled_chunks(primes.size, numpy.random.default_rng(3)):
+            chunked.feed(primes[lo:hi])
+        assert segmented.sums() == chunked.sums() == want
 
 
 def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float, float]:
@@ -583,10 +653,19 @@ def whole_array_constants(pnt_cutoff: int, c_cutoff: int) -> tuple[float, float,
     return value, abs(value - pnt_value(max(2, pnt_cutoff // 10))), even
 
 
-def whole_array_log_quotients(primes, buffer, denominator):
-    """log p / denominator(p) over the whole table as float64, in fresh arrays."""
-    floats = primes.astype(numpy.float64)
-    return numpy.log(floats) / denominator(floats)
+class WholeArrayExactSums:
+    """The heads as one math.fsum each over the whole-array quotients of every prime fed."""
+
+    def __init__(self, denominators):
+        self._denominators = denominators
+        self._primes = []
+
+    def feed(self, primes):
+        self._primes.append(primes.copy())
+
+    def sums(self):
+        floats = numpy.concatenate(self._primes).astype(numpy.float64)
+        return [math.fsum((numpy.log(floats) / d(floats)).tolist()) for d in self._denominators]
 
 
 class TestConstantsBitForBit:
@@ -611,7 +690,7 @@ class TestConstantsBitForBit:
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6, 10**7 + 19])
     def test_completed(self, cutoff, monkeypatch):
         got = c_sym_even_completed(cutoff)
-        monkeypatch.setattr(symlow.constants, "_log_quotients", whole_array_log_quotients)
+        monkeypatch.setattr(symlow.constants, "_ExactSums", WholeArrayExactSums)
         assert got == c_sym_even_completed(cutoff)
 
 
