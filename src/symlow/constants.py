@@ -11,16 +11,17 @@ precision with a rigorous radius.  The sieve is read one way, by every
 consumer in the package (these two and explicit.prime_sums): the segments
 of ``_prime_stream``, each used and dropped before the next, so no
 consumer keeps a prime table and the cap bounds time, not memory.  Each
-computation sums its constants as the sieve runs: the exact prime count
-pi(X), from the primes up to sqrt(X) alone, fixes each sum's length before
-the first prime is found.  Each sum forms its logs and quotients a leaf of
-at most _BLOCK primes at a time, with the doubles of the whole-array
-float64 formulas, and adds the leaves along numpy's own pairwise tree
-(``_pairwise_tree``), whose leaf sizes follow from that length; so it
-returns the bytes of np.sum over the whole array without forming it.  The
-heads of c_sym_even_completed, exactly rounded, need no length: each
-segment's blocks go through ``forms._fold``.  The digamma routine is
-pinned to one fixed algorithm so reports are bit-stable across runs.
+computation sums its constants as the sieve runs.  compute_constants's
+truncations take their length from the exact prime count pi(X), from the
+primes up to sqrt(X) alone, before the first prime is found: each forms its
+logs and quotients a leaf of at most _BLOCK primes at a time, with the
+doubles of the whole-array float64 formulas, and adds the leaves along
+numpy's own pairwise tree (``_pairwise_tree``), whose leaf sizes follow
+from that length; so it returns the bytes of np.sum over the whole array
+without forming it.  The sums of c_sym_even_completed, exactly rounded,
+need no length and no count: each segment's blocks go through
+``forms._fold``.  The digamma routine is pinned to one fixed algorithm so
+reports are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _prime_stream(bound: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """(base, segments) for bound >= 2, refused past the sieve cap.
 
     base is the primes up to sqrt(bound), from which segments yields the
-    primes <= bound a segment at a time and _prime_counter(bound, base), built
-    by the constants alone, counts them.  Every reader of the sieve takes the
-    segments from here and keeps no table of them.
+    primes <= bound a segment at a time and _prime_counter(bound, base),
+    built by compute_constants alone, counts them.  Every reader of the
+    sieve takes the segments from here and keeps no table of them.
     """
     check_sieve_bound(bound)
     base = _root_primes(bound)
@@ -452,12 +453,13 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     (Python's and NumPy's) within 4 ulp of the exact result.
 
     Trip-wire: raises RuntimeError unless the remainder value - S_X it
-    reports lies in [0, (2 log X + 4)/(sqrt(X) - 1) + radius], the bound of
-    the bare truncation compute_constants reports, summed in the same pass.
+    reports lies in (0, (2 log X + 4)/(sqrt(X) - 1) + radius]: T_X is
+    positive, and bounded as the bare truncation compute_constants reports.
     The t the series reaches follow from X alone, so S_X and each head
-    sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum as
-    the sieve to X runs: the heads read each segment a block of primes at a
-    time, the logs formed once a block, and fold it with forms._fold.
+    sum_{p<=X} log p / (p^{t/2} - 1) are streamed into their math.fsum in
+    one pass of the sieve to X, with no prime count: they read each segment
+    a block of primes at a time, the logs formed once a block, and fold it
+    with forms._fold.
     """
     cutoff = _check_cutoff(cutoff)
     log_x = math.log(cutoff)
@@ -473,12 +475,9 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
         if tail <= _SERIES_TAIL_TARGET:
             break
         t += 1
-    base, segments = _prime_stream(cutoff)
-    truncation = _PairwiseSums(_prime_counter(cutoff, base)(cutoff), _even_leaf)
+    _, segments = _prime_stream(cutoff)
     heads = _ExactSums([_even_denominator] + [lambda p, s=t / 2: p**s - 1.0 for t, _ in series])
-    _feed(segments, [truncation, heads])
-    (sieve_value,) = truncation.sums()
-    sieve_tail = _even_tail_bound(cutoff)
+    _feed(segments, [heads])
     partial, *head_values = heads.sums()
     parts = [partial]
     magnitude = partial  # prime-sum summands, all positive
@@ -495,10 +494,11 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
     value = math.fsum(parts)
     rounding = (_ROUNDING_UNITS + 1) * _UNIT_ROUNDOFF * magnitude
     radius = tail + propagated + rounding + _UNIT_ROUNDOFF * abs(value)
-    if not 0.0 <= value - sieve_value <= sieve_tail + radius:
+    bound = _even_tail_bound(cutoff) + radius
+    if not 0.0 < value - partial <= bound:
         raise RuntimeError(
-            f"completed constant {value!r} leaves remainder {value - sieve_value!r} past "
-            f"X={cutoff}, outside [0, {sieve_tail + radius!r}] set by the truncation route"
+            f"completed constant {value!r} leaves remainder {value - partial!r} past "
+            f"X={cutoff}, outside (0, {bound!r}] set by the truncation bound"
         )
     return value, radius
 

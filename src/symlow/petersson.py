@@ -151,23 +151,27 @@ def _kloosterman_block(
     each the double (2 pi / c) k that a sum over the units would use, and
     _grid_sums sums each (m, c) segment exactly, with bits = bitlen(max cs):
     a row's N at c sums to phi(c) < 2^bitlen(c).  So each value is the one
-    that c alone gives.  ms is taken in chunks of COUNT_ENTRIES // sum(cs)
-    rows (at least one).  tables keeps, keyed by q, n mod q and each m mod
-    q, the count table of every prime power q || c that a later modulus up
-    to last can read again (c + q <= last), so a sweep to last builds each
-    table once.  A kept table takes the narrowest unsigned type that holds
-    its largest count, so it stays exact: one byte a count at an odd prime
-    p not dividing n, where counts are at most 2, and never more than four
-    bytes (a count is below q < 2^31).  Kept tables have q <= last / 2, so
-    for one ms they hold at most len(ms) times the sum of those prime
-    powers q: 290,851 counts a row at last = 4000, 0.29 MB at a byte each.
+    that c alone gives.  tables serves one ms and one n: it keeps, keyed by
+    q alone, the count table of every prime power q || c that a later
+    modulus up to last can read again (c + q <= last), so a sweep to last
+    builds each table once.  ms is taken in chunks of COUNT_ENTRIES //
+    sum(cs) rows (at least one), each chunk with a dict of its own that ends
+    with the call, so tables holds no chunk's table.  A kept table takes the
+    narrowest unsigned type that holds its largest count, so it stays
+    exact: one byte a count at an odd prime p not dividing n, where counts
+    are at most 2, and never more than four bytes (a count is below q <
+    2^31).  Kept tables have q <= last / 2, so they hold a row per m of the
+    sum of those prime powers q, about (last/2)^2 / (2 log(last/2)) counts
+    at about a byte each: 290,851 counts a row at last = 4000 (0.29 MB),
+    and 1.05 MB and 8.97 MB a row at last = 7,948 and 25,133, the default
+    cutoffs of m = 10^5 and 10^6.
     """
     if len(ms) == 0:
         return []
     width = sum(cs)
     rows = max(1, COUNT_ENTRIES // width)
     if len(ms) > rows:
-        chunks = (_kloosterman_block(ms[i:i + rows], n, cs, tables, last) for i in range(0, len(ms), rows))
+        chunks = (_kloosterman_block(ms[i:i + rows], n, cs, {}, last) for i in range(0, len(ms), rows))
         return [s for chunk in chunks for s in chunk]
     counts = np.empty((len(ms), width))
     edges = list(accumulate(cs, initial=0))  # each modulus's first column, then the width
@@ -177,12 +181,11 @@ def _kloosterman_block(
             view[...] = 1.0  # the one unit 0
         for number, (p, e) in enumerate(_factorization(c).items()):
             q = p**e
-            key = (q, n % q, *(m % q for m in ms))
-            table = tables.get(key)
+            table = tables.get(q)
             if table is None:
                 table = _count_table(ms, n, q, p)
                 if c + q <= last:
-                    table = tables[key] = _narrowed(table)
+                    table = tables[q] = _narrowed(table)
             repeats = view.reshape(len(ms), c // q, q)  # a view: a row's c columns are contiguous
             if number:
                 repeats *= table[:, None, :]
@@ -470,15 +473,15 @@ def petersson_deltas(
     its count entries (indices times the block's total width) stay within
     _BLOCK, and up to _BLOCK_MODULI moduli while they stay within
     COUNT_ENTRIES, so no block is cut into chunks of rows for its length; a
-    modulus alone may pass both.  One dict of count tables serves the
-    sweep: a table stays while a modulus up to the largest live cutoff can
-    read it again, and when indices leave it keeps the rows of those that
-    stay, so each table is built once.  J comes from
-    look-ahead passes: a block that needs J values not yet computed takes
-    them for every live m over its moduli and the next ones, at least
-    _SERIES_CHUNK entries and never past the smallest live cutoff, in one
-    series-kernel pass over the arguments inside the series window and
-    from bessel_j for the rest.  The next blocks read the rest of that
+    modulus alone may pass both.  One dict of count tables, keyed by prime
+    power, serves the sweep's live rows: a table stays while a modulus up to
+    the largest live cutoff can read it again, and when indices leave every
+    table keeps the rows of those that stay, so each table is built once.
+    J comes from look-ahead passes: a block that needs J values not yet
+    computed takes them for every live m over its moduli and the next ones,
+    at least _SERIES_CHUNK entries and never past the smallest live cutoff,
+    in one series-kernel pass over the arguments inside the series window
+    and from bessel_j for the rest.  The next blocks read the rest of that
     window, and an m's row goes when the m leaves the sweep.  Each m folds its
     few dozen terms a block into its _exact_parts (too few for forms._fold to
     pay), a few floats whose exact sum is its c-sum so far.  Each m keeps its
@@ -580,13 +583,7 @@ def petersson_deltas(
         live = [i for i, goes in zip(live, going) if goes]
         ahead = ahead[going]
         if live and not all(going):
-            # A key names every live index's residue: keep the rows that stay,
-            # re-keyed, and drop the tables of row chunks, whose keys name fewer.
-            tables = {
-                (q, r, *(h for h, goes in zip(heads, going) if goes)): _narrowed(table[going])
-                for (q, r, *heads), table in tables.items()
-                if len(heads) == len(going)
-            }
+            tables = {q: table[going] for q, table in tables.items()}
     out = []
     for m, top, tail, total in zip(ms, c_maxes, tails, parts):
         value = (1.0 if m == 1 else 0.0) + 2.0 * math.pi * sign * math.fsum(total)

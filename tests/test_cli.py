@@ -296,13 +296,16 @@ class TestPtermsCommand:
 
     def test_the_prime_count_is_built_for_the_constants_alone(self, monkeypatch, capsys):
         # The walk reads the sieve's segments and never pi(x); the constants'
-        # three pairwise trees read one count, built once on the sieve's base.
+        # three pairwise trees read one count, built once on the sieve's base,
+        # and the completed constant's exact sums need none.
         built = []
         counter = symlow.constants._prime_counter
         monkeypatch.setattr(symlow.constants, "_prime_counter", lambda n, base: built.append(n) or counter(n, base))
         assert main(["pterms", "--r", "2", "--kappa", "12", "--q", "1000003", "--nu", "19/40"]) == 0
         assert json.loads(capsys.readouterr().out)["square_power"] and built == []
         symlow.constants.compute_constants(2, 12, 10**4)
+        assert built == [10**4]
+        symlow.constants.c_sym_even_completed(10**4)
         assert built == [10**4]
 
     def test_one_draw_per_weighted_prime_and_none_on_replay(self, monkeypatch, capsys):

@@ -323,11 +323,14 @@ class TestCompletedEvenPowerConstant:
             assert _series_coefficient(t) == want, t
 
     def test_trip_wire_raises_on_disagreeing_truncation(self, monkeypatch):
-        # A truncation route that sums 1 per prime, 15 up to 50, puts the
-        # completed constant's remainder below 0.
-        monkeypatch.setattr(symlow.constants, "_even_leaf", lambda p: (numpy.ones(p.size),))
-        with pytest.raises(RuntimeError, match="truncation route"):
-            c_sym_even_completed(50)
+        # Negated coefficients a_t put the remainder below 0, and a dropped
+        # series leaves it at exactly 0, which the true remainder never is.
+        coefficient = symlow.constants._series_coefficient
+        for planted in (lambda t: -coefficient(t), lambda t: 0):
+            monkeypatch.setattr(symlow.constants, "_series_coefficient", planted)
+            for cutoff in (50, 10**4):
+                with pytest.raises(RuntimeError, match="truncation bound"):
+                    c_sym_even_completed(cutoff)
 
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):

@@ -170,8 +170,9 @@ class TestKloosterman:
         assert kloosterman_sums([5, 9], 4, 1) == [1.0, 1.0]
 
     def test_chunks_match_single_calls(self, monkeypatch):
-        # Chunks of 4, 3 and then 1 row of the 11 indices, sharing one dict of
-        # count tables per modulus, which keeps every table (c + q <= 2 c).
+        # Chunks of 4, 3 and then 1 row of the 11 indices.  Each chunk keeps
+        # its tables (c + q <= 2 c keeps every one) in a dict of its own, so
+        # the caller's dict, passed for four values of n, stays empty.
         monkeypatch.setattr(symlow.petersson, "COUNT_ENTRIES", 50)
         ms = [0, 1, 2, 7, 3, 7, 997, 10**6, 12, 13, 25]
         for c in (12, 16, 30, 97, 360):
@@ -179,6 +180,7 @@ class TestKloosterman:
             for n in (1, 0, 5, -3):
                 chunked = _kloosterman_block(ms, n, [c], tables, 2 * c)
                 assert chunked == [kloosterman_sums([m], n, c)[0] for m in ms], (n, c)
+            assert tables == {}, c
 
     def test_grid_sums_exact_near_the_modulus_limit(self):
         # c = 2**31 - 1 is prime, so every row of weights sums to phi(c) =
@@ -869,27 +871,66 @@ class TestPeterssonDeltas:
         assert len(set(builds)) == len(builds)
 
     def test_kept_count_tables_are_exact(self, monkeypatch):
-        # Every table a sweep keeps holds _count_table's int64 counts, in the
-        # narrowest unsigned type for its largest, also after the ten-index
-        # sweep's tables drop the rows of leaving indices.  At q = 2**16 with
-        # m = n = 1 the largest count is 256, which one byte would wrap to 0.
-        tables: dict = {}
+        # Every table a sweep keeps holds _count_table's int64 counts for the
+        # call's rows and n, also after the ten-index sweep's tables drop the
+        # rows of leaving indices.  A table is built in the narrowest unsigned
+        # type for its largest count, and keeps that type as rows leave.  At
+        # q = 2**16 with m = n = 1 the largest count is 256, which one byte
+        # would wrap to 0.
+        calls = []  # (ms, n, the dict after the call, its keys before)
 
-        def recorded(ms, n, cs, kept, last):
-            sums = _kloosterman_block(ms, n, cs, kept, last)
-            tables.update(kept)
+        def recorded(ms, n, cs, tables, last):
+            before = set(tables)
+            sums = _kloosterman_block(ms, n, cs, tables, last)
+            calls.append((list(ms), n, dict(tables), before))
             return sums
 
         monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
         petersson_deltas([971], 1, 12, 4000)
         petersson_deltas(range(1, 11), 2, 12, 1000)
-        assert len(tables) > 300
-        _kloosterman_block([1], 1, [2**16], tables, 2**17)
-        assert tables[2**16, 1, 1].max() == 256
-        for (q, n, *ms), table in tables.items():
-            want = _count_table(ms, n, q, min(symlow.petersson._factorization(q)))
-            assert table.dtype == numpy.min_scalar_type(want.max())
-            assert table.dtype.kind == "u" and numpy.array_equal(table, want), (q, n, ms)
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", _kloosterman_block)
+        assert sum(len(tables.keys() - before) for _, _, tables, before in calls) > 300
+        assert any(1 < len(ms) < 10 for ms, *_ in calls)  # indices left the tau sweep
+        kept: dict = {}
+        _kloosterman_block([1], 1, [2**16], kept, 2**17)
+        assert kept[2**16].max() == 256
+        calls.append(([1], 1, kept, set()))
+        for ms, n, tables, before in calls:
+            for q, table in tables.items():
+                want = _count_table(ms, n, q, min(symlow.petersson._factorization(q)))
+                assert table.dtype.kind == "u" and numpy.array_equal(table, want), (q, n, ms)
+                if q not in before:
+                    assert table.dtype == numpy.min_scalar_type(want.max()), (q, n, ms)
+
+    def test_chunked_blocks_keep_no_table(self, monkeypatch):
+        # With 50 count entries, every block of the ten-index tau sweep from
+        # c = 6 on is one modulus, cut into chunks of 50 // c rows while more
+        # rows than that are live, as its indices settle and leave.  Each
+        # chunk gets a dict of its own, so the sweep's dict gains no table
+        # from a chunked block, and every table in it has one row per live
+        # index.
+        want = [petersson_delta(m, 1, 12, 1000) for m in range(1, 11)]
+        outer = []  # the sweep's dict while its block runs
+        chunked = []  # the number of live indices of each chunked block
+
+        def recorded(ms, n, cs, tables, last):
+            if outer:  # a chunk of the block that runs
+                assert tables is not outer[0]
+                return _kloosterman_block(ms, n, cs, tables, last)
+            outer.append(tables)
+            before = set(tables)
+            sums = _kloosterman_block(ms, n, cs, tables, last)
+            outer.pop()
+            if len(ms) > max(1, symlow.petersson.COUNT_ENTRIES // sum(cs)):
+                chunked.append(len(ms))
+                assert set(tables) == before, cs
+            assert all(table.shape[0] == len(ms) for table in tables.values()), cs
+            return sums
+
+        monkeypatch.setattr(symlow.petersson, "COUNT_ENTRIES", 50)
+        monkeypatch.setattr(symlow.petersson, "_kloosterman_block", recorded)
+        assert petersson_deltas(range(1, 11), 1, 12, 1000) == want
+        assert len(chunked) > 100 and chunked[0] == 10 and 1 < len(set(chunked))
 
     def test_look_ahead_passes(self, monkeypatch):
         # One series pass a block would be 318 for m = 971 over the 4000
