@@ -42,8 +42,10 @@ class ExactPoly:
 
     coeffs[i] is the coefficient of T^i where T is the monomial variable
     (T = 2 cos t on the support of the weight).  The zero polynomial is the
-    empty tuple; construction strips trailing zeros so equality of values is
-    equality of representations.
+    empty tuple, ZERO; construction strips trailing zeros so equality of
+    values is equality of representations, and a polynomial is zero iff it
+    equals ZERO.  A product with ZERO or with the int 0 needs no case of its
+    own: the general loop over an empty factor gives the empty tuple.
     """
 
     coeffs: tuple[int, ...]
@@ -57,9 +59,6 @@ class ExactPoly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         return _stripped([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
@@ -68,11 +67,7 @@ class ExactPoly:
 
     def __mul__(self, other: "ExactPoly | int") -> "ExactPoly":
         if isinstance(other, int):
-            if other == 0:
-                return ExactPoly(())
-            return ExactPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return ExactPoly(())
+            return _stripped([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -84,16 +79,17 @@ class ExactPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ExactPoly":
+        """n products of self, from the empty product: P**0 == 1 even for P = 0.
+
+        Square-and-multiply would take fewer products; at the degrees the
+        identity suite raises to, the plain loop is the shorter code for
+        nearly the same time.
+        """
         if n < 0:
             raise ValueError("negative polynomial power")
-        # Empty product convention: P**0 == 1 even for the zero polynomial.
         result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
 
@@ -111,15 +107,16 @@ T = ExactPoly.of(0, 1)
 
 @functools.lru_cache(maxsize=None)
 def cheb_poly(n: int) -> ExactPoly:
-    """U_n via the recurrence U_{n+1} = T*U_n - U_{n-1}; U_{-1} = U_{-2} = 0."""
+    """U_n via the recurrence U_{n+1} = T*U_n - U_{n-1}; U_{-1} = U_{-2} = 0.
+
+    U_0 = 1 is the only other base case: the recurrence gives U_1 = T*1 - 0.
+    """
     if n < -2:
         raise ValueError(f"index {n} below the U_-2 = 0 convention")
     if n in (-1, -2):
         return ZERO
     if n == 0:
         return ONE
-    if n == 1:
-        return T
     return T * cheb_poly(n - 1) - cheb_poly(n - 2)
 
 
@@ -282,7 +279,8 @@ def difference_monomial_coeff(big_k: int, k: int) -> int:
     shows as a nonzero residual.
 
     Conventions: the (0,0) coefficient is 0, and entries with k of the wrong
-    parity (k = K+1 mod 2) vanish.  Rejects k outside 0..K.
+    parity (k = K+1 mod 2) vanish.  Rejects k outside 0..K.  For even K the
+    l = k/2 formula also covers k = 0, where it reads 2(-1)^(K/2).
     """
     if big_k < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
@@ -292,8 +290,6 @@ def difference_monomial_coeff(big_k: int, k: int) -> int:
         return 0
     if big_k % 2 == 0:
         half_k = big_k // 2
-        if k == 0:
-            return 2 * (-1) ** half_k
         ell = k // 2
         num = 2 * (-1) ** (half_k + ell) * half_k * math.factorial(half_k + ell - 1)
         return num // (math.factorial(2 * ell) * math.factorial(half_k - ell))

@@ -506,26 +506,23 @@ def c_sym_even_completed(cutoff: int) -> tuple[float, float]:
 def c_gamma(r: int, kappa: int) -> float:
     """Archimedean digamma sum of the completed L-factor.
 
-    Closed form: for odd r, sum over 0 <= a <= (r-1)/2 of
-    psi(1/4 + (2a+1)(kappa-1)/4) + psi(3/4 + (2a+1)(kappa-1)/4); for even r,
-    psi(1/4 + mu/2) plus the pairs psi(1/4 + a(kappa-1)/2) +
-    psi(3/4 + a(kappa-1)/2) for 1 <= a <= r/2.  The tests hold it against
-    the shift route sum_j psi(1/4 + mu_j/2) over oracles.gamma_shifts(r, kappa).
+    Closed form: sum over 1 <= j <= r with j = r mod 2 of
+    psi(1/4 + j(kappa-1)/4) + psi(3/4 + j(kappa-1)/4), after the lone
+    psi(1/4 + mu/2), mu = r(kappa-1)/2 mod 2, when r is even.  One formula
+    covers both parities: odd j = 2a+1 gives the odd-r pairs, even j = 2a
+    the pairs a(kappa-1)/2 of even r.  The tests hold it against the shift
+    route sum_j psi(1/4 + mu_j/2) over oracles.gamma_shifts(r, kappa).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     _check_weight(kappa)
     total = 0.0
-    if r % 2:
-        for a in range((r + 1) // 2):
-            base = (2 * a + 1) * (kappa - 1) / 4.0
-            total += digamma(0.25 + base) + digamma(0.75 + base)
-    else:
-        mu = 1 if (r * (kappa - 1) // 2) % 2 else 0
+    if r % 2 == 0:
+        mu = (r * (kappa - 1) // 2) % 2
         total += digamma(0.25 + mu / 2.0)
-        for a in range(1, r // 2 + 1):
-            base = a * (kappa - 1) / 2.0
-            total += digamma(0.25 + base) + digamma(0.75 + base)
+    for j in range(2 - r % 2, r + 1, 2):
+        base = j * (kappa - 1) / 4.0
+        total += digamma(0.25 + base) + digamma(0.75 + base)
     return total
 
 

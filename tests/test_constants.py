@@ -49,7 +49,7 @@ from symlow.constants import (
     zeta,
     zeta_prime,
 )
-from oracles import c_gamma_from_shifts, primes_up_to
+from oracles import c_gamma_from_shifts, gamma_shifts, primes_up_to
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -731,6 +731,21 @@ class TestArchimedeanConstants:
                 closed = c_gamma(r, kappa)
                 summed = c_gamma_from_shifts(r, kappa)
                 assert abs(closed - summed) < 1e-10, (r, kappa)
+
+    def test_bytes_match_the_in_order_shift_sum(self):
+        # The doubles themselves, off the two (r, kappa) the digests record:
+        # psi(1/4 + mu/2) first for even r, then each shift pair's two
+        # digammas added to each other before they enter the total.
+        for r in range(1, 61):
+            for kappa in range(2, 401, 2):
+                shifts = gamma_shifts(r, kappa)
+                start = 1 - r % 2
+                total = 0.0
+                if start:
+                    total += digamma(0.25 + float(shifts[0]) / 2.0)
+                for a, b in zip(shifts[start::2], shifts[start + 1::2]):
+                    total += digamma(0.25 + float(a) / 2.0) + digamma(0.25 + float(b) / 2.0)
+                assert c_gamma(r, kappa).hex() == total.hex(), (r, kappa)
 
     def test_frozen_compositions(self):
         with mpmath.workdps(30):
