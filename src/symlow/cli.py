@@ -33,12 +33,7 @@ from .chebyshev import (
 from .constants import compute_constants, nu_max
 from .explicit import density_prediction, prime_cutoffs, prime_sums
 from .forms import DISTRIBUTIONS, SyntheticForm, _check_weight, fejer_test_function, is_prime
-from .petersson import (
-    RAMANUJAN_TAU,
-    default_c_max,
-    petersson_delta,
-    petersson_deltas,
-)
+from .petersson import RAMANUJAN_TAU, petersson_delta, petersson_deltas
 
 DEFAULT_SEED = 1729
 _TAU_KAPPA = 12  # RAMANUJAN_TAU holds the coefficients of Delta, weight 12, level 1
@@ -206,6 +201,8 @@ def run_identity_suite(
     ``build_parser`` holds.  ``record`` wraps each int residual in a Fraction,
     so it renders as a quoted exact string: "0" when the identity holds.
     Each vanishing chain sum is compared with [k0 == 1]: 1 at k0 = 1, else 0.
+    Each power U_r^varpi of the linearization check is the previous power
+    times U_r, one product.
     """
     checks: list[dict[str, Any]] = []
 
@@ -225,9 +222,10 @@ def run_identity_suite(
     )
 
     reassembled = []
-    for varpi in range(1, power_max + 1):
-        for r in range(1, power_max + 1):
-            power = cheb_poly(r) ** varpi
+    for r in range(1, power_max + 1):
+        power = cheb_poly(0)
+        for _ in range(power_max):
+            power = power * cheb_poly(r)
             reassembled.append(cheb_sum(cheb_coefficients(power)) - power)
     record("linearization_reassembly", len(reassembled), _max_residual(reassembled))
 
@@ -320,9 +318,8 @@ def _cmd_pterms(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_petersson(args: argparse.Namespace) -> tuple[int, str]:
-    c_max = args.cmax if args.cmax is not None else default_c_max(args.m)
-    term = petersson_delta(args.m, args.k, args.kappa, c_max)
-    doc = {"config": _config(args, cmax=c_max), "term": dataclasses.asdict(term)}
+    term = petersson_delta(args.m, args.k, args.kappa, args.cmax)
+    doc = {"config": _config(args, cmax=term.c_max), "term": dataclasses.asdict(term)}
     return 0, render_json(doc)
 
 

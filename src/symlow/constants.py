@@ -35,8 +35,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .forms import _BLOCK, _blocks, _check_weight, _fold
-from .petersson import _factorization
+from .forms import _BLOCK, _blocks, _check_weight, _factorization, _fold
 
 SIEVE_CAP_ENV = "SYMLOW_SIEVE_CAP"
 DEFAULT_SIEVE_CAP = 10**8

@@ -88,6 +88,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _factorization(c: int) -> dict[int, int]:
+    """Prime -> exponent for c >= 1, by trial division."""
+    factors = {}
+    d = 2
+    while d * d <= c:
+        while c % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            c //= d
+        d += 1
+    if c > 1:
+        factors[c] = factors.get(c, 0) + 1
+    return factors
+
+
 # Entries one pass over a long array takes at a time: a block's dozen float64
 # arrays stay in L2 cache, and its Python objects stay few.
 _BLOCK = 1 << 13
@@ -268,7 +282,8 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     otherwise, with math.sin (F is strictly increasing, so 64 halvings pin
     each root to ~5e-19).  Entries go _BLOCK at a time, as each depends on
     itself alone: ``_root_block`` certifies about nine in ten of them
-    directly and hands the rest to ``_bisect_block``, which runs the loop.
+    directly and hands the rest, each with the head bracket it found, to
+    ``_bisect_block``, which runs the loop.
 
     The head.  The first _HEAD_LEVELS steps are a binary search over F at the
     midpoints of ``_head_table``, taken with math.sin, which decides every
@@ -370,16 +385,15 @@ def _root_block(u: np.ndarray) -> np.ndarray:
         f, f_next = np.where(up, shared, fresh), np.where(up, fresh, shared)
     fallback[index] = True
     if np.count_nonzero(fallback):
-        out[fallback] = _bisect_block(u[fallback])
+        start = start[fallback]
+        out[fallback] = _bisect_block(u[fallback], grid[start], grid[start + 1])
     return out
 
 
-def _bisect_block(u: np.ndarray) -> np.ndarray:
-    """The scalar loop's result for each entry of u (see _sato_tate_inverse_cdf)."""
+def _bisect_block(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The scalar loop's result for each entry of u, from its head bracket
+    [lo, hi] (see _sato_tate_inverse_cdf)."""
     out = np.empty_like(u)
-    grid, head = _head_table()
-    start = np.searchsorted(head, u, "left")
-    lo, hi = grid[start], grid[start + 1]
     index = np.arange(u.size)
     for _ in range(64 - _HEAD_LEVELS):
         mid = 0.5 * (lo + hi)

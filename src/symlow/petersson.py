@@ -14,8 +14,8 @@ each entry's own terms, and Miller's backward recurrence.  The truncated
 diagonal term carries a rigorous bound on its truncation tail, built from
 the Weil bound and the small-argument Bessel bound; that radius does not
 cover the rounding of the computed terms.  A sweep stops summing an index
-once a certificate, that bound or a hyperbola-split one if smaller, widened
-for those roundings, proves that the moduli left cannot change its double.
+once a certificate, a hyperbola-split bound on the same tail widened for
+those roundings, proves that the moduli left cannot change its double.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .forms import _BLOCK, _check_weight, _exact_parts, _libm, _split, is_prime
+from .forms import _BLOCK, _check_weight, _exact_parts, _factorization, _libm, _split, is_prime
 
 ZETA_THREE_HALVES = 2.6123753486854883
 BESSEL_ARGUMENT_GUARD = 1e4
@@ -74,20 +74,6 @@ RAMANUJAN_TAU = {
     9: -113643,
     10: -115920,
 }
-
-
-def _factorization(c: int) -> dict[int, int]:
-    """Prime -> exponent for c >= 1, by trial division."""
-    factors = {}
-    d = 2
-    while d * d <= c:
-        while c % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            c //= d
-        d += 1
-    if c > 1:
-        factors[c] = factors.get(c, 0) + 1
-    return factors
 
 
 def _count_table(ms: Sequence[int], n: int, q: int, p: int) -> np.ndarray:
@@ -441,16 +427,15 @@ def _settled(parts: list[float], tail: Fraction | float) -> bool:
 
 def _settled_at(m: int, kappa: int, c: int, root: float, parts: list[float]) -> bool:
     """Whether index m's c-sum through modulus c is certified final: past the
-    window c <= 4 pi sqrt(m), where no bound overflows, the later terms sum
-    to at most the tail bound at c over 2 pi or, if smaller, the prefactor
-    times the hyperbola bound on T(c), widened, and _settled holds for that
-    radius.  Below the normal range the rounding is not relative, but the
-    bound stays below the least normal double, so twice that covers it.  A
-    bound of an ulp of the sum or more never certifies: _settled refuses it."""
+    window c <= 4 pi sqrt(m), where the bound does not overflow, the later
+    terms sum to at most the prefactor times the hyperbola bound on T(c),
+    widened, and _settled holds for that radius.  Below the normal range the
+    rounding is not relative, but the bound stays below the least normal
+    double, so twice that covers it.  A bound of an ulp of the sum or more
+    never certifies: _settled refuses it."""
     if c <= root:
         return False
-    hyperbola = math.exp(_log_prefactor(m, kappa) + _log_hyperbola_tail(c, kappa - 0.5))
-    tail = max(min(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), hyperbola), 2.0 * sys.float_info.min)
+    tail = max(math.exp(_log_prefactor(m, kappa) + _log_hyperbola_tail(c, kappa - 0.5)), 2.0 * sys.float_info.min)
     if tail >= math.ulp(math.fsum(parts)):
         return False
     return _settled(parts, _TAIL_WIDENING * Fraction(tail))
@@ -497,22 +482,20 @@ def petersson_deltas(
     sums fewer moduli to the same value; c_max and tail_estimate still
     describe the declared truncation.  At the end of a block at modulus c,
     past 4 pi sqrt(m) and below the cutoff, every later term has argument
-    below 1 and takes the series route, and their sum is at most T =
-    min(delta_tail_bound(m, kappa, c) / 2 pi, P H), widened by 1 + 2^-20:
-    P = (2 pi sqrt(m))^{kappa-1}/(kappa-1)! times H, _log_hyperbola_tail's
-    bound on the divisor-sum tail past c, is the smaller past c = 4 at
-    kappa 12 and c = 492 at kappa 200.  The widening covers, with a wide
-    margin, what T leaves out: the libm cosines of a computed S, each within
-    2^-48 of cos(2 pi k / c), so that the computed |S| is at most tau(c)
-    sqrt(c) + phi(c) 2^-48, less than 2^-32 above the Weil bound for
-    c < 2^31, before its one rounding; the computed argument and series of
-    J, within about 3 kappa ulps of (x/2)^{kappa-1}/(kappa-1)!; the two
-    roundings of S / c * J; and the bounds' own exp, log, log1p, lgamma and
-    division by 2 pi, their log-space exponents below 2^22 in size for
-    kappa < 10^5.  The m stops if its partial sum D plus its exact
-    remainder rho stays, with +-T, strictly inside the half gaps to D's two
-    neighbours (_settled): a tie never stops, and D = 0 never does.  An m
-    that never certifies sums to its cutoff.
+    below 1 and takes the series route, and their sum is at most T = P H,
+    widened by 1 + 2^-20: P = (2 pi sqrt(m))^{kappa-1}/(kappa-1)! times H,
+    _log_hyperbola_tail's bound on the divisor-sum tail past c.  The
+    widening covers, with a wide margin, what T leaves out: the libm
+    cosines of a computed S, each within 2^-48 of cos(2 pi k / c), so that
+    the computed |S| is at most tau(c) sqrt(c) + phi(c) 2^-48, less than
+    2^-32 above the Weil bound for c < 2^31, before its one rounding; the
+    computed argument and series of J, within about 3 kappa ulps of
+    (x/2)^{kappa-1}/(kappa-1)!; the two roundings of S / c * J; and the
+    bound's own exp, log, log1p and lgamma, its log-space exponents below
+    2^22 in size for kappa < 10^5.  The m stops if its partial sum D plus
+    its exact remainder rho stays, with +-T, strictly inside the half gaps
+    to D's two neighbours (_settled): a tie never stops, and D = 0 never
+    does.  An m that never certifies sums to its cutoff.
 
     Warns for each m with c_max <= 4 pi sqrt(m), where the reported tail
     bound is not yet in its provably decreasing regime.  Cutoffs must be

@@ -10,7 +10,9 @@ criterion 09 and the flip-parity tests compare a form with.
 ``full_sweep_value`` sums the diagonal term over every modulus to its
 cutoff, one modulus at a time, which the early-stopped sweep must equal.
 ``tail_bound_settled_at`` is the sweep's certificate from
-``delta_tail_bound`` alone, the second route to where an index may stop.
+``delta_tail_bound`` alone, and ``two_bound_settled_at`` the one that takes
+the smaller of that bound over 2 pi and the hyperbola bound: two second
+routes to where an index may stop.
 ``primes_up_to`` joins the sieve's segments into the whole table of primes
 that the program itself never holds.
 """
@@ -22,10 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from symlow.constants import _prime_stream, digamma
-from symlow.forms import SyntheticForm, _check_weight
+from symlow.forms import SyntheticForm, _check_weight, _factorization
 from symlow.petersson import (
     _TAIL_WIDENING,
-    _factorization,
+    _log_hyperbola_tail,
+    _log_prefactor,
     _settled,
     bessel_j,
     delta_tail_bound,
@@ -131,6 +134,19 @@ def tail_bound_settled_at(m: int, kappa: int, c: int, root: float, parts: list[f
     if c <= root:
         return False
     tail = max(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), 2.0 * sys.float_info.min)
+    if tail >= math.ulp(math.fsum(parts)):
+        return False
+    return _settled(parts, _TAIL_WIDENING * Fraction(tail))
+
+
+def two_bound_settled_at(m: int, kappa: int, c: int, root: float, parts: list[float]) -> bool:
+    """petersson._settled_at with the smaller of two tail bounds, delta_tail_bound
+    over 2 pi and the prefactor times the hyperbola bound: the sweep's own
+    certificate must stop every index at the same modulus as this one."""
+    if c <= root:
+        return False
+    hyperbola = math.exp(_log_prefactor(m, kappa) + _log_hyperbola_tail(c, kappa - 0.5))
+    tail = max(min(delta_tail_bound(m, kappa, c) / (2.0 * math.pi), hyperbola), 2.0 * sys.float_info.min)
     if tail >= math.ulp(math.fsum(parts)):
         return False
     return _settled(parts, _TAIL_WIDENING * Fraction(tail))

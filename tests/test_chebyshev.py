@@ -44,7 +44,7 @@ from symlow.chebyshev import (
     semicircle_moment,
     vanishing_chain_sum,
 )
-from symlow.cli import main
+from symlow.cli import main, run_identity_suite
 
 
 def horner(p: ExactPoly, x):
@@ -439,7 +439,8 @@ class TestWorkGuard:
     def test_identities_workload(self, products):
         # The benchmark's two identities commands from a cold U cache, as in a
         # fresh process: 17,494 products by the product routes, 3,721 through
-        # a per-term expansion wrapper, 1,479 now.
+        # a per-term expansion wrapper, 1,479 with each power built from 1,
+        # 1,165 now.
         cheb_poly.cache_clear()
         for argv in (
             ["identities"],
@@ -448,7 +449,18 @@ class TestWorkGuard:
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
-        assert 0 < products[0] <= 2000
+        assert 0 < products[0] <= 1200
+
+    def test_each_power_grows_from_the_last(self, products):
+        # With U_0..U_64 cached, the linearization check adds power_max^2
+        # products to the suite: one per power U_r^varpi, each from the last.
+        cheb_poly(64)
+        counts = []
+        for power_max in (0, 1, 6, 8):
+            products[0] = 0
+            run_identity_suite(1, 1, 0, 0, power_max)
+            counts.append(products[0])
+        assert [count - counts[0] for count in counts] == [0, 1, 36, 64]
 
     def test_linearization_and_orthonormality_products(self, products):
         cheb_poly(64)

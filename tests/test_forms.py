@@ -485,8 +485,15 @@ class TestBisectionMargin:
 
 
 def bisected(u: numpy.ndarray) -> numpy.ndarray:
-    """The loop on every entry: the blocked bisection, the certified root's one fallback."""
-    return _blockwise(_bisect_block, u)
+    """The loop on every entry: the head search, then the blocked bisection,
+    the certified root's one fallback."""
+    grid, head = _head_table()
+
+    def loop(block: numpy.ndarray) -> numpy.ndarray:
+        start = numpy.searchsorted(head, block, "left")
+        return _bisect_block(block, grid[start], grid[start + 1])
+
+    return _blockwise(loop, u)
 
 
 def floats_around(t: float, count: int) -> list[float]:
@@ -550,9 +557,9 @@ class TestCertifiedRoot:
         assert primes.size == 78_577
         looped = []
 
-        def counted(u):
+        def counted(u, lo, hi):
             looped.append(u.size)
-            return _bisect_block(u)
+            return _bisect_block(u, lo, hi)
 
         monkeypatch.setattr(symlow.forms, "_bisect_block", counted)
         _draw_angles(1729, "sato-tate", primes)

@@ -23,6 +23,7 @@ import sympy
 from scipy.special import jv
 
 import symlow.petersson
+from symlow.forms import _factorization
 from symlow.petersson import (
     BESSEL_ARGUMENT_GUARD,
     RAMANUJAN_TAU,
@@ -44,7 +45,7 @@ from symlow.petersson import (
     petersson_delta,
     petersson_deltas,
 )
-from oracles import divisor_count, full_sweep_value, tail_bound_settled_at, weil_bound
+from oracles import divisor_count, full_sweep_value, tail_bound_settled_at, two_bound_settled_at, weil_bound
 
 
 def kloosterman_bruteforce(m: int, n: int, c: int) -> float:
@@ -818,25 +819,31 @@ class TestPeterssonDeltas:
 
     def test_no_index_stops_later_than_with_the_tail_bound_alone(self, monkeypatch):
         # test_early_stop_gives_the_full_sweep's grid and its kappa = 200
-        # case, swept under the certificate of delta_tail_bound alone and
-        # under the sweep's own: the same values, and every index stops at
-        # the same modulus or before.
+        # case, and eight indices to 600 at the weights where
+        # delta_tail_bound / 2 pi can be the smaller bound (24, 50, 100) and
+        # at 2 and 4, swept under three certificates: delta_tail_bound
+        # alone, the smaller of it and the hyperbola bound, and the sweep's
+        # own hyperbola bound.  The same values everywhere; every index
+        # stops where the two-bound certificate stops it, and at the same
+        # modulus as with delta_tail_bound alone or before.
         grid = [(k, kappa, c_max) for k in (1, 2, 3) for kappa in (10, 12, 16) for c_max in (60, 400)]
         sweeps = [([1, 2, 7, 30, 100], *point) for point in grid] + [([1, 2, 30], 1, 200, 300)]
+        sweeps += [([1, 2, 3, 5, 7, 10, 30, 97], k, kappa, 600) for k in (1, 2) for kappa in (2, 4, 24, 50, 100)]
         last = stopping_moduli(monkeypatch)
         runs = []
-        for certificate in (tail_bound_settled_at, _settled_at):
+        for certificate in (tail_bound_settled_at, two_bound_settled_at, _settled_at):
             monkeypatch.setattr(symlow.petersson, "_settled_at", certificate)
             for ms, k, kappa, c_max in sweeps:
                 last.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     runs.append(([term.value for term in petersson_deltas(ms, k, kappa, c_max)], dict(last)))
-        alone, both = runs[: len(sweeps)], runs[len(sweeps):]
-        assert [values for values, _ in both] == [values for values, _ in alone]
-        for (_, before), (_, after), sweep in zip(alone, both, sweeps):
+        alone, both, own = (runs[i * len(sweeps):(i + 1) * len(sweeps)] for i in range(3))
+        assert [values for values, _ in own] == [values for values, _ in alone]
+        assert own == both
+        for (_, before), (_, after), sweep in zip(alone, own, sweeps):
             assert all(after[m] <= before[m] for m in sweep[0]), sweep
-        assert any(after != before for (_, before), (_, after) in zip(alone, both))
+        assert any(after != before for (_, before), (_, after) in zip(alone, own))
 
     def test_work_guard(self, monkeypatch):
         # The ten-index tau sweep to 1000 settles every index by c = 200: it
@@ -897,7 +904,7 @@ class TestPeterssonDeltas:
         calls.append(([1], 1, kept, set()))
         for ms, n, tables, before in calls:
             for q, table in tables.items():
-                want = _count_table(ms, n, q, min(symlow.petersson._factorization(q)))
+                want = _count_table(ms, n, q, min(_factorization(q)))
                 assert table.dtype.kind == "u" and numpy.array_equal(table, want), (q, n, ms)
                 if q not in before:
                     assert table.dtype == numpy.min_scalar_type(want.max()), (q, n, ms)

@@ -1,6 +1,7 @@
 """Source-level checks on the package: invariants are raised exceptions,
-every definition has a caller, and numpy computes no elementary function
-that is not named here.
+every definition has a caller, each module imports only the modules that
+ALLOWED_IMPORTS lets its layer read, and numpy computes no elementary
+function that is not named here.
 
 An `assert` statement vanishes under `python -O`, so a check written as one
 would silently stop guarding the numbers.  The unused-import check covers
@@ -39,6 +40,65 @@ def test_package_root_imports_nothing():
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"import statements in {path.name} at lines {found}"
+
+
+# The modules of src/ that each module may import from: the exact layer and
+# forms stand alone, the constants and the trace layer read forms alone, the
+# prime side reads the constants and forms, and the front end reads any.
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "chebyshev": set(),
+    "forms": set(),
+    "constants": {"forms"},
+    "petersson": {"forms"},
+    "explicit": {"constants", "forms"},
+    "cli": {"chebyshev", "constants", "explicit", "forms", "petersson"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The modules of the package that the source at path imports, relatively
+    (``from .forms import``, ``from . import forms``) or by name (``symlow.forms``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = f"symlow.{node.module or ''}".rstrip(".") if node.level else node.module or ""
+            names = [f"{module}.{alias.name}" for alias in node.names] if module == "symlow" else [module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("symlow."))
+    return found
+
+
+def disallowed_imports(sources) -> list[str]:
+    """"module -> module" for every import of sources that ALLOWED_IMPORTS does not list."""
+    return [
+        f"{path.stem} -> {name}"
+        for path in sources
+        for name in sorted(package_imports(path) - ALLOWED_IMPORTS.get(path.stem, set()))
+    ]
+
+
+def test_module_graph():
+    assert {path.stem for path in SOURCES} == set(ALLOWED_IMPORTS)
+    found = disallowed_imports(SOURCES)
+    assert not found, f"imports outside the module graph: {found}"
+
+
+def test_module_graph_edge_is_found(tmp_path):
+    planted = tmp_path / "constants.py"
+    planted.write_text(
+        "from .forms import is_prime\n"
+        "from .petersson import kloosterman_sums\n"
+        "from . import chebyshev\n"
+        "import symlow.explicit\n"
+        "from symlow import cli\n"
+    )
+    assert disallowed_imports([planted]) == [
+        "constants -> chebyshev", "constants -> cli", "constants -> explicit", "constants -> petersson"
+    ]
 
 
 def test_no_unused_imports():
