@@ -3,8 +3,8 @@
 Everything in this module is a Python int: polynomial coefficients, moments,
 U-basis coefficients, and the factorial quotients of
 ``difference_monomial_coeff``, which divide exactly.  Each identity check
-returns an exact polynomial residual: the empty polynomial means the identity
-holds, anything else is a genuine counterexample.  No floating point and no
+returns exact polynomial residuals, one per case: the empty polynomial means
+the identity holds, anything else is a genuine counterexample.  No floating point and no
 rational number enters any computation here.
 
 Identities that pair polynomials against the weight never form a product
@@ -193,82 +193,81 @@ def monomial_expansion(ell: int) -> ExactPoly:
     return ExactPoly.of(*coeffs)
 
 
-def power_sum_identity_residual(n: int, r: int) -> ExactPoly:
-    """Residual of the telescoping power-sum identity; zero iff it holds.
+def power_sum_identity_residuals(n: int, r_max: int) -> list[ExactPoly]:
+    """Residuals of the telescoping power-sum identity for r = 1..r_max; zero iff it holds.
 
-    lhs = sum over 0 <= j <= r with j = r mod 2 of (U_{jn} - U_{jn-2});
-    rhs = sum over 0 <= j <= r of (-1)^j * U_{n-2}^j * U_{n(r-j)}.
+    lhs_r = sum over 0 <= j <= r with j = r mod 2 of (U_{jn} - U_{jn-2});
+    rhs_r = sum over 0 <= j <= r of (-1)^j * U_{n-2}^j * U_{n(r-j)}.
+    Each grows from an earlier r: lhs_r = lhs_{r-2} + (U_{rn} - U_{rn-2}) from
+    lhs_{-1} = 0, and rhs_r = U_{rn} - U_{n-2} * rhs_{r-1} from rhs_0 = U_0
+    (Horner in -U_{n-2}), one product per r.
     """
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
-    lhs = ZERO
-    for j in range(r % 2, r + 1, 2):
-        lhs = lhs + cheb_poly(j * n) - cheb_poly(j * n - 2)
-    # Horner in -U_{n-2}: acc_0 = U_0, acc_m = U_{nm} - U_{n-2} * acc_{m-1},
-    # so acc_r = rhs with one product per j.
-    rhs = cheb_poly(0)
-    for m in range(1, r + 1):
-        rhs = cheb_poly(n * m) - cheb_poly(n - 2) * rhs
-    return lhs - rhs
+    if n < 1 or r_max < 1:
+        raise ValueError("n and r_max must be >= 1")
+    before, lhs, rhs = ZERO, cheb_poly(0) - cheb_poly(-2), cheb_poly(0)  # lhs_{-1}, lhs_0, rhs_0
+    out = []
+    for r in range(1, r_max + 1):
+        before, lhs = lhs, before + (cheb_poly(r * n) - cheb_poly(r * n - 2))
+        rhs = cheb_poly(r * n) - cheb_poly(n - 2) * rhs
+        out.append(lhs - rhs)
+    return out
 
 
-def _chains(k0: int):
-    """Yield (sign, weight, tail) over strictly decreasing chains from k0.
+def _tail_weights(k0: int) -> list[int]:
+    """w[t], the signed weight summed over the chains from k0 that end at t.
 
-    A chain is k0 > k_1 > ... > k_j >= 1 (j >= 0; j = 0 is the bare chain).
-    sign is (-1)^j, weight the product of C(2 k_i, k_i - k_{i+1}) along the
-    chain, tail the last index k_j.
+    A chain is k0 > k_1 > ... > k_j >= 1, of sign (-1)^j and weight the
+    product of C(2 k_i, k_i - k_{i+1}) along it.  w[k0] = 1 (the bare chain)
+    and w[t] = -sum_{t<s<=k0} w[s] * C(2s, s-t): a chain that ends at t < k0
+    is one that ends at some s > t with one more step s -> t.  At t = 0 the
+    same sum is minus sum_s w[s] * C(2s, s), the constant of the chain sum.
     """
-    stack = [(k0, 1, 1)]
-    while stack:
-        tail, sign, weight = stack.pop()
-        yield sign, weight, tail
-        for nxt in range(1, tail):
-            stack.append((nxt, -sign, weight * math.comb(2 * tail, tail - nxt)))
+    w = [0] * k0 + [1]
+    for t in range(k0 - 1, -1, -1):
+        w[t] = -sum(w[s] * math.comb(2 * s, s - t) for s in range(t + 1, k0 + 1))
+    return w
 
 
 def chain_decomposition_residual(k0: int) -> ExactPoly:
     """Residual of the chain decomposition of U_{2k0} - U_{2k0-2}; zero iff ok.
 
-    The chain sum is sum over chains of sign * weight * (T^{2k_j} - C(2k_j, k_j)).
-    The signed weights are added as ints per tail, in the coefficient of
-    T^{2k_j}; each tail's bracket then enters once.
+    The chain sum is sum over chains of sign * weight * (T^{2k_j} - C(2k_j, k_j)):
+    its coefficient of T^{2t} is the tail weight w[t], t = 0 included.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
     coeffs = [0] * (2 * k0 + 1)
-    for sign, weight, tail in _chains(k0):
-        coeffs[2 * tail] += sign * weight
-    for tail in range(1, k0 + 1):
-        coeffs[0] -= coeffs[2 * tail] * math.comb(2 * tail, tail)
+    coeffs[::2] = _tail_weights(k0)
     return _stripped(coeffs) - (cheb_poly(2 * k0) - cheb_poly(2 * k0 - 2))
 
 
-def odd_reduction_residual(big_k: int) -> ExactPoly:
-    """Residual of the reduction of odd-index differences to even ones.
+def odd_reduction_residuals(k_max: int) -> list[ExactPoly]:
+    """Residuals of the reduction of odd-index differences to even ones, K = 1..k_max.
 
     U_{2K+1} - U_{2K-1} = (-1)^K T (1 + sum_{k0=1}^{K} (-1)^{k0} (U_{2k0} - U_{2k0-2})),
-    with the summand grouped exactly as written.  Zero iff the identity holds.
+    with the summand grouped exactly as written; the inner sum gains one
+    summand per K.  Zero iff the identity holds.
     """
-    if big_k < 1:
-        raise ValueError("K must be >= 1")
-    inner = ONE
-    for k0 in range(1, big_k + 1):
-        inner = inner + ((-1) ** k0) * (cheb_poly(2 * k0) - cheb_poly(2 * k0 - 2))
-    rhs = ((-1) ** big_k) * (T * inner)
-    return cheb_poly(2 * big_k + 1) - cheb_poly(2 * big_k - 1) - rhs
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    inner, out = ONE, []
+    for big_k in range(1, k_max + 1):
+        inner = inner + ((-1) ** big_k) * (cheb_poly(2 * big_k) - cheb_poly(2 * big_k - 2))
+        rhs = ((-1) ** big_k) * (T * inner)
+        out.append(cheb_poly(2 * big_k + 1) - cheb_poly(2 * big_k - 1) - rhs)
+    return out
 
 
 def vanishing_chain_sum(k0: int) -> int:
     """Chain sum weighted by C(2k_j, k_j) * k_j/(1+k_j) = k_j * Catalan(k_j).
 
-    Each weight is an integer, so the sum is an int.  Equals
-    -<U_{2k0} - U_{2k0-2}, U_0> in general: 1 at k0 = 1 and 0 for every
-    k0 >= 2.  Both behaviors are part of the contract.
+    Each weight is an integer, so the sum over the tail weights is an int.
+    Equals -<U_{2k0} - U_{2k0-2}, U_0> in general: 1 at k0 = 1 and 0 for
+    every k0 >= 2.  Both behaviors are part of the contract.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    return sum(sign * weight * tail * catalan(tail) for sign, weight, tail in _chains(k0))
+    return sum(w * t * catalan(t) for t, w in enumerate(_tail_weights(k0)))
 
 
 def difference_monomial_coeff(big_k: int, k: int) -> int:

@@ -25,9 +25,9 @@ from .chebyshev import (
     cheb_sum,
     difference_monomial_residual,
     monomial_expansion,
-    odd_reduction_residual,
+    odd_reduction_residuals,
     orthonormality_residual,
-    power_sum_identity_residual,
+    power_sum_identity_residuals,
     vanishing_chain_sum,
 )
 from .constants import compute_constants, nu_max
@@ -202,7 +202,10 @@ def run_identity_suite(
     so it renders as a quoted exact string: "0" when the identity holds.
     Each vanishing chain sum is compared with [k0 == 1]: 1 at k0 = 1, else 0.
     Each power U_r^varpi of the linearization check is the previous power
-    times U_r, one product.
+    times U_r, one product.  Each family of cases is one pass: the power-sum
+    residuals of an n come from one Horner chain over r <= kmax, the odd
+    reductions from one running inner sum, and each chain check from the
+    tail weights of one recurrence.
     """
     checks: list[dict[str, Any]] = []
 
@@ -232,21 +235,14 @@ def run_identity_suite(
     record(
         "power_sum_identity",
         kmax * kmax,
-        _max_residual(
-            [power_sum_identity_residual(n, r)
-             for n in range(1, kmax + 1) for r in range(1, kmax + 1)]
-        ),
+        _max_residual([p for n in range(1, kmax + 1) for p in power_sum_identity_residuals(n, kmax)]),
     )
     record(
         "chain_decomposition",
         kmax,
         _max_residual([chain_decomposition_residual(k0) for k0 in range(1, kmax + 1)]),
     )
-    record(
-        "odd_reduction",
-        kmax,
-        _max_residual([odd_reduction_residual(k) for k in range(1, kmax + 1)]),
-    )
+    record("odd_reduction", kmax, _max_residual(odd_reduction_residuals(kmax)))
     vanish = max(abs(vanishing_chain_sum(k0) - int(k0 == 1)) for k0 in range(1, kmax + 1))
     record("vanishing_chain_sum", kmax, vanish)
     record(

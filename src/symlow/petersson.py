@@ -470,7 +470,7 @@ def petersson_deltas(
     window, and an m's row goes when the m leaves the sweep.  Each m folds its
     few dozen terms a block into its _exact_parts (too few for forms._fold to
     pay), a few floats whose exact sum is its c-sum so far.  Each m keeps its
-    own cutoff (default_c_max(m) when c_max is None), tail bound (of the
+    own cutoff (max(default_c_max(m), k) when c_max is None), tail bound (of the
     declared truncation only) and warning, and its term is the same double it
     would be alone: every summand is the same expression, each J the same
     double whatever window it was computed in, and the c-sum is exactly
@@ -508,7 +508,7 @@ def petersson_deltas(
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_weight(kappa)
-    c_maxes = [default_c_max(m) if c_max is None else c_max for m in ms]
+    c_maxes = [max(default_c_max(m), k) if c_max is None else c_max for m in ms]
     if any(top < k for top in c_maxes):
         raise ValueError("c_max must be >= k")
     if any(top >= MODULUS_LIMIT for top in c_maxes):

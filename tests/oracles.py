@@ -15,6 +15,10 @@ the smaller of that bound over 2 pi and the hyperbola bound: two second
 routes to where an index may stop.
 ``primes_up_to`` joins the sieve's segments into the whole table of primes
 that the program itself never holds.
+``chains`` lists every strictly decreasing chain that the tail weights of
+``chebyshev._tail_weights`` sum, and ``odd_reduction_residual`` rebuilds the
+odd reduction's inner sum for one K: the enumerating and per-case second
+routes of the exact layer's identity checks.
 """
 
 import math
@@ -23,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from symlow.chebyshev import ONE, T, ExactPoly
 from symlow.constants import _prime_stream, digamma
 from symlow.forms import SyntheticForm, _check_weight, _factorization
 from symlow.petersson import (
@@ -172,3 +177,28 @@ def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as one sorted int64 array: the segments of _prime_stream(n), joined."""
     segments = _prime_stream(n)[1] if n >= 2 else []
     return np.concatenate([np.empty(0, dtype=np.int64), *segments])
+
+
+def chains(k0: int):
+    """Yield (sign, weight, tail) over strictly decreasing chains from k0.
+
+    A chain is k0 > k_1 > ... > k_j >= 1 (j >= 0; j = 0 is the bare chain).
+    sign is (-1)^j, weight the product of C(2 k_i, k_i - k_{i+1}) along the
+    chain, tail the last index k_j.
+    """
+    stack = [(k0, 1, 1)]
+    while stack:
+        tail, sign, weight = stack.pop()
+        yield sign, weight, tail
+        for nxt in range(1, tail):
+            stack.append((nxt, -sign, weight * math.comb(2 * tail, tail - nxt)))
+
+
+def odd_reduction_residual(big_k: int, family) -> ExactPoly:
+    """Residual of U_{2K+1} - U_{2K-1} = (-1)^K T (1 + sum_{k0=1}^{K} (-1)^{k0} (U_{2k0} - U_{2k0-2}))
+    for one K, its inner sum rebuilt from 1 over the U family ``family``."""
+    inner = ONE
+    for k0 in range(1, big_k + 1):
+        inner = inner + ((-1) ** k0) * (family(2 * k0) - family(2 * k0 - 2))
+    rhs = ((-1) ** big_k) * (T * inner)
+    return family(2 * big_k + 1) - family(2 * big_k - 1) - rhs

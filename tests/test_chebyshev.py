@@ -4,10 +4,12 @@ Numeric cross-checks integrate against the semicircle weight with scipy;
 everything else is exact integer arithmetic, so expected residuals are
 literally zero, not small.  The product routes (the whole
 product p*q weighted by the moments, U_{n-2}^j by ``**``, one bracket per
-chain, one scaled U_j per term of a U-basis sum) live here only, as oracles
-for the moment-vector, Horner, per-tail and coefficient-wise routes of
-``symlow.chebyshev``, and a counted ``ExactPoly.__mul__`` bounds
-the polynomial products of the CLI's identity suite.
+chain, one scaled U_j per term of a U-basis sum) live here only, and the
+chain enumeration and the per-K odd reduction in ``oracles``: they are the
+oracles for the moment-vector, Horner, tail-recurrence, running-sum and
+coefficient-wise routes of ``symlow.chebyshev``.  A counted
+``ExactPoly.__mul__`` bounds the polynomial products of the CLI's identity
+suite and a counted ``math.comb`` the binomials of the chain checks.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from symlow.chebyshev import (
     T,
     ZERO,
     ExactPoly,
-    _chains,
+    _tail_weights,
     catalan,
     chain_decomposition_residual,
     cheb_coefficients,
@@ -38,13 +40,15 @@ from symlow.chebyshev import (
     difference_monomial_residual,
     moment_vector,
     monomial_expansion,
-    odd_reduction_residual,
+    odd_reduction_residuals,
     orthonormality_residual,
-    power_sum_identity_residual,
+    power_sum_identity_residuals,
     semicircle_moment,
     vanishing_chain_sum,
 )
 from symlow.cli import main, run_identity_suite
+
+from oracles import chains, odd_reduction_residual
 
 
 def horner(p: ExactPoly, x):
@@ -252,7 +256,7 @@ class TestChainIdentities:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_power_sum_identity(self, n, r):
-        assert power_sum_identity_residual(n, r) == ZERO
+        assert power_sum_identity_residuals(n, 8)[r - 1] == ZERO
 
     @pytest.mark.parametrize("k0", range(1, 9))
     def test_chain_decomposition(self, k0):
@@ -260,7 +264,18 @@ class TestChainIdentities:
 
     @pytest.mark.parametrize("big_k", range(1, 9))
     def test_odd_reduction(self, big_k):
-        assert odd_reduction_residual(big_k) == ZERO
+        assert odd_reduction_residuals(8)[big_k - 1] == ZERO
+
+    def test_tail_weights_match_the_enumeration(self):
+        # w[t] is the signed weight summed over the chains ending at t, and
+        # w[0] minus the sum of w[t] * C(2t, t), the chain sum's constant.
+        for k0 in range(1, 19):
+            want = [0] * (k0 + 1)
+            for sign, weight, tail in chains(k0):
+                want[tail] += sign * weight
+            want[0] = -sum(w * math.comb(2 * t, t) for t, w in enumerate(want))
+            got = _tail_weights(k0)
+            assert got == want and all(type(w) is int for w in got), k0
 
     def test_vanishing_chain_sum(self):
         assert vanishing_chain_sum(1) == 1
@@ -336,7 +351,7 @@ def pairwise_orthonormality(top: int, family) -> int:
 
 def per_chain_residual(k0: int, family) -> ExactPoly:
     acc = ZERO
-    for sign, weight, tail in _chains(k0):
+    for sign, weight, tail in chains(k0):
         bracket = (T ** (2 * tail)) - ExactPoly.of(math.comb(2 * tail, tail))
         acc = acc + (sign * weight) * bracket
     return acc - (family(2 * k0) - family(2 * k0 - 2))
@@ -411,7 +426,11 @@ class TestProductRouteOracles:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_incremental_power_sum(self, family, n, r):
-        assert power_sum_identity_residual(n, r) == power_sum_residual_by_powers(n, r, family)
+        assert power_sum_identity_residuals(n, 8)[r - 1] == power_sum_residual_by_powers(n, r, family)
+
+    @pytest.mark.parametrize("big_k", range(1, 11))
+    def test_running_odd_reduction(self, family, big_k):
+        assert odd_reduction_residuals(10)[big_k - 1] == odd_reduction_residual(big_k, family)
 
     @pytest.mark.parametrize("top", [0, 1, 2, 7, 16])
     def test_orthonormality_residual(self, family, top):
@@ -440,7 +459,8 @@ class TestWorkGuard:
         # The benchmark's two identities commands from a cold U cache, as in a
         # fresh process: 17,494 products by the product routes, 3,721 through
         # a per-term expansion wrapper, 1,479 with each power built from 1,
-        # 1,165 now.
+        # 1,165 with a Horner chain per (n, r) and an odd-reduction sum per K,
+        # 418 now.
         cheb_poly.cache_clear()
         for argv in (
             ["identities"],
@@ -449,7 +469,7 @@ class TestWorkGuard:
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
-        assert 0 < products[0] <= 1200
+        assert 0 < products[0] <= 450
 
     def test_each_power_grows_from_the_last(self, products):
         # With U_0..U_64 cached, the linearization check adds power_max^2
@@ -469,3 +489,22 @@ class TestWorkGuard:
         cheb_sum(cheb_coefficients(power))
         orthonormality_residual(40)
         assert products[0] == 0
+
+    @pytest.mark.parametrize("kmax", [8, 10, 16])
+    def test_chain_checks_comb_calls(self, monkeypatch, kmax):
+        # The tail recurrence makes k0 (k0 + 1) / 2 binomials per check and
+        # Catalan one per new t: 249, 451 and 1,649 calls here, against
+        # 538, 2,091 and 131,190 when every chain was listed.
+        count = [0]
+        original = math.comb
+
+        def counted(n, k):
+            count[0] += 1
+            return original(n, k)
+
+        catalan.cache_clear()
+        monkeypatch.setattr(math, "comb", counted)
+        for k0 in range(1, kmax + 1):
+            chain_decomposition_residual(k0)
+            vanishing_chain_sum(k0)
+        assert count[0] <= kmax**3

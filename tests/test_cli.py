@@ -372,8 +372,9 @@ class TestRecordedDigests:
 
 class TestUnrecordedDigests:
     """Same bytes on routes that bench/reference.json does not record: the
-    default constants cutoffs, one --cutoff for both constants, and the
-    uniform distribution's walk."""
+    default constants cutoffs, one --cutoff for both constants, the
+    uniform distribution's walk, and the chain identities past the
+    recorded --kmax."""
 
     @pytest.mark.parametrize(
         "command, digest",
@@ -384,6 +385,10 @@ class TestUnrecordedDigests:
              "fa45860d36d30e01357633f5f7e2eb058513cd3a26c36df12af8a9190acd5cbd"),
             ("pterms --r 1 --kappa 12 --q 11 --nu 1/2 --dist uniform",
              "b1c92e0201e85a723d7d1abae1a12e3dd7d88569d9e405c43a8f346e016b68a7"),
+            ("identities --kmax 20",
+             "5af0eefa24653c965d4263c11c913d3d7292ad956447ed2a26ad23a64a1c1917"),
+            ("identities --kmax 24",
+             "950eac6ac625fd6df88074b182daaf4b1dda9066b999a545f010a38ab0a71a73"),
         ],
     )
     def test_stdout_digest(self, command, digest, capsys):
@@ -462,6 +467,14 @@ class TestPeterssonCommand:
         assert doc["term"]["m"] == 2
         assert doc["term"]["c_max"] == 300
         assert doc["term"]["tail_estimate"] >= 0.0
+
+    def test_default_cutoff_reaches_the_level(self):
+        # default_c_max(2) is 1000, below the level: the default takes k.
+        proc = run_cli("petersson", "--m", "2", "--k", "1009", "--kappa", "12")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["config"]["cmax"] == doc["term"]["c_max"] == 1009
+        assert doc["term"]["tail_estimate"] == delta_tail_bound(2, 12, 1009)
 
     def test_tail_bound_past_the_double_range(self):
         # (2 pi sqrt m)^199 / 199! overflows a double; the bound does not.
