@@ -13,12 +13,13 @@ of ``_prime_stream``, each used and dropped before the next, so no
 consumer keeps a prime table and the cap bounds time, not memory.  Each
 computation sums its constants as the sieve runs.  compute_constants's
 truncations take their length from the exact prime count pi(X), from the
-primes up to sqrt(X) alone, before the first prime is found: each forms its
-logs and quotients a leaf of at most _BLOCK primes at a time, with the
-doubles of the whole-array float64 formulas, and adds the leaves along
-numpy's own pairwise tree (``_pairwise_tree``), whose leaf sizes follow
-from that length; so it returns the bytes of np.sum over the whole array
-without forming it.  The sums of c_sym_even_completed, exactly rounded,
+primes up to sqrt(X) alone, before the first prime is found.  The sums
+over the same primes share one tree: a leaf of at most _BLOCK primes takes
+their logs once (``_LogLeaf``), then each sum's quotients, with the doubles
+of the whole-array float64 formulas, and the leaves add along numpy's own
+pairwise tree (``_pairwise_tree``), whose leaf sizes follow from that
+length; so each sum has the bytes of np.sum over the whole array without
+forming it.  The sums of c_sym_even_completed, exactly rounded,
 need no length and no count: each segment's blocks go through
 ``forms._fold``.  The digamma routine is pinned to one fixed algorithm so
 reports are bit-stable across runs.
@@ -27,11 +28,12 @@ reports are bit-stable across runs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -224,10 +226,11 @@ class _PairwiseSums:
     the end.  So each sum has np.sum's bytes over the whole array while one
     leaf's arrays exist at a time.  leaf must form every entry from its own
     prime alone.  Primes past the first n are ignored, so a sum to X reads
-    its prefix of any longer stream: compute_constants feeds three from one.
+    its prefix of any longer stream: compute_constants feeds one a prime
+    count from one.
     """
 
-    def __init__(self, n: int, leaf: Callable[[np.ndarray], tuple[np.ndarray, ...]]):
+    def __init__(self, n: int, leaf: Callable[[np.ndarray], Iterable[np.ndarray]]):
         sizes: list[int] = []
         _pairwise_tree(n, lambda size: sizes.append(size) or [])  # the leaf sizes, in order
         self._n = n
@@ -282,8 +285,8 @@ def _even_denominator(p: np.ndarray) -> np.ndarray:
     return p**1.5 - p
 
 
-def _even_leaf(p: np.ndarray) -> tuple[np.ndarray]:
-    return (np.log(p) / _even_denominator(p),)
+def _even_leaf(p: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray]:
+    return (logs / _even_denominator(p),)
 
 
 def _even_tail_bound(cutoff: int) -> float:
@@ -294,9 +297,32 @@ def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
     return 1.0 + log_over_p - theta / cutoff - math.log(cutoff)
 
 
-def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logs = np.log(p)
+def _pnt_leaf(p: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, logs / p
+
+
+class _LogLeaf:
+    """The leaf of one pairwise tree that several sums share: it takes np.log
+    of the tree's primes once and hands the primes and the logs to each of
+    leaves, whose arrays it yields in turn, each summed before the next leaf
+    runs; ``split`` cuts the tree's sums back into each leaf's."""
+
+    def __init__(self, leaves: list[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]]):
+        self._leaves = leaves
+        self._widths: list[int] = []
+
+    def __call__(self, p: np.ndarray) -> Iterator[np.ndarray]:
+        logs = np.log(p)
+        self._widths = []
+        for leaf in self._leaves:
+            arrays = leaf(p, logs)
+            self._widths.append(len(arrays))
+            yield from arrays
+            del arrays  # summed: dropped before the next leaf forms its own
+
+    def split(self, sums: list[float]) -> list[list[float]]:
+        cuts = list(itertools.accumulate(self._widths, initial=0))
+        return [sums[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 # Asymptotic coefficients B_{2k}/(2k) for k = 1..8.
@@ -576,10 +602,12 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
     sum_{p<=X} log p / (p^{3/2} - p); integral comparison bounds the rest by
     (2 log X + 4)/(sqrt(X) - 1), as log t/(t^{3/2}-t) decreases and is at most
     log t t^{-3/2} / (1 - X^{-1/2}) past X.  cutoff None takes c_pnt at
-    DEFAULT_PNT_CUTOFF and c at DEFAULT_C_CUTOFF.  The three sums' pairwise
-    trees take their primes from the one sieve to the larger cutoff as it
-    runs.  c_gamma, which checks r and kappa, comes first, so a bad r or
-    weight is refused before the sieve.
+    DEFAULT_PNT_CUTOFF and c at DEFAULT_C_CUTOFF.  The three sums take their
+    primes from the one sieve to the larger cutoff as it runs; those over the
+    same primes (the pnt and even sums at a cutoff given, the decade and even
+    sums at the defaults) share one pairwise tree and its logs.  c_gamma,
+    which checks r and kappa, comes first, so a bad r or weight is refused
+    before the sieve.
     """
     gamma_value = c_gamma(r, kappa)
     pnt_cutoff, c_cutoff = (DEFAULT_PNT_CUTOFF, DEFAULT_C_CUTOFF) if cutoff is None else (cutoff, cutoff)
@@ -588,18 +616,22 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
     bound = max(pnt_cutoff, c_cutoff)
     base, segments = _prime_stream(bound)
     count = _prime_counter(bound, base)
-    pnt, decade, even = (
-        _PairwiseSums(count(x), leaf)
-        for x, leaf in ((pnt_cutoff, _pnt_leaf), (decade_cutoff, _pnt_leaf), (c_cutoff, _even_leaf))
-    )
-    _feed(segments, [pnt, decade, even])
-    pnt_value = _pnt_value_at(pnt_cutoff, *pnt.sums())
-    (c_value,) = even.sums()
+    cutoffs = ((pnt_cutoff, _pnt_leaf), (decade_cutoff, _pnt_leaf), (c_cutoff, _even_leaf))
+    wanted = [(count(x), leaf) for x, leaf in cutoffs]
+    shared: dict[int, list] = {}  # prime count -> the leaves summed over those primes
+    for n, leaf in wanted:
+        shared.setdefault(n, []).append(leaf)
+    leaves = {n: _LogLeaf(group) for n, group in shared.items()}
+    trees = {n: _PairwiseSums(n, leaf) for n, leaf in leaves.items()}
+    _feed(segments, list(trees.values()))
+    sums = {n: iter(leaves[n].split(tree.sums())) for n, tree in trees.items()}
+    pnt, decade, (c_value,) = (next(sums[n]) for n, _ in wanted)
+    pnt_value = _pnt_value_at(pnt_cutoff, *pnt)
     return ConstantsBundle(
         r=r,
         kappa=kappa,
         c_pnt_value=pnt_value,
-        c_pnt_uncertainty=abs(pnt_value - _pnt_value_at(decade_cutoff, *decade.sums())),
+        c_pnt_uncertainty=abs(pnt_value - _pnt_value_at(decade_cutoff, *decade)),
         c_value=c_value,
         c_tail_bound=_even_tail_bound(c_cutoff),
         c_gamma_value=gamma_value,

@@ -7,14 +7,15 @@ distribution.  The uniform draws are the same on every platform; the
 angles are decided with the C library's math.sin, so a (seed,
 distribution) pair gives bit-identical angles wherever that library is the
 same.  The Sato-Tate inverse CDF equals the scalar 64-step bisection bit
-for bit (see ``_sato_tate_inverse_cdf``).  One table lookup takes its first
-12 steps.  Where F, computed with math.sin, provably does not decrease
-over the rest of the bracket (about nine draws in ten), a few Newton steps
-propose the root and math.sin at two adjacent floats certifies it as the
-bisection's own; the other draws run the remaining 52 steps on numpy
-arrays, redoing with math.sin every comparison that np.sin could decide
-differently.  The prime walk draws one batch per sieve segment, through a
-small cache of the last few batches.
+for bit (see ``_sato_tate_inverse_cdf``).  Where F, computed with
+math.sin, provably does not decrease over the bisection's bracket after 12
+steps (about nine draws in ten, found by two comparisons), two Newton steps
+from a start table propose the root and math.sin at two adjacent floats
+certifies it as the bisection's own.  The other draws of a batch are
+pooled: one table lookup takes their first 12 steps, and the remaining 52
+run on numpy arrays, redoing with math.sin every comparison that np.sin
+could decide differently.  The prime walk draws one batch per sieve
+segment, through a small cache of the last few batches.
 
 Three decisions live here for every module: how long a pass is, which
 library computes an elementary function, and how an exact sum is kept.  A
@@ -247,10 +248,13 @@ BISECTION_MARGIN = 2.0**-51
 _MONOTONE_LO = math.pi / 4
 _MONOTONE_HI = 2.78
 
-# Newton steps that propose a root in R, and one-float moves that may then
-# certify it before the entry falls back to the bisection.
-_NEWTON_STEPS = 3
+# Newton steps from the start table that propose a root in R, and one-float
+# moves that may then certify it before the entry falls back to the bisection.
+_NEWTON_STEPS = 2
 _WALK_STEPS = 4
+
+# Newton starts from F^-1 at u = j / _STARTS, j = 0.._STARTS (_start_table).
+_STARTS = 1 << 12
 
 
 def _cdf(t: np.ndarray) -> np.ndarray:
@@ -274,16 +278,32 @@ def _head_table() -> tuple[np.ndarray, np.ndarray]:
     return grid, head
 
 
+@functools.cache
+def _start_table() -> tuple[np.ndarray, np.ndarray]:
+    """Newton's starting points t_j at u = j / _STARTS, j = 0.._STARTS, and
+    the slopes t_{j+1} - t_j, the last 0 so that u = 1 reads a slope too.
+
+    t_j is the linear interpolant of the head table's points, F = 0 at 0 and
+    F = 1 at pi included, at u = j / _STARTS: no new sine, and Newton only
+    proposes, so a table built under another math.sin still serves."""
+    grid, head = _head_table()
+    starts = np.interp(np.arange(_STARTS + 1) / _STARTS, np.concatenate(([0.0], head, [1.0])), grid)
+    slopes = np.diff(starts, append=math.pi)
+    starts.flags.writeable = slopes.flags.writeable = False  # shared by every caller
+    return starts, slopes
+
+
 def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     """Solve F(t) = (2t - sin 2t) / (2 pi) = u for every entry of u in (0, 1].
 
     Every result is the scalar loop's: 64 bisection steps that halve
     [lo, hi] = [0, pi] by setting lo = mid if F(mid) < u and hi = mid
     otherwise, with math.sin (F is strictly increasing, so 64 halvings pin
-    each root to ~5e-19).  Entries go _BLOCK at a time, as each depends on
-    itself alone: ``_root_block`` certifies about nine in ten of them
-    directly and hands the rest, each with the head bracket it found, to
-    ``_bisect_block``, which runs the loop.
+    each root to ~5e-19).  ``_root_block`` certifies about nine entries in ten
+    directly, _BLOCK at a time, as each depends on itself alone, and leaves
+    the others unwritten; those of the whole batch are pooled, and each pool
+    of at most _BLOCK takes its head brackets and runs the loop in
+    ``_bisect_block``.
 
     The head.  The first _HEAD_LEVELS steps are a binary search over F at the
     midpoints of ``_head_table``, taken with math.sin, which decides every
@@ -313,14 +333,17 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     that comparison or is 0, where F = 0; hi was set by it or is pi, where
     F = 1), so every later step would keep lo and hi, and mid, as they are.
 
-    The certified root.  Where the head bracket [lo, hi] lies in
-    R = [_MONOTONE_LO, _MONOTONE_HI], ``_root_block`` skips the loop.
-    Newton's method with np.sin and np.cos proposes a float x in [lo, hi].
-    F with math.sin at x and at the next float x+ then accepts x if
-    F(x) < u <= F(x+); if not, x moves one float toward the crossing, up to
-    _WALK_STEPS times, and an entry still not accepted goes to
-    ``_bisect_block``.  The result is 0.5 * (x + x+).  Newton only proposes:
-    every comparison that decides a result is made with math.sin.
+    The certified root.  Let a <= b be the first and the last grid point of
+    ``_head_table`` in R = [_MONOTONE_LO, _MONOTONE_HI], with F(a) and F(b)
+    from the table (F = 0 at 0 and F = 1 at pi).  The head bracket lies in R
+    exactly where F(a) < u <= F(b): two comparisons, no search.  There
+    ``_root_block`` skips the loop.  Newton's method with np.sin and np.cos,
+    _NEWTON_STEPS steps from the linear interpolant of ``_start_table``,
+    proposes a float x in [a, b].  F with math.sin at x and at the next float
+    x+ then accepts x if F(x) < u <= F(x+); if not, x moves one float toward
+    the crossing, up to _WALK_STEPS times, and an entry still not accepted
+    falls back to the loop.  The result is 0.5 * (x + x+).  Newton only
+    proposes: every comparison that decides a result is made with math.sin.
 
     Why that is the loop's result.  Let s = math.sin, within 2^-53 of sin as
     above, and F(t) = (2t - s(2t)) / (2 pi) as computed.  For consecutive
@@ -332,45 +355,63 @@ def _sato_tate_inverse_cdf(u: np.ndarray) -> np.ndarray:
     sin^2 xi > 1/8, as xi < pi - asin(2^-1.5).  The rounded subtraction and
     the rounded division by 2 pi are monotone, so F(t) <= F(t').  (The float
     math.pi / 4 lies just below pi/4 and the float after it above; only
-    pairs with t > lo matter, as the head already gives F(lo) < u.)
-    So, as F(lo) < u <= F(hi), the floats of [lo, hi] with F < u are those
-    up to one float x, the one with F(x) < u <= F(x+): the x the walk
-    accepts, which stays in [lo, hi] because it moves down only from an x
-    with F(x) >= u and up only from an x+ with F(x+) < u.  The loop keeps lo
-    among those floats and hi above them, so it can only end on the adjacent
-    pair x, x+, with result 0.5 * (x + x+).  And it gets there within its 52
-    steps: a head bracket spans fewer than 2^43 float spacings of at least
-    2^-53, and each step keeps at most half of them, rounded up, within one
-    binade, or half plus one where the bracket straddles 1 or 2, so the
-    bracket closes to adjacent floats by the 46th step.
+    pairs with t > a matter, as F(a) < u is given.)
+    So, as F(a) < u <= F(b), the floats of [a, b] with F < u are those up to
+    one float x, the one with F(x) < u <= F(x+): the unique crossing in R,
+    and the x that the walk accepts, which stays in [a, b] because it moves
+    down only from an x with F(x) >= u and up only from an x+ with
+    F(x+) < u.  The head bracket [lo, hi] has F(lo) < u <= F(hi) and lies in
+    [a, b], so it holds that crossing: lo <= x < x+ <= hi.  The loop keeps lo
+    among the floats with F < u and hi above them, so it can only end on the
+    adjacent pair x, x+, with result 0.5 * (x + x+).  And it gets there
+    within its 52 steps: a head bracket spans fewer than 2^43 float spacings
+    of at least 2^-53, and each step keeps at most half of them, rounded up,
+    within one binade, or half plus one where the bracket straddles 1 or 2,
+    so the bracket closes to adjacent floats by the 46th step.
     """
-    return _blockwise(_root_block, u)
-
-
-def _root_block(u: np.ndarray) -> np.ndarray:
-    """The inverse CDF of each entry of u: a certified root where its head
-    bracket lies in R, ``_bisect_block`` elsewhere (see _sato_tate_inverse_cdf)."""
-    out = np.empty_like(u)
     grid, head = _head_table()
-    start = np.searchsorted(head, u, "left")
-    lo, hi = grid[start], grid[start + 1]
-    fallback = (lo < _MONOTONE_LO) | (hi > _MONOTONE_HI)
+    cdf = np.concatenate(([0.0], head, [1.0]))  # F at every grid point
+    ends = [int(np.searchsorted(grid, _MONOTONE_LO, "left")), int(np.searchsorted(grid, _MONOTONE_HI, "right")) - 1]
+    region = (*grid[ends].tolist(), *cdf[ends].tolist())  # a, b, F(a), F(b)
+    out, fallback = np.empty(u.size), np.empty(u.size, dtype=bool)
+    for i in range(0, u.size, _BLOCK):
+        fallback[i : i + _BLOCK] = _root_block(u[i : i + _BLOCK], out[i : i + _BLOCK], region)
+    pool = np.flatnonzero(fallback)
+    del fallback  # before the pools' arrays: a batch-long mask is dead weight there
+    for index in _blocks(pool):
+        v = u[index]
+        start = np.searchsorted(head, v, "left")
+        out[index] = _bisect_block(v, grid[start], grid[start + 1])
+    return out
+
+
+def _root_block(u: np.ndarray, out: np.ndarray, region: tuple[float, float, float, float]) -> np.ndarray:
+    """Write into out the certified root of each entry of u whose head
+    bracket lies in R, and return the mask of the others, left unwritten.
+
+    region is (a, b, F(a), F(b)) for the grid points a, b at R's ends (see
+    _sato_tate_inverse_cdf)."""
+    a, b, f_a, f_b = region
+    fallback = (u <= f_a) | (u > f_b)
     index = np.flatnonzero(~fallback)
-    lo, hi, v = lo[index], hi[index], u[index]
-    t = 0.5 * (lo + hi)
+    v = u[index]
+    starts, slopes = _start_table()
+    scaled = v * _STARTS
+    j = scaled.astype(np.intp)
+    t = starts[j] + (scaled - j) * slopes[j]
     for _ in range(_NEWTON_STEPS):
         two_t = 2.0 * t
         step = ((two_t - np.sin(two_t)) / (2.0 * math.pi) - v) * math.pi / (1.0 - np.cos(two_t))
-        t = np.clip(t - step, lo, hi)
+        t = np.clip(t - step, a, b)
     # Newton lands mostly one float above the crossing: start one below.
-    x = np.maximum(np.nextafter(t, -np.inf), lo)
+    x = np.maximum(np.nextafter(t, -np.inf), a)
     x_next = np.nextafter(x, np.inf)
     f, f_next = _cdf(x), _cdf(x_next)
     for move in range(_WALK_STEPS + 1):
         found = (f < v) & (f_next >= v)
         out[index[found]] = 0.5 * (x[found] + x_next[found])
         keep = ~found
-        index, v, x, x_next, f, f_next = (a[keep] for a in (index, v, x, x_next, f, f_next))
+        index, v, x, x_next, f, f_next = (arr[keep] for arr in (index, v, x, x_next, f, f_next))
         if not index.size or move == _WALK_STEPS:
             break
         # One float up where F(x+) < u, else one down; the float that the old
@@ -384,10 +425,7 @@ def _root_block(u: np.ndarray) -> np.ndarray:
         fresh = _cdf(np.where(up, x_next, x))
         f, f_next = np.where(up, shared, fresh), np.where(up, fresh, shared)
     fallback[index] = True
-    if np.count_nonzero(fallback):
-        start = start[fallback]
-        out[fallback] = _bisect_block(u[fallback], grid[start], grid[start + 1])
-    return out
+    return fallback
 
 
 def _bisect_block(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -462,9 +500,10 @@ class SyntheticForm:
         """Satake angle at p; defined only away from the level.
 
         Checks that p is a prime other than q, then draws the seeded angle
-        as an uncached batch of one: about 0.22 ms a call on a 2-core machine
-        (52 bisection steps on a one-element array), where a batch costs about
-        1.2 us a prime.  Callers that hold many primes away from q (the prime
+        as an uncached batch of one: on a 2-core machine about 0.07 ms a call
+        for a certified root and 0.4 ms for the 52 bisection steps that about
+        one draw in ten takes, on a one-element array, where a batch costs
+        about 0.9 us a prime.  Callers that hold many primes away from q (the prime
         sums, a sieve segment at a time) read ``_sieved_angles`` for all of
         them at once, which is cached and skips the Miller-Rabin recheck.
         """

@@ -31,10 +31,12 @@ from symlow.constants import (
     SIEVE_CAP_ENV,
     c_gamma,
     _ExactSums,
+    _LogLeaf,
     _PairwiseSums,
     _even_denominator,
     _even_leaf,
     _feed,
+    _pairwise_tree,
     _pnt_leaf,
     _pnt_value_at,
     _prime_counter,
@@ -393,7 +395,7 @@ class TestSharedPrimeTable:
         count = _prime_counter(cutoff, _root_primes(cutoff))
         decade = max(2, cutoff // 10)
         cutoffs = [(cutoff, _pnt_leaf), (decade, _pnt_leaf), (cutoff, _even_leaf)]
-        trees = [_PairwiseSums(count(x), leaf) for x, leaf in cutoffs]
+        trees = [_PairwiseSums(count(x), _LogLeaf([leaf])) for x, leaf in cutoffs]
         _feed(_segmented_sieve(10**7, _root_primes(10**7)), trees)
         pnt, pnt_decade, (even,) = (tree.sums() for tree in trees)
         value = _pnt_value_at(cutoff, *pnt)
@@ -411,8 +413,8 @@ class TestSharedPrimeTable:
         leaves, segments = [], []
         sieve = symlow.constants._segmented_sieve
 
-        def recorded(p):
-            (got,) = _even_leaf(p)
+        def recorded(p, logs):
+            (got,) = _even_leaf(p, logs)
             leaves.append(got.copy())
             return (got,)
 
@@ -428,6 +430,25 @@ class TestSharedPrimeTable:
         assert numpy.array_equal(numpy.concatenate(leaves), numpy.log(floats) / (floats**1.5 - floats))
         c_sym_even_completed(10**6)
         assert segments and all(numpy.array_equal(*pair) for pair in segments)
+
+    @pytest.mark.parametrize("cutoff, logs", [(10**6, 18), (None, 144)])
+    def test_one_log_per_leaf(self, cutoff, logs, monkeypatch):
+        # The sums over the same primes share one tree and its logs: at 10**6
+        # the pnt and even sums that of pi(10**6) (16 leaves), the decade sum
+        # that of pi(10**5) (2); at the defaults the decade and even sums that
+        # of pi(10**6), the pnt sum that of pi(10**7).  One tree per sum would
+        # take 34 and 160.
+        trees = (10**6, 10**5) if cutoff else (10**7, 10**6)
+        count = _prime_counter(max(trees), _root_primes(max(trees)))
+        leaves = []
+        for x in trees:
+            _pairwise_tree(count(x), lambda size: leaves.append(size) or [])
+        assert len(leaves) == logs
+        calls = []
+        log = numpy.log
+        monkeypatch.setattr(numpy, "log", lambda p: calls.append(p.size) or log(p))
+        compute_constants(2, 12, cutoff)
+        assert len(calls) == logs and sorted(calls) == sorted(leaves)
 
     def test_head_denominators_same_doubles(self, monkeypatch):
         # Every quotient that c_sym_even_completed folds at 10^6, over 10

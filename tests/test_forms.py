@@ -549,21 +549,72 @@ class TestCertifiedRoot:
         assert numpy.array_equal(got, bisected(u))
         assert got.tolist() == [scalar_inverse_cdf(v) for v in u.tolist()]
 
-    def test_fallback_share(self, monkeypatch):
+    def test_walk_keeps_to_the_region(self, monkeypatch):
+        # Whatever Newton proposes, here with np.cos at 1, which throws
+        # every proposal to a clip bound, the walk takes F only at the floats
+        # of [a, b], the grid points at R's ends, where F cannot decrease,
+        # and every angle stays the loop's.  A draw at F(a) has its head
+        # bracket below a, so it takes the loop with no step of the walk.
+        grid = _head_table()[0]
+        a, b = grid[1024], grid[3624]
+        rng = numpy.random.default_rng(1761)
+        edges = [v for t in (a, b) for v in draws_around(t, 3)]
+        u = numpy.concatenate((rng.uniform(scalar_cdf(a), scalar_cdf(b), 5_000), edges))
+        want = bisected(u)
+        walked = []
+        cdf = symlow.forms._cdf
+
+        def recorded(t):
+            walked.append(t.copy())
+            return cdf(t)
+
+        def loop(u, lo, hi):  # after every block's walk: its close calls are not recorded
+            monkeypatch.setattr(symlow.forms, "_cdf", cdf)
+            return _bisect_block(u, lo, hi)
+
+        monkeypatch.setattr(symlow.forms, "_cdf", recorded)
+        monkeypatch.setattr(symlow.forms, "_bisect_block", loop)
+        monkeypatch.setattr(numpy, "cos", lambda x: numpy.ones_like(x))
+        with numpy.errstate(divide="ignore", invalid="ignore"):
+            got = _sato_tate_inverse_cdf(u)
+        assert numpy.array_equal(got, want)
+        t = numpy.concatenate(walked)
+        assert t.size >= 2 * 5_000 and a <= t.min() and t.max() <= b
+        assert min(numpy.count_nonzero(t == a), numpy.count_nonzero(t == b)) > 1_000  # both bounds hit
+
+    @pytest.fixture
+    def looped(self, monkeypatch):
+        """The size of every _bisect_block call, in order."""
+        sizes = []
+
+        def counted(u, lo, hi):
+            sizes.append(u.size)
+            return _bisect_block(u, lo, hi)
+
+        monkeypatch.setattr(symlow.forms, "_bisect_block", counted)
+        return sizes
+
+    def test_fallback_share(self, looped):
         # The 78,577 draws of pterms --r 1 --kappa 12 --q 10007 --nu 3/2: at
         # most 15% may take the loop, so routing every draw back through it fails.
         primes = primes_up_to(ANGLE_LIMIT)
         primes = primes[primes != 10007]
         assert primes.size == 78_577
-        looped = []
-
-        def counted(u, lo, hi):
-            looped.append(u.size)
-            return _bisect_block(u, lo, hi)
-
-        monkeypatch.setattr(symlow.forms, "_bisect_block", counted)
         _draw_angles(1729, "sato-tate", primes)
         assert 0 < sum(looped) <= 0.15 * primes.size
+        # The batch's fallback draws go to the loop as one pool, not block by block.
+        assert len(looped) == 1 and max(looped) <= _BLOCK
+
+    def test_fallback_pools(self, looped):
+        # Draws below F(pi/4) all take the loop: 2 * _BLOCK + 5 of them, among
+        # certified ones, go in pools of _BLOCK, _BLOCK and 5 draws.
+        rng = numpy.random.default_rng(1742)
+        below = rng.uniform(2.0**-65, scalar_cdf(_MONOTONE_LO), 2 * _BLOCK + 5)
+        u = numpy.concatenate((below, rng.uniform(0.1, 0.9, 3 * _BLOCK)))
+        rng.shuffle(u)
+        got = _sato_tate_inverse_cdf(u)
+        assert looped == [_BLOCK, _BLOCK, 5]
+        assert numpy.array_equal(got, bisected(u))
 
 
 @contextlib.contextmanager
