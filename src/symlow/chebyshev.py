@@ -78,20 +78,6 @@ class ExactPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ExactPoly":
-        """n products of self, from the empty product: P**0 == 1 even for P = 0.
-
-        Square-and-multiply would take fewer products; at the degrees the
-        identity suite raises to, the plain loop is the shorter code for
-        nearly the same time.
-        """
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
 
 def _stripped(cs: list) -> ExactPoly:
     """The polynomial of an int coefficient list, trailing zeros dropped."""

@@ -15,7 +15,8 @@ computation sums its constants as the sieve runs.  compute_constants's
 truncations take their length from the exact prime count pi(X), from the
 primes up to sqrt(X) alone, before the first prime is found.  The sums
 over the same primes share one tree: a leaf of at most _BLOCK primes takes
-their logs once (``_LogLeaf``), then each sum's quotients, with the doubles
+their logs once for log p and log p / p (``_pnt_leaf``), and on the even
+sum's tree log p / (p^{3/2} - p) too (``_pnt_even_leaf``), with the doubles
 of the whole-array float64 formulas, and the leaves add along numpy's own
 pairwise tree (``_pairwise_tree``), whose leaf sizes follow from that
 length; so each sum has the bytes of np.sum over the whole array without
@@ -28,7 +29,6 @@ reports are bit-stable across runs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 from decimal import Decimal
@@ -226,8 +226,9 @@ class _PairwiseSums:
     the end.  So each sum has np.sum's bytes over the whole array while one
     leaf's arrays exist at a time.  leaf must form every entry from its own
     prime alone.  Primes past the first n are ignored, so a sum to X reads
-    its prefix of any longer stream: compute_constants feeds one a prime
-    count from one.
+    its prefix of any longer stream: compute_constants feeds a tree for each
+    prime count it sums to from one stream, its leaf _pnt_leaf, or
+    _pnt_even_leaf at the even sum's count.
     """
 
     def __init__(self, n: int, leaf: Callable[[np.ndarray], Iterable[np.ndarray]]):
@@ -285,10 +286,6 @@ def _even_denominator(p: np.ndarray) -> np.ndarray:
     return p**1.5 - p
 
 
-def _even_leaf(p: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray]:
-    return (logs / _even_denominator(p),)
-
-
 def _even_tail_bound(cutoff: int) -> float:
     return (2.0 * math.log(cutoff) + 4.0) / (math.sqrt(cutoff) - 1.0)
 
@@ -297,32 +294,14 @@ def _pnt_value_at(cutoff: int, theta: float, log_over_p: float) -> float:
     return 1.0 + log_over_p - theta / cutoff - math.log(cutoff)
 
 
-def _pnt_leaf(p: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pnt_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log(p)
     return logs, logs / p
 
 
-class _LogLeaf:
-    """The leaf of one pairwise tree that several sums share: it takes np.log
-    of the tree's primes once and hands the primes and the logs to each of
-    leaves, whose arrays it yields in turn, each summed before the next leaf
-    runs; ``split`` cuts the tree's sums back into each leaf's."""
-
-    def __init__(self, leaves: list[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]]):
-        self._leaves = leaves
-        self._widths: list[int] = []
-
-    def __call__(self, p: np.ndarray) -> Iterator[np.ndarray]:
-        logs = np.log(p)
-        self._widths = []
-        for leaf in self._leaves:
-            arrays = leaf(p, logs)
-            self._widths.append(len(arrays))
-            yield from arrays
-            del arrays  # summed: dropped before the next leaf forms its own
-
-    def split(self, sums: list[float]) -> list[list[float]]:
-        cuts = list(itertools.accumulate(self._widths, initial=0))
-        return [sums[i:j] for i, j in zip(cuts, cuts[1:])]
+def _pnt_even_leaf(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    logs, over_p = _pnt_leaf(p)
+    return logs, over_p, logs / _even_denominator(p)
 
 
 # Asymptotic coefficients B_{2k}/(2k) for k = 1..8.
@@ -603,9 +582,11 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
     (2 log X + 4)/(sqrt(X) - 1), as log t/(t^{3/2}-t) decreases and is at most
     log t t^{-3/2} / (1 - X^{-1/2}) past X.  cutoff None takes c_pnt at
     DEFAULT_PNT_CUTOFF and c at DEFAULT_C_CUTOFF.  The three sums take their
-    primes from the one sieve to the larger cutoff as it runs; those over the
-    same primes (the pnt and even sums at a cutoff given, the decade and even
-    sums at the defaults) share one pairwise tree and its logs.  c_gamma,
+    primes from the one sieve to the larger cutoff as it runs, one pairwise
+    tree for each prime count: _pnt_leaf's, or _pnt_even_leaf's at the even
+    sum's count, so the sums over the same primes (the pnt and even sums at a
+    cutoff given, the decade and even sums at the defaults) share a tree and
+    its logs, and each reads its own entries of the tree's sums.  c_gamma,
     which checks r and kappa, comes first, so a bad r or weight is refused
     before the sieve.
     """
@@ -616,23 +597,19 @@ def compute_constants(r: int, kappa: int, cutoff: int | None = None) -> Constant
     bound = max(pnt_cutoff, c_cutoff)
     base, segments = _prime_stream(bound)
     count = _prime_counter(bound, base)
-    cutoffs = ((pnt_cutoff, _pnt_leaf), (decade_cutoff, _pnt_leaf), (c_cutoff, _even_leaf))
-    wanted = [(count(x), leaf) for x, leaf in cutoffs]
-    shared: dict[int, list] = {}  # prime count -> the leaves summed over those primes
-    for n, leaf in wanted:
-        shared.setdefault(n, []).append(leaf)
-    leaves = {n: _LogLeaf(group) for n, group in shared.items()}
+    pnt_n, decade_n, c_n = (count(x) for x in (pnt_cutoff, decade_cutoff, c_cutoff))
+    # A repeated key keeps its last value, so the tree at c_n takes the even leaf.
+    leaves = {pnt_n: _pnt_leaf, decade_n: _pnt_leaf, c_n: _pnt_even_leaf}
     trees = {n: _PairwiseSums(n, leaf) for n, leaf in leaves.items()}
     _feed(segments, list(trees.values()))
-    sums = {n: iter(leaves[n].split(tree.sums())) for n, tree in trees.items()}
-    pnt, decade, (c_value,) = (next(sums[n]) for n, _ in wanted)
-    pnt_value = _pnt_value_at(pnt_cutoff, *pnt)
+    sums = {n: tree.sums() for n, tree in trees.items()}
+    pnt_value = _pnt_value_at(pnt_cutoff, *sums[pnt_n][:2])
     return ConstantsBundle(
         r=r,
         kappa=kappa,
         c_pnt_value=pnt_value,
-        c_pnt_uncertainty=abs(pnt_value - _pnt_value_at(decade_cutoff, *decade)),
-        c_value=c_value,
+        c_pnt_uncertainty=abs(pnt_value - _pnt_value_at(decade_cutoff, *sums[decade_n][:2])),
+        c_value=sums[c_n][2],
         c_tail_bound=_even_tail_bound(c_cutoff),
         c_gamma_value=gamma_value,
         pnt_cutoff=pnt_cutoff,

@@ -18,7 +18,8 @@ that the program itself never holds.
 ``chains`` lists every strictly decreasing chain that the tail weights of
 ``chebyshev._tail_weights`` sum, and ``odd_reduction_residual`` rebuilds the
 odd reduction's inner sum for one K: the enumerating and per-case second
-routes of the exact layer's identity checks.
+routes of the exact layer's identity checks.  ``power`` raises a polynomial
+by repeated products, for the tests' product routes.
 """
 
 import math
@@ -202,3 +203,11 @@ def odd_reduction_residual(big_k: int, family) -> ExactPoly:
         inner = inner + ((-1) ** k0) * (family(2 * k0) - family(2 * k0 - 2))
     rhs = ((-1) ** big_k) * (T * inner)
     return family(2 * big_k + 1) - family(2 * big_k - 1) - rhs
+
+
+def power(p: ExactPoly, n: int) -> ExactPoly:
+    """p to the n >= 0 as n products from ONE, so power(ZERO, 0) == ONE."""
+    result = ONE
+    for _ in range(n):
+        result = result * p
+    return result

@@ -3,9 +3,10 @@
 Numeric cross-checks integrate against the semicircle weight with scipy;
 everything else is exact integer arithmetic, so expected residuals are
 literally zero, not small.  The product routes (the whole
-product p*q weighted by the moments, U_{n-2}^j by ``**``, one bracket per
-chain, one scaled U_j per term of a U-basis sum) live here only, and the
-chain enumeration and the per-K odd reduction in ``oracles``: they are the
+product p*q weighted by the moments, U_{n-2}^j by repeated products, one
+bracket per chain, one scaled U_j per term of a U-basis sum) live here only,
+and the chain enumeration, the per-K odd reduction and ``power``, n
+products from ONE, in ``oracles``: they are the
 oracles for the moment-vector, Horner, tail-recurrence, running-sum and
 coefficient-wise routes of ``symlow.chebyshev``.  A counted
 ``ExactPoly.__mul__`` bounds the polynomial products of the CLI's identity
@@ -48,7 +49,7 @@ from symlow.chebyshev import (
 )
 from symlow.cli import main, run_identity_suite
 
-from oracles import chains, odd_reduction_residual
+from oracles import chains, odd_reduction_residual, power
 
 
 def horner(p: ExactPoly, x):
@@ -105,14 +106,14 @@ class TestExactPoly:
     @given(small_polys, st.integers(min_value=0, max_value=8))
     @settings(max_examples=40, deadline=None)
     def test_pow_matches_pointwise_power(self, p, n):
-        # Evaluation is a ring map to the ints, so (p**n)(x) == p(x)**n; the
-        # right side is int arithmetic, independent of ExactPoly's products.
+        # Evaluation is a ring map to the ints, so power(p, n)(x) == p(x)**n;
+        # the right side is int arithmetic, independent of ExactPoly's products.
         def at(q, x):
             return sum(c * x**i for i, c in enumerate(q.coeffs))
 
-        power = p**n
+        raised = power(p, n)
         for x in range(-3, 4):
-            assert at(power, x) == at(p, x) ** n
+            assert at(raised, x) == at(p, x) ** n
 
     def test_products_with_zero(self):
         p = ExactPoly.of(3, -1, 4)
@@ -121,8 +122,8 @@ class TestExactPoly:
 
     def test_zero_pow_zero_is_one(self):
         # empty products are 1 even for the zero polynomial
-        assert ZERO**0 == ONE
-        assert ZERO**3 == ZERO
+        assert power(ZERO, 0) == ONE
+        assert power(ZERO, 3) == ZERO
 
     def test_scalar_multiplication(self):
         p = ExactPoly.of(1, 1)
@@ -185,12 +186,12 @@ class TestChebFamily:
 
 class TestLinearization:
     def test_square_of_first(self):
-        x = cheb_coefficients(cheb_poly(1) ** 2)
+        x = cheb_coefficients(power(cheb_poly(1), 2))
         assert x == (1, 0, 1)
-        assert cheb_sum(x) == cheb_poly(1) ** 2
+        assert cheb_sum(x) == power(cheb_poly(1), 2)
 
     def test_parity_entries_are_exact_zeros(self):
-        x = cheb_coefficients(cheb_poly(2) ** 3)  # indices of the wrong parity vanish
+        x = cheb_coefficients(power(cheb_poly(2), 3))  # indices of the wrong parity vanish
         assert len(x) == 7
         for j, coeff in enumerate(x):
             if (j - 6) % 2:
@@ -200,13 +201,13 @@ class TestLinearization:
         # <U_1^w, U_0> = C(w, w/2)/(1 + w/2) for even w
         for w in (2, 4, 6, 8):
             expected = Fraction(math.comb(w, w // 2), 1 + w // 2)
-            assert cheb_coefficients(cheb_poly(1) ** w)[0] == expected
+            assert cheb_coefficients(power(cheb_poly(1), w))[0] == expected
 
     @pytest.mark.parametrize("varpi", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_reassembly(self, varpi, r):
-        power = cheb_poly(r) ** varpi
-        assert cheb_sum(cheb_coefficients(power)) == power
+        raised = power(cheb_poly(r), varpi)
+        assert cheb_sum(cheb_coefficients(raised)) == raised
 
     def test_expansion_round_trip(self):
         p = cheb_poly(4) * 3 + cheb_poly(1) * -7 + ONE
@@ -235,7 +236,7 @@ class TestIntegerRing:
     def test_api_edges_return_ints(self):
         # U-basis coefficients, chain sums and the factorial closed forms,
         # whose quotients divide exactly.
-        assert all(type(c) is int for c in cheb_coefficients(cheb_poly(2) ** 3))
+        assert all(type(c) is int for c in cheb_coefficients(power(cheb_poly(2), 3)))
         for k0 in range(1, 6):
             assert type(vanishing_chain_sum(k0)) is int
         for big_k in range(0, 41):
@@ -329,8 +330,8 @@ def product_inner_product(p: ExactPoly, q: ExactPoly) -> int:
 
 
 def product_linearization(varpi: int, r: int, family) -> dict:
-    power = family(r) ** varpi
-    return {j: product_inner_product(power, family(j)) for j in range(r * varpi + 1)}
+    raised = power(family(r), varpi)
+    return {j: product_inner_product(raised, family(j)) for j in range(r * varpi + 1)}
 
 
 def sum_by_products(coeffs, family) -> ExactPoly:
@@ -352,7 +353,7 @@ def pairwise_orthonormality(top: int, family) -> int:
 def per_chain_residual(k0: int, family) -> ExactPoly:
     acc = ZERO
     for sign, weight, tail in chains(k0):
-        bracket = (T ** (2 * tail)) - ExactPoly.of(math.comb(2 * tail, tail))
+        bracket = power(T, 2 * tail) - ExactPoly.of(math.comb(2 * tail, tail))
         acc = acc + (sign * weight) * bracket
     return acc - (family(2 * k0) - family(2 * k0 - 2))
 
@@ -363,7 +364,7 @@ def power_sum_residual_by_powers(n: int, r: int, family) -> ExactPoly:
         lhs = lhs + family(j * n) - family(j * n - 2)
     rhs = ZERO
     for j in range(r + 1):
-        rhs = rhs + ((-1) ** j) * ((family(n - 2) ** j) * family(n * (r - j)))
+        rhs = rhs + ((-1) ** j) * (power(family(n - 2), j) * family(n * (r - j)))
     return lhs - rhs
 
 
@@ -412,8 +413,7 @@ class TestProductRouteOracles:
     @pytest.mark.parametrize("varpi", range(0, 7))
     @pytest.mark.parametrize("r", range(0, 7))
     def test_linearize_power(self, family, varpi, r):
-        power = family(r) ** varpi
-        got = cheb_coefficients(power)
+        got = cheb_coefficients(power(family(r), varpi))
         want = product_linearization(varpi, r, family)
         assert dict(enumerate(got)) == want
         assert all(type(c) is int for c in got)
@@ -440,7 +440,7 @@ class TestProductRouteOracles:
 
 class TestWorkGuard:
     """Polynomial products counted, not timed: every ExactPoly.__mul__ call,
-    scalar or polynomial, through __rmul__ and __pow__ too."""
+    scalar or polynomial, through __rmul__ too."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -484,9 +484,9 @@ class TestWorkGuard:
 
     def test_linearization_and_orthonormality_products(self, products):
         cheb_poly(64)
-        power = cheb_poly(8) ** 8
+        raised = power(cheb_poly(8), 8)
         products[0] = 0
-        cheb_sum(cheb_coefficients(power))
+        cheb_sum(cheb_coefficients(raised))
         orthonormality_residual(40)
         assert products[0] == 0
 

@@ -372,9 +372,10 @@ class TestRecordedDigests:
 
 class TestUnrecordedDigests:
     """Same bytes on routes that bench/reference.json does not record: the
-    default constants cutoffs, one --cutoff for both constants, the
-    uniform distribution's walk, and the chain identities past the
-    recorded --kmax."""
+    default constants cutoffs, one --cutoff for both constants (at 2 and 3
+    too, where the sums' trees meet), the uniform distribution's walk, the
+    chain identities past the recorded --kmax, and a Petersson sweep at a
+    large weight."""
 
     @pytest.mark.parametrize(
         "command, digest",
@@ -383,12 +384,22 @@ class TestUnrecordedDigests:
              "246e00c70f1adfe23d112cfb707951da580501be370005740e9334081cf25292"),
             ("constants --r 1 --kappa 12 --cutoff 10000",
              "fa45860d36d30e01357633f5f7e2eb058513cd3a26c36df12af8a9190acd5cbd"),
+            # One tree of one prime holds the pnt, decade and even sums.
+            ("constants --r 1 --kappa 12 --cutoff 2",
+             "ff3f005db04bd290099224a5ea2d7cd88ac6d4aa3bf51387c3cdad981972e9cc"),
+            # The pnt and even sums on one tree, the decade sum on another.
+            ("constants --r 1 --kappa 12 --cutoff 3",
+             "277cec418b05ff7acbc84590034865cfc7de35d8f9311375bcfd280aea0c3880"),
             ("pterms --r 1 --kappa 12 --q 11 --nu 1/2 --dist uniform",
              "b1c92e0201e85a723d7d1abae1a12e3dd7d88569d9e405c43a8f346e016b68a7"),
             ("identities --kmax 20",
              "5af0eefa24653c965d4263c11c913d3d7292ad956447ed2a26ad23a64a1c1917"),
             ("identities --kmax 24",
              "950eac6ac625fd6df88074b182daaf4b1dda9066b999a545f010a38ab0a71a73"),
+            # A Bessel order past 170 in the series' first term, Miller's
+            # rescale and the log-space tail bound.
+            ("petersson --m 10 --kappa 400 --cmax 200",
+             "ed27192db8aabfe87f8a7bad20bd74cf3e5b3d5d0d8bde340a45e3e595388e5e"),
         ],
     )
     def test_stdout_digest(self, command, digest, capsys):

@@ -31,13 +31,11 @@ from symlow.constants import (
     SIEVE_CAP_ENV,
     c_gamma,
     _ExactSums,
-    _LogLeaf,
     _PairwiseSums,
     _even_denominator,
-    _even_leaf,
     _feed,
     _pairwise_tree,
-    _pnt_leaf,
+    _pnt_even_leaf,
     _pnt_value_at,
     _prime_counter,
     _prime_stream,
@@ -389,13 +387,21 @@ class TestSharedPrimeTable:
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 97, 10**4, 10**6])
     def test_views_equal_fresh_sieve(self, cutoff):
-        # compute_constants's three trees to the cutoff, fed a stream to
-        # 10**7, read only their prefix of it, as its even sum does at the
-        # default cutoffs: a sum to X reads its prefix of a longer stream.
+        # compute_constants's three sums to the cutoff, each its own tree
+        # with its own logs, fed a stream to 10**7, read only their prefix of
+        # it, as its even sum does at the default cutoffs: a sum to X reads
+        # its prefix of a longer stream.
+        def pnt_leaf(p):
+            logs = numpy.log(p)
+            return logs, logs / p
+
+        def even_leaf(p):
+            return (numpy.log(p) / (p**1.5 - p),)
+
         count = _prime_counter(cutoff, _root_primes(cutoff))
         decade = max(2, cutoff // 10)
-        cutoffs = [(cutoff, _pnt_leaf), (decade, _pnt_leaf), (cutoff, _even_leaf)]
-        trees = [_PairwiseSums(count(x), _LogLeaf([leaf])) for x, leaf in cutoffs]
+        cutoffs = [(cutoff, pnt_leaf), (decade, pnt_leaf), (cutoff, even_leaf)]
+        trees = [_PairwiseSums(count(x), leaf) for x, leaf in cutoffs]
         _feed(_segmented_sieve(10**7, _root_primes(10**7)), trees)
         pnt, pnt_decade, (even,) = (tree.sums() for tree in trees)
         value = _pnt_value_at(cutoff, *pnt)
@@ -413,17 +419,17 @@ class TestSharedPrimeTable:
         leaves, segments = [], []
         sieve = symlow.constants._segmented_sieve
 
-        def recorded(p, logs):
-            (got,) = _even_leaf(p, logs)
-            leaves.append(got.copy())
-            return (got,)
+        def recorded(p):
+            arrays = _pnt_even_leaf(p)
+            leaves.append(arrays[2].copy())
+            return arrays
 
         def kept(n, base):
             for segment in sieve(n, base):
                 segments.append((segment, segment.copy()))
                 yield segment
 
-        monkeypatch.setattr(symlow.constants, "_even_leaf", recorded)
+        monkeypatch.setattr(symlow.constants, "_pnt_even_leaf", recorded)
         monkeypatch.setattr(symlow.constants, "_segmented_sieve", kept)
         compute_constants(2, 12, 10**6)
         assert max(leaf.size for leaf in leaves) <= _BLOCK

@@ -249,7 +249,7 @@ NUMPY_ELEMENTARY_ALLOWED = {
     ("forms._root_block", "cos"): "Newton's proposal; math.sin at two adjacent floats certifies every root",
     ("forms._bisect_block", "sin"): "every comparison within BISECTION_MARGIN of a tie is redone with math.sin",
     ("constants._ExactSums.feed", "log"): "the constants' logs; one library for them waits for ROADMAP item 2",
-    ("constants._LogLeaf.__call__", "log"): "the constants' logs; one library for them waits for ROADMAP item 2",
+    ("constants._pnt_leaf", "log"): "the constants' logs; one library for them waits for ROADMAP item 2",
 }
 
 
